@@ -30,8 +30,8 @@ from .importance import (Permutation, UnitScore, apply_permutation,
 from .nest import (CACHE_OPTIMIZED, STANDARD, NestedModel, SwitchStats,
                    load_bundle, save_bundle)
 from .netgraph import (LayerSpec, ModelGraph, UnitCost, build_reference,
-                       forward, forward_masked, full_macs, load_manifest,
-                       plan_macs, save_manifest, truncate, unit_macs)
+                       forward, full_macs, load_manifest, plan_macs,
+                       save_manifest, truncate, unit_macs)
 from .planner import (DwBlock, DwInstance, DwSolution, KnapsackInstance,
                       KnapsackSolution, SlicingPlan, make_plan,
                       plan_baseline, plan_bottom_up, plan_depthwise,

@@ -26,13 +26,6 @@ import numpy as np
 
 from .errors import ConfigError
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    _HAVE_NUMBA = False
-
 
 @dataclass(frozen=True)
 class CacheConfig:
@@ -150,48 +143,12 @@ def _simulate_py(addrs, n_sets, ways, line_bytes):
     return hits
 
 
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _simulate_nb(addrs, n_sets, ways, line_bytes):  # pragma: no cover
-        tags = np.full((n_sets, ways), -1, dtype=np.int64)
-        stamp = np.zeros((n_sets, ways), dtype=np.int64)
-        t = 0
-        hits = 0
-        for idx in range(addrs.shape[0]):
-            a = addrs[idx]
-            line = a // line_bytes
-            s = line % n_sets
-            tag = line // n_sets
-            t += 1
-            hit = False
-            for wy in range(ways):
-                if tags[s, wy] == tag:
-                    hits += 1
-                    stamp[s, wy] = t
-                    hit = True
-                    break
-            if not hit:
-                victim = 0
-                best = stamp[s, 0]
-                for wy in range(1, ways):
-                    if stamp[s, wy] < best:
-                        best = stamp[s, wy]
-                        victim = wy
-                tags[s, victim] = tag
-                stamp[s, victim] = t
-        return hits
-
-
 def simulate(trace, cfg: CacheConfig = RP2040_CACHE) -> TraceStats:
     """LRU set-associative hit/miss accounting from a cold cache."""
     addrs = np.asarray(trace, dtype=np.int64)
     if addrs.size and addrs.min() < 0:
         raise ConfigError("addresses must be nonnegative")
-    if _HAVE_NUMBA:
-        hits = int(_simulate_nb(addrs, cfg.n_sets, cfg.ways, cfg.line_bytes))
-    else:
-        hits = int(_simulate_py(addrs, cfg.n_sets, cfg.ways, cfg.line_bytes))
+    hits = int(_simulate_py(addrs, cfg.n_sets, cfg.ways, cfg.line_bytes))
     return TraceStats(accesses=int(addrs.size), hits=hits)
 
 

@@ -2,9 +2,10 @@
 
 Subcommands: pipeline, train, score, plan, finetune, eval, switch-sim,
 bench-cache, verify-bounds. Global flags: --seed, --config (JSON file),
---out. Every artifact lands under --out together with a manifest that
-embeds the configuration and its hash, so a run is reproducible from
-(seed, config).
+--out. The first five run stages from one table (``STAGES``); they write
+every artifact under --out together with a manifest that lists the stages
+run and embeds the configuration and its hash, so a run is reproducible
+from (seed, config).
 
 Exit codes: 0 success, 2 config error, 3 infeasible plan, 4 data error,
 5 numeric error.
@@ -26,11 +27,11 @@ from . import bounds as bnd
 from . import cachesim as cs
 from . import netgraph as ng
 from .autograd import TrainConfig, accumulate_importance_grads
-from .datasets import load_idx, synth_blobs
+from .datasets import Dataset, load_idx, synth_blobs
 from .errors import EXIT_CODES, ConfigError, NestsliceError
 from .finetune import evaluate_rows, finetune_joint, train_single
 from .importance import (apply_to_scores, export_scores_csv,
-                         permute_descending, score_units)
+                         permute_descending, permute_grad_store, score_units)
 from .nest import NestedModel, load_bundle, save_bundle
 from .planner import SlicingPlan, make_plan, plan_baseline
 
@@ -107,7 +108,6 @@ def build_dataset(cfg: dict):
             separation=ds.get("separation", 4.0),
         )
         if not np.isscalar(dims):  # image-shaped synthetic data
-            from .datasets import Dataset
             blob = Dataset(
                 blob.samples.reshape((-1,) + tuple(int(d) for d in dims)),
                 blob.labels, blob.splits)
@@ -154,95 +154,121 @@ def _write_manifest(out_dir, cfg, stages):
 
 
 # -- stages --------------------------------------------------------------------
+# Each stage reads what earlier stages left in ``state``, writes its own
+# artifacts under ``out_dir`` and returns its manifest entry's details.
 
 
-def _stage_train(cfg, dataset, out_dir):
+def _stage_dataset(cfg, state, out_dir):
+    dataset = build_dataset(cfg)
+    state["ds"] = Dataset(_arch_samples(cfg, dataset), dataset.labels,
+                          dataset.splits)
+    return {"samples": int(len(dataset.samples))}
+
+
+def _stage_train(cfg, state, out_dir):
+    ds = state["ds"]
     g = ng.build_reference(cfg["arch"], cfg["size"],
-                           input_shape=_dataset_input_shape(cfg, dataset),
-                           classes=dataset.n_classes, seed=cfg["seed"])
+                           input_shape=_dataset_input_shape(cfg, ds),
+                           classes=ds.n_classes, seed=cfg["seed"])
     tc = TrainConfig.from_json(cfg["pretrain"])
-    xs = _arch_samples(cfg, dataset)
-    from .datasets import Dataset
-    ds = Dataset(xs, dataset.labels, dataset.splits)
     log = train_single(g, ds, tc, optimizer="adam", seed=cfg["seed"])
     ng.save_manifest(g, out_dir, name="model")
     with open(os.path.join(out_dir, "train_log.json"), "w") as fh:
         json.dump(log, fh, indent=2)
-    return g, ds
+    state["graph"] = g
+    return {"artifact": "model.json"}
 
 
-def _stage_scores(cfg, g, ds):
+def _stage_score(cfg, state, out_dir):
+    ds, g = state["ds"], state["graph"]
     stream = ds.batches("train", min(cfg["pretrain"]["batch_size"],
                                      len(ds.splits["train"])),
                         seed=cfg["seed"], repeat=True)
-    grads = accumulate_importance_grads(g, stream,
-                                        n_batches=cfg["importance_batches"])
-    scores = score_units(g, grads)
-    return grads, scores
+    state["grads"] = accumulate_importance_grads(
+        g, stream, n_batches=cfg["importance_batches"])
+    state["scores"] = score_units(g, state["grads"])
+    export_scores_csv(state["scores"], os.path.join(out_dir, "scores.csv"))
+    return {"artifact": "scores.csv"}
 
 
-def cmd_pipeline(cfg, out_dir) -> int:
+def _stage_plan(cfg, state, out_dir):
+    g, scores = state["graph"], state["scores"]
+    caps = capacities_from_percent(g, cfg["capacities_percent"])
+    if cfg["heuristic"] in ("l1", "random"):
+        g2, plan = plan_baseline(g, cfg["heuristic"], caps, seed=cfg["seed"])
+    else:
+        g2, perm = permute_descending(g, scores)
+        plan = make_plan(g2, apply_to_scores(g, perm, scores), caps,
+                         heuristic=cfg["heuristic"],
+                         grad_store=permute_grad_store(g2, perm,
+                                                       state["grads"]),
+                         formulation=cfg["formulation"], seed=cfg["seed"])
+    ng.save_manifest(g2, out_dir, name="permuted")
+    plan.save(os.path.join(out_dir, "plan.json"))
+    state["graph"], state["plan"] = g2, plan
+    return {"artifact": "plan.json", "heuristic": cfg["heuristic"],
+            "capacities": caps}
+
+
+def _stage_finetune(cfg, state, out_dir):
+    # Ships the batchnorm statistics the rows were fine-tuned and validated
+    # with: training never updates them, so re-estimating them afterwards
+    # would change the function the rows learned.
+    model = NestedModel(state["graph"], state["plan"], layout=cfg["layout"])
+    tc = TrainConfig.from_json(cfg["finetune"])
+    log = finetune_joint(model, state["ds"], tc, optimizer="sgd",
+                         seed=cfg["seed"])
+    with open(os.path.join(out_dir, "finetune_log.csv"), "w",
+              newline="") as fh:
+        csv.writer(fh).writerows(log.to_csv_rows())
+    state["model"] = model
+    return {"artifact": "finetune_log.csv"}
+
+
+def _stage_bundle(cfg, state, out_dir):
+    save_bundle(state["model"], os.path.join(out_dir, "bundle"))
+    return {"artifact": "bundle/"}
+
+
+STAGES = {
+    "dataset": _stage_dataset,
+    "train": _stage_train,
+    "score": _stage_score,
+    "plan": _stage_plan,
+    "finetune": _stage_finetune,
+    "bundle": _stage_bundle,
+}
+
+# the stages each stage subcommand runs, in table order; ``finetune`` starts
+# from the graph and plan given by --model and --plan
+COMMAND_STAGES = {
+    "pipeline": tuple(STAGES),
+    "train": ("dataset", "train"),
+    "score": ("dataset", "train", "score"),
+    "plan": ("dataset", "train", "score", "plan"),
+    "finetune": ("dataset", "finetune", "bundle"),
+}
+
+
+def _run_stages(command, cfg, out_dir, state) -> int:
+    """Run a subcommand's stages, rewriting the manifest as each one ends."""
     os.makedirs(out_dir, exist_ok=True)
-    stages = []
-
-    def done(name, **info):
-        stages.append({"stage": name, **info})
-        _write_manifest(out_dir, cfg, stages)
-
-    try:
-        dataset = build_dataset(cfg)
-        done("dataset", samples=int(len(dataset.samples)))
-        g, ds = _stage_train(cfg, dataset, out_dir)
-        done("train", artifact="model.json")
-        grads, scores = _stage_scores(cfg, g, ds)
-        export_scores_csv(scores, os.path.join(out_dir, "scores.csv"))
-        done("score", artifact="scores.csv")
-        caps = capacities_from_percent(g, cfg["capacities_percent"])
-        if cfg["heuristic"] in ("l1", "random"):
-            g2, plan = plan_baseline(g, cfg["heuristic"], caps,
-                                     seed=cfg["seed"])
-        else:
-            g2, perm = permute_descending(g, scores)
-            scores2 = apply_to_scores(g, perm, scores)
-            grads2 = _permute_grads(g, g2, perm, grads)
-            plan = make_plan(g2, scores2, caps, heuristic=cfg["heuristic"],
-                             grad_store=grads2,
-                             formulation=cfg["formulation"],
-                             seed=cfg["seed"])
-        ng.save_manifest(g2, out_dir, name="permuted")
-        plan.save(os.path.join(out_dir, "plan.json"))
-        done("plan", artifact="plan.json", heuristic=cfg["heuristic"],
-             capacities=caps)
-        model = NestedModel(g2, plan, layout=cfg["layout"])
-        tc = TrainConfig.from_json(cfg["finetune"])
-        log = finetune_joint(model, ds, tc, optimizer="sgd",
-                             seed=cfg["seed"])
-        with open(os.path.join(out_dir, "finetune_log.csv"), "w",
-                  newline="") as fh:
-            wr = csv.writer(fh)
-            for row in log.to_csv_rows():
-                wr.writerow(row)
-        done("finetune", artifact="finetune_log.csv")
-        if model.bn_stats and model.bn_stats[0]:
-            model.recalibrate_bn(ds.split("train")[0][:500])
-        bundle_dir = os.path.join(out_dir, "bundle")
-        save_bundle(model, bundle_dir)
-        done("bundle", artifact="bundle/")
-    except NestsliceError as e:
-        stage = "unknown"
-        names = ["dataset", "train", "score", "plan", "finetune", "bundle"]
-        stage = names[len(stages)] if len(stages) < len(names) else "bundle"
-        print(f"pipeline halted at stage '{stage}': {e}", file=sys.stderr)
-        done(f"failed:{stage}", error=str(e))
-        raise
+    done = []
+    for name in COMMAND_STAGES[command]:
+        try:
+            info = STAGES[name](cfg, state, out_dir)
+        except NestsliceError as e:
+            print(f"{command} halted at stage '{name}': {e}", file=sys.stderr)
+            done.append({"stage": f"failed:{name}", "error": str(e)})
+            _write_manifest(out_dir, cfg, done)
+            raise
+        done.append({"stage": name, **info})
+        _write_manifest(out_dir, cfg, done)
     return 0
 
 
-def _permute_grads(g_old, g_new, perm, grads):
-    """Gradient store aligned with the permuted graph (for dw planning)."""
-    from .importance import permute_grad_store
-
-    return permute_grad_store(g_new, perm, grads)
+def cmd_pipeline(cfg, out_dir) -> int:
+    return _run_stages("pipeline", cfg, out_dir, {})
 
 
 def cmd_eval(bundle_dir, cfg, out_path=None) -> int:
@@ -330,11 +356,11 @@ def cmd_bench_cache(args, out_dir) -> int:
     return 0
 
 
-def cmd_verify_bounds(args, out_dir) -> int:
-    reports = bnd.verify_bounds(n_instances=args.instances, seed=args.seed,
+def cmd_verify_bounds(args, seed) -> int:
+    reports = bnd.verify_bounds(n_instances=args.instances, seed=seed,
                                 max_items=args.max_items)
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, "bounds_report.json")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, "bounds_report.json")
     with open(path, "w") as fh:
         json.dump([r.to_json() for r in reports], fh, indent=2)
     failed = [r for r in reports if not r.passed]
@@ -389,7 +415,6 @@ def _make_parser():
     p = sub.add_parser("verify-bounds", help="knapsack bound property run")
     p.add_argument("--instances", type=int, default=1000)
     p.add_argument("--max-items", type=int, default=12)
-    p.add_argument("--seed", dest="bounds_seed", type=int, default=0)
     return ap
 
 
@@ -410,61 +435,14 @@ def main(argv=None) -> int:
         out_dir = args.out
         if args.command == "pipeline":
             return cmd_pipeline(cfg, out_dir)
-        if args.command == "train":
-            os.makedirs(out_dir, exist_ok=True)
-            dataset = build_dataset(cfg)
-            _stage_train(cfg, dataset, out_dir)
-            _write_manifest(out_dir, cfg, [{"stage": "train"}])
-            return 0
-        if args.command == "score":
-            os.makedirs(out_dir, exist_ok=True)
-            dataset = build_dataset(cfg)
-            g, ds = _stage_train(cfg, dataset, out_dir)
-            _, scores = _stage_scores(cfg, g, ds)
-            export_scores_csv(scores, os.path.join(out_dir, "scores.csv"))
-            return 0
-        if args.command == "plan":
-            if args.heuristic:
+        if args.command in COMMAND_STAGES:
+            state = {}
+            if args.command == "plan" and args.heuristic:
                 cfg["heuristic"] = args.heuristic
-            os.makedirs(out_dir, exist_ok=True)
-            dataset = build_dataset(cfg)
-            g, ds = _stage_train(cfg, dataset, out_dir)
-            grads, scores = _stage_scores(cfg, g, ds)
-            caps = capacities_from_percent(g, cfg["capacities_percent"])
-            if cfg["heuristic"] in ("l1", "random"):
-                g2, plan = plan_baseline(g, cfg["heuristic"], caps,
-                                         seed=cfg["seed"])
-            else:
-                g2, perm = permute_descending(g, scores)
-                scores2 = apply_to_scores(g, perm, scores)
-                grads2 = _permute_grads(g, g2, perm, grads)
-                plan = make_plan(g2, scores2, caps,
-                                 heuristic=cfg["heuristic"],
-                                 grad_store=grads2,
-                                 formulation=cfg["formulation"],
-                                 seed=cfg["seed"])
-            ng.save_manifest(g2, out_dir, name="permuted")
-            plan.save(os.path.join(out_dir, "plan.json"))
-            return 0
-        if args.command == "finetune":
-            os.makedirs(out_dir, exist_ok=True)
-            g2 = ng.load_manifest(args.model)
-            plan = SlicingPlan.load(args.plan)
-            dataset = build_dataset(cfg)
-            from .datasets import Dataset
-            ds = Dataset(_arch_samples(cfg, dataset), dataset.labels,
-                         dataset.splits)
-            model = NestedModel(g2, plan, layout=cfg["layout"])
-            tc = TrainConfig.from_json(cfg["finetune"])
-            log = finetune_joint(model, ds, tc, optimizer="sgd",
-                                 seed=cfg["seed"])
-            with open(os.path.join(out_dir, "finetune_log.csv"), "w",
-                      newline="") as fh:
-                wr = csv.writer(fh)
-                for row in log.to_csv_rows():
-                    wr.writerow(row)
-            save_bundle(model, os.path.join(out_dir, "bundle"))
-            return 0
+            if args.command == "finetune":
+                state = {"graph": ng.load_manifest(args.model),
+                         "plan": SlicingPlan.load(args.plan)}
+            return _run_stages(args.command, cfg, out_dir, state)
         if args.command == "eval":
             return cmd_eval(args.bundle, cfg)
         if args.command == "switch-sim":
@@ -472,8 +450,7 @@ def main(argv=None) -> int:
         if args.command == "bench-cache":
             return cmd_bench_cache(args, out_dir)
         if args.command == "verify-bounds":
-            args.seed = args.bounds_seed
-            return cmd_verify_bounds(args, out_dir)
+            return cmd_verify_bounds(args, cfg["seed"])
         raise ConfigError(f"unknown command {args.command!r}")
     except NestsliceError as e:
         for cls, code in EXIT_CODES.items():

@@ -641,16 +641,6 @@ def forward(g: ModelGraph, x, slicing=None, bn_stats=None, count_macs=False):
     return logits
 
 
-def forward_masked(g: ModelGraph, x, mask_widths, bn_stats=None,
-                   count_macs=False):
-    """Full-width forward with binary masks at every layer boundary."""
-    logits, _, macs = run_forward(g, x, mask_widths=mask_widths,
-                                  bn_stats=bn_stats)
-    if count_macs:
-        return logits, macs
-    return logits
-
-
 def truncate(g: ModelGraph, slicing) -> ModelGraph:
     """Physically truncated copy of the model at the given widths.
 

@@ -23,13 +23,12 @@ from nestslice.bounds import (brute_opt, bu_two_stage, td_two_stage,
                               random_instance, tight_instance_bu,
                               tight_instance_td)
 from nestslice.cachesim import RP2040_CACHE, bench_report, trace_matmul
-from nestslice.cli import _permute_grads
 from nestslice.datasets import synth_blobs
 from nestslice.finetune import (evaluate, evaluate_rows,
                                 few_shot_bu_td_harness, finetune_joint,
                                 train_single)
 from nestslice.importance import (apply_to_scores, permute_descending,
-                                  score_units)
+                                  permute_grad_store, score_units)
 from nestslice.nest import CACHE_OPTIMIZED, NestedModel
 from nestslice.netgraph import build_reference, forward, full_macs
 from nestslice.planner import (DwBlock, DwInstance, KnapsackInstance,
@@ -53,7 +52,7 @@ def prepared(arch, ishape, seed, classes=10):
     scores = score_units(g, store)
     g2, perm = permute_descending(g, scores)
     scores2 = apply_to_scores(g, perm, scores)
-    store2 = _permute_grads(g, g2, perm, store)
+    store2 = permute_grad_store(g2, perm, store)
     return g2, scores2, store2
 
 
@@ -353,7 +352,7 @@ def test_criterion_12_few_shot_harness():
     scores = score_units(g, grads)
     g2, perm = permute_descending(g, scores)
     scores2 = apply_to_scores(g, perm, scores)
-    grads2 = _permute_grads(g, g2, perm, grads)
+    grads2 = permute_grad_store(g2, perm, grads)
     full = full_macs(g2)
     caps = [full, full // 2, full // 4]
     cfg = TrainConfig(batch_size=20, epochs=2,

@@ -1,11 +1,18 @@
 import csv
 import json
 import os
+import shlex
 
 import numpy as np
 import pytest
 
-from nestslice.cli import main
+from nestslice import bounds
+from nestslice.cli import _make_parser, build_dataset, load_config, main
+from nestslice.finetune import evaluate_rows
+from nestslice.nest import load_bundle
+
+README = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "README.md")
 
 SMALL_CONFIG = {
     "seed": 3,
@@ -19,6 +26,20 @@ SMALL_CONFIG = {
     "pretrain": {"batch_size": 32, "epochs": 3,
                  "learning_rate_schedule": [[0, 0.003]]},
     "finetune": {"batch_size": 32, "epochs": 2,
+                 "learning_rate_schedule": [[0, 0.001]]},
+}
+
+
+# a small net with batchnorm; the whole pipeline takes about half a second
+CONV_CONFIG = {
+    "arch": "cnn",
+    "capacities_percent": [100, 50],
+    "importance_batches": 4,
+    "dataset": {"kind": "synthetic", "classes": 10, "per_class": 40,
+                "dims": [6, 6, 1], "separation": 4.0},
+    "pretrain": {"batch_size": 32, "epochs": 2,
+                 "learning_rate_schedule": [[0, 0.003]]},
+    "finetune": {"batch_size": 32, "epochs": 1,
                  "learning_rate_schedule": [[0, 0.001]]},
 }
 
@@ -236,3 +257,83 @@ def test_unsupported_split_rejected(tmp_path):
     rc = main(["--config", cfg, "--out", str(tmp_path / "o"),
                "--split", "70:20:10", "pipeline"])
     assert rc == 2
+
+
+def test_verify_bounds_uses_global_seed(tmp_path):
+    docs = {}
+    for seed in (0, 3):
+        out = str(tmp_path / f"seed{seed}")
+        assert main(["--seed", str(seed), "--out", out, "verify-bounds",
+                     "--instances", "20"]) == 0
+        with open(os.path.join(out, "bounds_report.json")) as fh:
+            docs[seed] = json.load(fh)
+    assert docs[3] != docs[0]
+    want = [r.to_json() for r in bounds.verify_bounds(n_instances=20, seed=3)]
+    assert docs[3] == json.loads(json.dumps(want))
+
+
+@pytest.fixture(scope="module")
+def conv_pipeline(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("conv")
+    cfg = write_config(tmp, CONV_CONFIG)
+    out = str(tmp / "pipeline")
+    assert main(["--config", cfg, "--out", out, "pipeline"]) == 0
+    return tmp, cfg, out
+
+
+def _manifest_stages(out):
+    with open(os.path.join(out, "manifest.json")) as fh:
+        return [s["stage"] for s in json.load(fh)["stages"]]
+
+
+def test_bundle_ships_validated_bn_statistics(conv_pipeline):
+    _, cfg, out = conv_pipeline
+    model = load_bundle(os.path.join(out, "bundle"))
+    assert model.bn_stats[0]  # the net has batchnorm layers
+    logged = {}
+    with open(os.path.join(out, "finetune_log.csv"), newline="") as fh:
+        for r in csv.DictReader(fh):
+            logged[int(r["row"])] = float(r["val_accuracy"])  # last epoch
+    val_x, val_y = build_dataset(load_config(cfg)).split("val")
+    assert evaluate_rows(model, val_x, val_y) == [logged[k]
+                                                  for k in sorted(logged)]
+
+
+def test_subcommands_compose_into_pipeline(conv_pipeline):
+    tmp, cfg, out = conv_pipeline
+    planned, tuned = str(tmp / "plan"), str(tmp / "finetune")
+    assert main(["--config", cfg, "--out", planned, "plan"]) == 0
+    assert main(["--config", cfg, "--out", tuned, "finetune",
+                 "--model", os.path.join(planned, "permuted.json"),
+                 "--plan", os.path.join(planned, "plan.json")]) == 0
+    assert _manifest_stages(out) == ["dataset", "train", "score", "plan",
+                                     "finetune", "bundle"]
+    assert _manifest_stages(planned) == ["dataset", "train", "score", "plan"]
+    assert _manifest_stages(tuned) == ["dataset", "finetune", "bundle"]
+    names = sorted(os.listdir(os.path.join(out, "bundle")))
+    assert sorted(os.listdir(os.path.join(tuned, "bundle"))) == names
+    for fn in names:
+        with open(os.path.join(out, "bundle", fn), "rb") as a, \
+                open(os.path.join(tuned, "bundle", fn), "rb") as b:
+            assert a.read() == b.read(), fn
+
+
+@pytest.mark.parametrize("command", ["train", "score"])
+def test_stage_subcommand_manifest(conv_pipeline, command):
+    tmp, cfg, _ = conv_pipeline
+    out = str(tmp / command)
+    assert main(["--config", cfg, "--out", out, command]) == 0
+    want = ["dataset", "train", "score"]
+    assert _manifest_stages(out) == want[:want.index(command) + 1]
+
+
+def test_readme_cli_lines_parse():
+    with open(README) as fh:
+        text = fh.read()
+    block = text.split("## CLI", 1)[1].split("```bash", 1)[1]
+    lines = [ln for ln in block.split("```", 1)[0].splitlines()
+             if ln.startswith("nestslice ")]
+    assert len(lines) >= 5
+    parser = _make_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])

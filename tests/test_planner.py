@@ -9,10 +9,9 @@ from hypothesis import strategies as st
 import nestslice.netgraph as ng
 from conftest import random_grad_store
 from nestslice.bounds import brute_opt
-from nestslice.cli import _permute_grads
 from nestslice.errors import ConfigError, InfeasiblePlanError
 from nestslice.importance import (apply_to_scores, permute_descending,
-                                  score_units)
+                                  permute_grad_store, score_units)
 from nestslice.netgraph import build_reference, full_macs
 from nestslice.planner import (DwBlock, DwInstance, KnapsackInstance,
                                SlicingPlan, dw_objective, make_plan,
@@ -186,7 +185,7 @@ def planned_graph(arch="dnn", ishape=16, seed=1):
     scores = score_units(g, store)
     g2, perm = permute_descending(g, scores)
     scores2 = apply_to_scores(g, perm, scores)
-    store2 = _permute_grads(g, g2, perm, store)
+    store2 = permute_grad_store(g2, perm, store)
     return g2, scores2, store2
 
 
