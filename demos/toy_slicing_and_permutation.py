@@ -11,7 +11,7 @@ be moved to the front, so a subnetwork is just a per-layer width.
 import numpy as np
 
 from nestslice import (NestedModel, Tensor, copy_counter, forward,
-                       full_macs, plan_macs, slice_view)
+                       full_macs, plan_macs)
 from nestslice.importance import Permutation, apply_permutation
 from nestslice.netgraph import LayerSpec, ModelGraph
 from nestslice.planner import SlicingPlan
@@ -43,10 +43,13 @@ print("full network output:\n", forward(net, x)[:2])
 # keeping two of four first-layer units uses the leading 3x2 block of W1
 # and the leading 2x4 block of W2; the views copy nothing
 before = copy_counter()
-v1 = slice_view(net.weights[0]["kernel"], 3, 2)
-v2 = slice_view(net.weights[1]["kernel"], 2, 4)
+v1 = net.weights[0]["kernel"].array[:3, :2]
+v2 = net.weights[1]["kernel"].array[:2, :4]
 print("\nview shapes:", v1.shape, v2.shape,
-      "| elements copied:", copy_counter() - before)
+      "| elements copied:", copy_counter() - before,
+      "| views of the store:",
+      np.shares_memory(v1, net.weights[0]["kernel"].flat)
+      and np.shares_memory(v2, net.weights[1]["kernel"].flat))
 
 sliced = forward(net, x, slicing=[2, 4])
 by_hand = ((x @ w1[:, :2]) @ w2[:2, :]) @ w3

@@ -5,7 +5,8 @@ bench-cache, verify-bounds. Global flags: --seed, --config (JSON file),
 --out. The first five run stages from one table (``STAGES``); they write
 every artifact under --out together with a manifest that lists the stages
 run and embeds the configuration and its hash, so a run is reproducible
-from (seed, config).
+from (seed, config). ``eval`` and ``switch-sim`` read a bundle and write
+their report under --out, never into the bundle.
 
 Exit codes: 0 success, 2 config error, 3 infeasible plan, 4 data error,
 5 numeric error.
@@ -271,7 +272,7 @@ def cmd_pipeline(cfg, out_dir) -> int:
     return _run_stages("pipeline", cfg, out_dir, {})
 
 
-def cmd_eval(bundle_dir, cfg, out_path=None) -> int:
+def cmd_eval(bundle_dir, cfg, out_dir) -> int:
     model = load_bundle(bundle_dir)
     dataset = build_dataset(cfg)
     xs = _arch_samples(cfg, dataset)
@@ -291,8 +292,8 @@ def cmd_eval(bundle_dir, cfg, out_path=None) -> int:
             "params": ng.param_counts(model.graph, widths),
             "accuracy": accs[k],
         })
-    out_path = out_path or os.path.join(bundle_dir, "eval.csv")
-    with open(out_path, "w", newline="") as fh:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "eval.csv"), "w", newline="") as fh:
         wr = csv.DictWriter(fh, fieldnames=list(rows[0]))
         wr.writeheader()
         wr.writerows(rows)
@@ -303,7 +304,7 @@ def cmd_eval(bundle_dir, cfg, out_path=None) -> int:
     return 0
 
 
-def cmd_switch_sim(bundle_dir, schedule_path, out_path=None) -> int:
+def cmd_switch_sim(bundle_dir, schedule_path, out_dir) -> int:
     model = load_bundle(bundle_dir)
     with open(schedule_path) as fh:
         schedule = json.load(fh)
@@ -328,8 +329,8 @@ def cmd_switch_sim(bundle_dir, schedule_path, out_path=None) -> int:
     doc = {"events": events, "per_row_macs": per_row,
            "total_weights_copied": int(sum(e["weights_copied"]
                                            for e in events))}
-    out_path = out_path or os.path.join(bundle_dir, "switch_log.json")
-    with open(out_path, "w") as fh:
+    os.makedirs(out_dir, exist_ok=True)
+    with open(os.path.join(out_dir, "switch_log.json"), "w") as fh:
         json.dump(doc, fh, indent=2)
     print(f"{len(events)} switches, "
           f"{doc['total_weights_copied']} weight elements copied")
@@ -444,9 +445,9 @@ def main(argv=None) -> int:
                          "plan": SlicingPlan.load(args.plan)}
             return _run_stages(args.command, cfg, out_dir, state)
         if args.command == "eval":
-            return cmd_eval(args.bundle, cfg)
+            return cmd_eval(args.bundle, cfg, out_dir)
         if args.command == "switch-sim":
-            return cmd_switch_sim(args.bundle, args.schedule)
+            return cmd_switch_sim(args.bundle, args.schedule, out_dir)
         if args.command == "bench-cache":
             return cmd_bench_cache(args, out_dir)
         if args.command == "verify-bounds":

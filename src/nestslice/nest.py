@@ -9,7 +9,13 @@ asserts the latter through the tensor copy counter.
 
 Batchnorm running statistics are the one width-dependent quantity, so
 they are kept per plan row (learnable scale/shift stay shared and
-sliced). ``recalibrate_bn`` refreshes them with a data pass per row.
+sliced). Training treats them as constants.
+
+Each plan row is resolved once, at construction, into a row program:
+float32 read-only views of the shared store and of the row's batchnorm
+statistics, plus the widths and dims they need. ``activate`` points at
+one; ``infer`` runs it. The views stay live through in-place training
+updates, and no program holds a copy of any weight.
 
 The cache-optimized layout stores dense kernels transposed so each
 neuron's weights are contiguous; inference then uses the flipped multiply
@@ -49,7 +55,9 @@ class NestedModel:
     """One shared weight store, a plan, and an active-row register."""
 
     def __init__(self, graph: ng.ModelGraph, plan: SlicingPlan,
-                 layout: str = STANDARD):
+                 layout: str = STANDARD, bn_stats=None):
+        """``bn_stats``: per-row statistics (as ``save_bundle`` writes
+        them); by default every row starts from the graph's own."""
         if layout not in (STANDARD, CACHE_OPTIMIZED):
             raise ConfigError(f"unknown layout {layout!r}")
         plan.validate(graph)
@@ -57,20 +65,26 @@ class NestedModel:
         self.layout = layout
         if layout == CACHE_OPTIMIZED:
             graph = _transpose_dense_store(graph)
+        _check_layout(graph, layout)
         self.graph = graph
-        self.active = 0
-        self.width_registers = plan.row_widths(0)
+        bn_layers = _bn_layers(graph)
+        if bn_stats is None:
+            bn_stats = [
+                {i: (np.array(graph.weights[i]["mean"].flat),
+                     np.array(graph.weights[i]["var"].flat))
+                 for i in bn_layers}
+                for _ in range(plan.n_rows)
+            ]
+        _check_bn_stats(graph, plan.n_rows, bn_layers, bn_stats)
         # per-row batchnorm running statistics, full-width float32 arrays
         # (float32 end to end so bundles round-trip bit-exactly)
-        self.bn_stats = [
-            {
-                i: (np.array(graph.weights[i]["mean"].flat, dtype=np.float32),
-                    np.array(graph.weights[i]["var"].flat, dtype=np.float32))
-                for i, l in enumerate(graph.layers)
-                if l.kind == ng.BATCHNORM
-            }
-            for _ in range(plan.n_rows)
+        self.bn_stats = bn_stats
+        self._programs = [
+            ng._build_program(graph, plan.row_widths(k), bn_stats[k])
+            for k in range(plan.n_rows)
         ]
+        self.active = 0
+        self.width_registers = plan.row_widths(0)
 
     # -- switching -------------------------------------------------------
 
@@ -85,7 +99,7 @@ class NestedModel:
         widths = self.plan.row_widths(k)
         for j in range(len(self.width_registers)):
             self.width_registers[j] = widths[j]
-        self.active = k
+        self.active = k  # infer runs program k from here on
         integers = len(widths)
         if self.layout == CACHE_OPTIMIZED:
             integers += len(self.graph.transposed_dense)  # flag bits
@@ -98,10 +112,9 @@ class NestedModel:
     # -- inference -------------------------------------------------------
 
     def infer(self, x, count_macs=False):
-        """Logits of the active subnetwork."""
-        logits, _, macs = ng.run_forward(
-            self.graph, x, slicing=self.width_registers,
-            bn_stats=self.bn_stats[self.active])
+        """Float32 logits of the active subnetwork (its row program)."""
+        logits, _, macs = ng.run_forward(self.graph, x,
+                                         program=self._programs[self.active])
         return (logits, macs) if count_macs else logits
 
     def masked_infer(self, k: int, x, count_macs=False):
@@ -112,46 +125,6 @@ class NestedModel:
             self.graph, x, mask_widths=self.plan.row_widths(k),
             bn_stats=self.bn_stats[k])
         return (logits, macs) if count_macs else logits
-
-    # -- batchnorm statistics ---------------------------------------------
-
-    def recalibrate_bn(self, x, batch_size=100) -> None:
-        """Recompute per-row running statistics with a data pass per row.
-
-        The active prefix of each row's statistics is replaced by the
-        activation moments observed at that row's widths; sliced layers
-        shift activation distributions, so the rows diverge here even
-        though all learnable weights stay shared.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        for k in range(self.plan.n_rows):
-            widths = self.plan.row_widths(k)
-            act = ng.resolve_widths(self.graph, widths)
-            dims = ng.layer_output_dims(self.graph, widths)
-            sums, sqs = {}, {}
-            for s in range(0, len(x), batch_size):
-                xb = x[s:s + batch_size]
-                _, cache, _ = ng.run_forward(
-                    self.graph, xb, slicing=widths,
-                    bn_stats=self.bn_stats[k], want_cache=True)
-                for entry in cache:
-                    if entry["kind"] != ng.BATCHNORM:
-                        continue
-                    i = entry["layer"]
-                    vin = entry["input"]
-                    axes = tuple(range(vin.ndim - 1))
-                    sums[i] = sums.get(i, 0.0) + vin.sum(axis=axes)
-                    sqs[i] = sqs.get(i, 0.0) + (vin * vin).sum(axis=axes)
-            for i in sums:
-                w = int(act[i])
-                shape = dims[i]
-                spatial = int(np.prod(shape[:-1])) if len(shape) == 3 else 1
-                n_obs = len(x) * spatial
-                mean = sums[i] / n_obs
-                var = sqs[i] / n_obs - mean * mean
-                mean_full, var_full = self.bn_stats[k][i]
-                mean_full[:w] = mean.astype(np.float32)
-                var_full[:w] = np.maximum(var, 1e-12).astype(np.float32)
 
     # -- audits -----------------------------------------------------------
 
@@ -168,12 +141,50 @@ class NestedModel:
                     raise IntegrityError("weight store was replaced per row")
 
 
+def _bn_layers(g: ng.ModelGraph) -> list:
+    return [i for i, l in enumerate(g.layers) if l.kind == ng.BATCHNORM]
+
+
+def _check_layout(g: ng.ModelGraph, layout: str) -> None:
+    """cache_optimized: every dense kernel stored transposed; standard:
+    none."""
+    dense = {i for i, l in enumerate(g.layers) if l.kind == ng.DENSE}
+    want = dense if layout == CACHE_OPTIMIZED else set()
+    if layout not in (STANDARD, CACHE_OPTIMIZED) or g.transposed_dense != want:
+        raise IntegrityError(
+            f"layout {layout!r} does not match the transposed dense layers "
+            f"{sorted(g.transposed_dense)} of {sorted(dense)}")
+
+
+def _check_bn_stats(g: ng.ModelGraph, n_rows: int, bn_layers: list,
+                    bn_stats: list) -> None:
+    if len(bn_stats) != n_rows:
+        raise IntegrityError(
+            f"{len(bn_stats)} rows of batchnorm statistics for {n_rows} "
+            f"plan rows")
+    for row in bn_stats:
+        if sorted(row) != bn_layers:
+            raise IntegrityError(
+                f"batchnorm statistics for layers {sorted(row)}, graph has "
+                f"batchnorm layers {bn_layers}")
+        for i in bn_layers:
+            for a in row[i]:
+                if a.dtype != np.float32 or a.shape != (g.layers[i].units,):
+                    raise IntegrityError(
+                        f"batchnorm statistics of layer {i}: {a.dtype} "
+                        f"{a.shape}, want float32 ({g.layers[i].units},)")
+
+
 def _transpose_dense_store(g: ng.ModelGraph) -> ng.ModelGraph:
     """Store dense kernels transposed (units x fan_in), flagged per layer.
 
     One-time conversion: afterwards each neuron's weights are contiguous
-    and inference uses the flipped multiply order.
+    and inference uses the flipped multiply order. A graph whose dense
+    kernels are all transposed already is returned as it is.
     """
+    if all(i in g.transposed_dense for i, l in enumerate(g.layers)
+           if l.kind == ng.DENSE):
+        return g
     out = g.copy()
     for i, spec in enumerate(out.layers):
         if spec.kind != ng.DENSE or i in out.transposed_dense:
@@ -218,27 +229,40 @@ def save_bundle(model: NestedModel, out_dir, zipped=False) -> str:
 
 
 def load_bundle(bundle_dir) -> NestedModel:
+    """Read a bundle written by ``save_bundle``, validating what it reads.
+
+    The model is built by ``NestedModel.__init__``, like a fresh one. An
+    inconsistent bundle raises IntegrityError: a plan that fails
+    ``plan.validate``, a layout flag that disagrees with the transposed
+    dense layers, batchnorm layers that differ from the graph's, or a
+    statistics blob count other than rows x batchnorm layers x 2.
+    """
     with open(os.path.join(bundle_dir, "bundle.json")) as fh:
         meta = json.load(fh)
     graph = ng.load_manifest(os.path.join(bundle_dir, "model.json"))
     plan = SlicingPlan.load(os.path.join(bundle_dir, "plan.json"))
-    model = NestedModel.__new__(NestedModel)
-    model.plan = plan
-    model.layout = meta["layout"]
-    model.graph = graph
-    model.active = int(meta["active"])
-    model.width_registers = plan.row_widths(model.active)
+    layout = meta["layout"]
+    _check_layout(graph, layout)
     bn_layers = [int(i) for i in meta["bn_layers"]]
-    model.bn_stats = []
+    if bn_layers != _bn_layers(graph):
+        raise IntegrityError(
+            f"bundle lists batchnorm layers {bn_layers}, graph has "
+            f"{_bn_layers(graph)}")
+    n_rows = int(meta["n_rows"])
+    active = int(meta["active"])
+    if n_rows != plan.n_rows or not 0 <= active < n_rows:
+        raise IntegrityError(
+            f"bundle has {n_rows} rows (active {active}), plan has "
+            f"{plan.n_rows}")
     with open(os.path.join(bundle_dir, "bn_stats.bin"), "rb") as fh:
         blobs = tz.read_blobs(fh)
-    pos = 0
-    for _ in range(int(meta["n_rows"])):
-        row = {}
-        for i in bn_layers:
-            mean = np.array(blobs[pos].flat, dtype=np.float32)
-            var = np.array(blobs[pos + 1].flat, dtype=np.float32)
-            row[i] = (mean, var)
-            pos += 2
-        model.bn_stats.append(row)
+    if len(blobs) != n_rows * len(bn_layers) * 2:
+        raise IntegrityError(
+            f"bn_stats.bin holds {len(blobs)} blobs, want {n_rows} rows x "
+            f"{len(bn_layers)} layers x 2")
+    flat = iter(np.array(t.flat) for t in blobs)
+    bn_stats = [{i: (next(flat), next(flat)) for i in bn_layers}
+                for _ in range(n_rows)]
+    model = NestedModel(graph, plan, layout, bn_stats=bn_stats)
+    model.activate(active)
     return model

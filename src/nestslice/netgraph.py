@@ -502,8 +502,239 @@ def dense_active_kernel(g: ModelGraph, i: int, act_in, act_units):
     return k[:, :act_units]
 
 
+# -- row programs: float32 inference on views of the store -------------------
+#
+# A row program resolves one row once: per layer the active width, the
+# active input dims, the dense feed structure and read-only float32 views
+# of the layer's store tensors (and of the row's batchnorm statistics).
+# It holds views only, never derived copies, so weight updates made in
+# place by training stay visible. How a layer computes depends on its
+# active shapes only, never on the full widths behind a view, so a sliced
+# row and the physically truncated copy of that row run the same float
+# operations.
+
+
+@dataclass
+class _Program:
+    # per layer: (run, args, relu, mask); ``run(cur, *args)`` computes
+    # the layer, ``mask`` zeroes features past a width (binary-mask rows)
+    steps: list
+    macs: int  # exact per-sample multiply count
+    input_shape: tuple | int
+
+
+def _pad(cur, kh, kw):
+    """'Same' zero padding of an (N, H, W, C) map."""
+    n, h, w, c = cur.shape
+    ph, pw = kh // 2, kw // 2
+    xp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=cur.dtype)
+    xp[:, ph:ph + h, pw:pw + w] = cur
+    return xp
+
+
+def _out_hw(h, w, kh, kw, sh, sw):
+    return ((h + 2 * (kh // 2) - kh) // sh + 1,
+            (w + 2 * (kw // 2) - kw) // sw + 1)
+
+
+def _contract(a, w):
+    """sum_t a[t] @ w[t] for a (T, M, c) and a strided view w (T, c, u).
+
+    Flattening (T, c) of a channel-sliced view would copy it; one stacked
+    matmul over T reads the view in place.
+    """
+    return np.matmul(a, w).sum(axis=0)
+
+
+def _run_dense(cur, k, b):
+    out = cur @ k
+    out += b
+    return out
+
+
+def _run_dense_spatial(cur, k3, b):
+    p, c, _ = k3.shape
+    out = _contract(cur.reshape(len(cur), p, c).transpose(1, 0, 2), k3)
+    out += b
+    return out
+
+
+def _run_conv(cur, k, b, kh, kw, sh, sw):
+    """im2col over the padded input.
+
+    ``k`` is a (kh*kw, cin, u) view contracted tap by tap, or (kh*kw, u)
+    for one input channel: there one matmul over all taps is ~10x faster
+    than kh*kw stacked products with an inner dimension of 1.
+    """
+    n, h, w, cin = cur.shape
+    ho, wo = _out_hw(h, w, kh, kw, sh, sw)
+    win = sliding_window_view(_pad(cur, kh, kw), (kh, kw),
+                              axis=(1, 2))[:, ::sh, ::sw]  # N,Ho,Wo,C,kh,kw
+    if k.ndim == 2:
+        out = win.reshape(n * ho * wo, kh * kw) @ k
+    else:
+        cols = win.transpose(4, 5, 0, 1, 2, 3).reshape(kh * kw, -1, cin)
+        out = _contract(cols, k)
+    out += b
+    return out.reshape(n, ho, wo, -1)
+
+
+def _run_depthwise(cur, taps, b, kh, kw, sh, sw):
+    """One shifted multiply-add per kernel tap on the padded input."""
+    _, h, w, _ = cur.shape
+    ho, wo = _out_hw(h, w, kh, kw, sh, sw)
+    xp = _pad(cur, kh, kw)
+    out = None
+    for t, k in enumerate(taps):
+        di, dj = divmod(t, kw)
+        xs = xp[:, di:di + sh * (ho - 1) + 1:sh, dj:dj + sw * (wo - 1) + 1:sw]
+        if out is None:
+            out = xs * k
+        else:
+            out += xs * k
+    out += b
+    return out
+
+
+def _run_pointwise(cur, k, b):
+    n, h, w, cin = cur.shape
+    out = cur.reshape(-1, cin) @ k
+    out += b
+    return out.reshape(n, h, w, -1)
+
+
+def _run_batchnorm(cur, mean, var, gamma, beta):
+    scale = gamma / np.sqrt(var + BN_EPS)
+    cur *= scale  # in place: the executor owns every activation
+    cur += beta - mean * scale
+    return cur
+
+
+def _run_flatten(cur):
+    return cur.reshape(len(cur), -1)
+
+
+def _build_program(g: ModelGraph, slicing=None, bn_stats=None,
+                   mask_widths=None) -> _Program:
+    """Resolve one row (or one masked full-width row) into a program."""
+    if mask_widths is not None and slicing is not None:
+        raise ConfigError("slicing and mask_widths are mutually exclusive")
+    masked = mask_widths is not None
+    act = resolve_widths(g, mask_widths if masked else slicing)
+    width = resolve_widths(g) if masked else act
+    full_dims = layer_output_dims(g)
+    cur = _input_dims(g)  # active dims of the layer's input
+    pre_flat = None  # active dims entering the last flatten
+    steps = []
+    macs = 0
+    for i, spec in enumerate(g.layers):
+        u = int(width[i])
+        params = g.weights[i]
+        if spec.kind in COMPUTE_KINDS:
+            b = params["bias"].array[:u]
+        if spec.kind == DENSE:
+            k = params["kernel"].array
+            if i in g.transposed_dense:
+                k = k.T  # logical (fan_in, units)
+            if (i > 0 and g.layers[i - 1].kind == FLATTEN
+                    and len(pre_flat) == 3):
+                # kernel rows grouped per channel: slice channels in 3-D
+                h, w, c = pre_flat
+                cfull = full_dims[i - 2][2] if i >= 2 else _input_dims(g)[2]
+                k3 = k.reshape(h * w, cfull, spec.units)[:, :c, :u]
+                step = (_run_dense_spatial, (k3, b))
+                macs += h * w * c * u
+            else:
+                step = (_run_dense, (k[:cur[0], :u], b))
+                macs += cur[0] * u
+            cur = (u,)
+        elif spec.kind == CONV2D:
+            kh, kw = spec.kernel
+            sh, sw = spec.stride
+            cin = cur[2]
+            kv = params["kernel"].array[:u, :, :, :cin]
+            k = (kv.reshape(u, kh * kw).T if cin == 1
+                 else kv.reshape(u, kh * kw, cin).transpose(1, 2, 0))
+            step = (_run_conv, (k, b, kh, kw, sh, sw))
+            ho, wo = _out_hw(cur[0], cur[1], kh, kw, sh, sw)
+            macs += ho * wo * kh * kw * cin * u
+            cur = (ho, wo, u)
+        elif spec.kind == DEPTHWISE:
+            kh, kw = spec.kernel
+            sh, sw = spec.stride
+            cin = cur[2]
+            kd = params["kernel"].array[:cin]
+            taps = tuple(kd[:, di, dj] for di in range(kh) for dj in range(kw))
+            step = (_run_depthwise, (taps, b, kh, kw, sh, sw))
+            ho, wo = _out_hw(cur[0], cur[1], kh, kw, sh, sw)
+            macs += ho * wo * kh * kw * cin
+            cur = (ho, wo, cin)
+        elif spec.kind == POINTWISE:
+            cin = cur[2]
+            step = (_run_pointwise,
+                    (params["kernel"].array[:u, 0, 0, :cin].T, b))
+            macs += cur[0] * cur[1] * cin * u
+            cur = cur[:2] + (u,)
+        elif spec.kind == BATCHNORM:
+            cw = cur[-1]
+            if bn_stats is not None and i in bn_stats:
+                mean, var = (np.asarray(s, dtype=np.float32)[:cw]
+                             for s in bn_stats[i])
+            else:
+                mean = params["mean"].array[:cw]
+                var = params["var"].array[:cw]
+            step = (_run_batchnorm, (mean, var, params["gamma"].array[:cw],
+                                     params["beta"].array[:cw]))
+        elif spec.kind == FLATTEN:
+            pre_flat = cur
+            step = (_run_flatten, ())
+            cur = (int(np.prod(cur)),)
+        else:
+            raise ConfigError(f"unknown layer kind {spec.kind}")
+        mask = None
+        if masked and spec.kind != FLATTEN and act[i] < cur[-1]:
+            mask = int(act[i])
+        steps.append(step + (spec.activation == "relu", mask))
+    return _Program(steps, macs, g.input_shape)
+
+
+def _check_input(input_shape, x):
+    """The array ``x`` as an (N, ...) batch matching ``input_shape``."""
+    if np.isscalar(input_shape):
+        if x.ndim == 1:
+            x = x[None, :]
+        if x.ndim != 2 or x.shape[1] != input_shape:
+            raise ShapeMismatchError(
+                f"input shape {x.shape} incompatible with {input_shape}"
+            )
+    else:
+        if x.ndim == 3:
+            x = x[None]
+        if x.ndim != 4 or tuple(x.shape[1:]) != tuple(input_shape):
+            raise ShapeMismatchError(
+                f"input shape {x.shape[1:]} != {input_shape}"
+            )
+    return x
+
+
+def _execute(prog: _Program, x):
+    """Float32 logits of a program on a batch.
+
+    Works on its own copy of the input, so activations and masks apply
+    in place.
+    """
+    cur = _check_input(prog.input_shape, np.array(x, dtype=np.float32))
+    for run, args, relu, mask in prog.steps:
+        cur = run(cur, *args)
+        if relu:
+            np.maximum(cur, 0.0, out=cur)
+        if mask is not None:
+            cur[..., mask:] = 0.0
+    return cur
+
+
 def run_forward(g: ModelGraph, x, slicing=None, bn_stats=None,
-                mask_widths=None, want_cache=False):
+                mask_widths=None, want_cache=False, program=None):
     """Shared forward pass.
 
     x: (N, ...) float array matching input_shape. Returns
@@ -513,35 +744,30 @@ def run_forward(g: ModelGraph, x, slicing=None, bn_stats=None,
     every layer boundary (binary-mask baseline); mutually exclusive with
     ``slicing``. ``bn_stats`` optionally overrides batchnorm running
     statistics: dict layer index -> (mean, var) full-width arrays.
+
+    Inference (``want_cache=False``) runs float32 on a row program over
+    views of the store: ``program`` is one prebuilt by ``NestedModel``
+    for a plan row, else one is built here from the other arguments.
+    With ``want_cache=True`` (autograd) the pass runs in float64 and
+    returns the per-layer cache the backward rules read.
     """
+    if not want_cache:
+        if program is None:
+            program = _build_program(g, slicing, bn_stats, mask_widths)
+        return _execute(program, x), None, program.macs
     if mask_widths is not None and slicing is not None:
         raise ConfigError("slicing and mask_widths are mutually exclusive")
     masked = mask_widths is not None
     act = resolve_widths(g, mask_widths if masked else slicing)
+    x = _check_input(g.input_shape, np.asarray(x, dtype=np.float64))
 
-    x = np.asarray(x, dtype=np.float64)
-    if np.isscalar(g.input_shape):
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[1] != g.input_shape:
-            raise ShapeMismatchError(
-                f"input shape {x.shape} incompatible with {g.input_shape}"
-            )
-    else:
-        if x.ndim == 3:
-            x = x[None]
-        if x.ndim != 4 or tuple(x.shape[1:]) != tuple(g.input_shape):
-            raise ShapeMismatchError(
-                f"input shape {x.shape[1:]} != {g.input_shape}"
-            )
-
-    cache = [] if want_cache else None
+    cache = []
     macs = 0
     cur = x
 
     for i, spec in enumerate(g.layers):
         u = spec.units if masked else int(act[i]) if spec.kind != FLATTEN else 0
-        entry = {"kind": spec.kind, "layer": i, "input": cur} if want_cache else None
+        entry = {"kind": spec.kind, "layer": i, "input": cur}
 
         if spec.kind == DENSE:
             feed, _ = dense_feed_structure(g, i)
@@ -555,9 +781,8 @@ def run_forward(g: ModelGraph, x, slicing=None, bn_stats=None,
             b = g.weights[i]["bias"].array.astype(np.float64)[:u]
             out = cur @ k + b
             macs += k.shape[0] * u
-            if want_cache:
-                entry["kernel"] = k
-                entry["act_in"] = act_in
+            entry["kernel"] = k
+            entry["act_in"] = act_in
         elif spec.kind == CONV2D:
             kh, kw = spec.kernel
             sh, sw = spec.stride
@@ -568,9 +793,8 @@ def run_forward(g: ModelGraph, x, slicing=None, bn_stats=None,
             b = g.weights[i]["bias"].array.astype(np.float64)[:u]
             out = cols @ k2.T + b
             macs += ho * wo * kh * kw * cin * u
-            if want_cache:
-                entry["cols"] = cols
-                entry["k2"] = k2
+            entry["cols"] = cols
+            entry["k2"] = k2
         elif spec.kind == DEPTHWISE:
             kh, kw = spec.kernel
             sh, sw = spec.stride
@@ -583,9 +807,8 @@ def run_forward(g: ModelGraph, x, slicing=None, bn_stats=None,
             b = g.weights[i]["bias"].array.astype(np.float64)[:cin]
             out = np.einsum("nhwckl,ckl->nhwc", win, kd) + b
             macs += ho * wo * kh * kw * cin
-            if want_cache:
-                entry["win"] = win
-                entry["kd"] = kd
+            entry["win"] = win
+            entry["kd"] = kd
         elif spec.kind == POINTWISE:
             cin = cur.shape[3]
             kp = g.weights[i]["kernel"].array.astype(np.float64)[:u, 0, 0, :cin]
@@ -593,8 +816,7 @@ def run_forward(g: ModelGraph, x, slicing=None, bn_stats=None,
             out = cur @ kp.T + b
             ho, wo = cur.shape[1:3]
             macs += ho * wo * cin * u
-            if want_cache:
-                entry["kp"] = kp
+            entry["kp"] = kp
         elif spec.kind == BATCHNORM:
             cw = cur.shape[-1]
             if bn_stats is not None and i in bn_stats:
@@ -608,18 +830,16 @@ def run_forward(g: ModelGraph, x, slicing=None, bn_stats=None,
             inv = 1.0 / np.sqrt(var + BN_EPS)
             xhat = (cur - mean) * inv
             out = gamma * xhat + beta
-            if want_cache:
-                entry["xhat"] = xhat
-                entry["inv"] = inv
-                entry["gamma"] = gamma
+            entry["xhat"] = xhat
+            entry["inv"] = inv
+            entry["gamma"] = gamma
         elif spec.kind == FLATTEN:
             out = cur.reshape(cur.shape[0], -1)
         else:
             raise ConfigError(f"unknown layer kind {spec.kind}")
 
         if spec.activation == "relu":
-            if want_cache:
-                entry["pre_act"] = out
+            entry["pre_act"] = out
             out = np.maximum(out, 0.0)
         # softmax is folded into the loss; forward returns logits
 
@@ -627,8 +847,7 @@ def run_forward(g: ModelGraph, x, slicing=None, bn_stats=None,
             width = int(act[i])
             out = np.array(out)
             out[..., width:] = 0.0
-        if want_cache:
-            cache.append(entry)
+        cache.append(entry)
         cur = out
     return cur, cache, macs
 

@@ -291,11 +291,15 @@ class SlicingPlan:
             raise IntegrityError("plan capacities must be descending")
         if self.points.shape[0] != len(self.capacities):
             raise IntegrityError("one row per capacity required")
+        full = [g.layers[i].units for i in g.sliceable_indices()]
+        if self.points.ndim != 2 or self.points.shape[1] != len(full):
+            raise IntegrityError(
+                f"plan points of shape {self.points.shape} do not match "
+                f"{len(full)} sliceable layers")
         if np.any(self.points < 1):
             raise IntegrityError("every slicing point must be >= 1")
         if np.any(self.points[1:] > self.points[:-1]):
             raise IntegrityError("rows must be pointwise nested")
-        full = [g.layers[i].units for i in g.sliceable_indices()]
         if np.any(self.points > np.array(full)):
             raise IntegrityError("slicing point exceeds layer width")
         for k, cap in enumerate(self.capacities):

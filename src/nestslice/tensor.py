@@ -24,7 +24,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ExtentError, ShapeMismatchError
+from .errors import ShapeMismatchError
 
 
 class Order(IntEnum):
@@ -129,48 +129,6 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, order={self.order.name})"
-
-
-class TensorView:
-    """Leading-block view of a 2-d tensor; never copies element data."""
-
-    __slots__ = ("base", "active_rows", "active_cols")
-
-    def __init__(self, base: Tensor, active_rows: int, active_cols: int):
-        base._require_2d()
-        r, c = base.shape
-        if not (0 < active_rows <= r and 0 < active_cols <= c):
-            raise ExtentError(
-                f"view extent ({active_rows}, {active_cols}) out of range for {base.shape}"
-            )
-        self.base = base
-        self.active_rows = int(active_rows)
-        self.active_cols = int(active_cols)
-
-    @property
-    def shape(self):
-        return (self.active_rows, self.active_cols)
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only numpy view of the leading block (no copy)."""
-        return self.base.array[: self.active_rows, : self.active_cols]
-
-    def is_contiguous_prefix(self) -> bool:
-        """True when the view occupies a contiguous prefix of base storage.
-
-        Holds when only the slowest-varying dimension for the base's order
-        is restricted (rows for row-major, columns for column-major).
-        """
-        r, c = self.base.shape
-        if self.base.order == Order.ROW_MAJOR:
-            return self.active_cols == c
-        return self.active_rows == r
-
-
-def slice_view(t: Tensor, rows: int, cols: int) -> TensorView:
-    """Expose the leading ``rows x cols`` block of ``t`` without copying."""
-    return TensorView(t, rows, cols)
 
 
 def transpose(t: Tensor) -> Tensor:

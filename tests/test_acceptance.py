@@ -210,8 +210,41 @@ def test_criterion_07_adaptation_cost():
     st = opt.activate(1)
     assert st.integers_updated == 2 + 3  # plus one flag bit per dense layer
     assert st.weights_copied == 0
+    # inference copies no weights either: every row runs on float32 views
+    # of the one store (and of that row's batchnorm statistics)
+    convs = []
+    for arch, layout in (("dscnn", "standard"), ("cnn", CACHE_OPTIMIZED)):
+        g3, scores3, _ = prepared(arch, (8, 8, 1), seed=7)
+        convs.append(NestedModel(
+            g3, plan_bottom_up(g3, scores3, quarter_caps(g3)), layout=layout))
+    rng = np.random.default_rng(77)
+    for m in [model, opt] + convs:
+        shape = m.graph.input_shape
+        x = rng.standard_normal(
+            (2,) + ((shape,) if np.isscalar(shape) else shape))
+        before = copy_counter()
+        for k in range(m.plan.n_rows):
+            m.activate(k)
+            m.infer(x)
+        assert copy_counter() == before
+        for k, prog in enumerate(m._programs):
+            for i, step in enumerate(prog.steps):
+                stores = [t.flat for t in (m.graph.weights[i] or {}).values()]
+                stores += list(m.bn_stats[k].get(i, ()))
+                for arr in _array_operands(step[1]):
+                    assert arr.dtype == np.float32
+                    assert any(np.shares_memory(arr, s) for s in stores)
     report(7, "200 switches: 0 weight elements copied, 2 integers each "
-              "(+3 layout flags when cache-optimized), width-independent")
+              "(+3 layout flags when cache-optimized), width-independent; "
+              "inference on every row copies 0 and reads float32 views")
+
+
+def _array_operands(args):
+    for a in args:
+        if isinstance(a, tuple):
+            yield from _array_operands(a)
+        elif isinstance(a, np.ndarray):
+            yield a
 
 
 def test_criterion_08_gradient_correctness():

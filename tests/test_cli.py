@@ -102,13 +102,13 @@ def test_single_capacity_bundle_is_plain_model(tmp_path):
     assert plan["points"] == [[144, 144]]
 
 
-def test_eval_outputs_per_row_accuracy(pipeline_out, capsys):
+def test_eval_outputs_per_row_accuracy(pipeline_out, tmp_path):
     tmp, cfg, out = pipeline_out
-    rc = main(["--config", cfg, "eval", "--bundle",
+    ev = str(tmp_path / "ev")
+    rc = main(["--config", cfg, "--out", ev, "eval", "--bundle",
                os.path.join(out, "bundle")])
     assert rc == 0
-    rows = list(csv.DictReader(open(os.path.join(out, "bundle",
-                                                 "eval.csv"))))
+    rows = list(csv.DictReader(open(os.path.join(ev, "eval.csv"))))
     assert len(rows) == 4
     assert set(rows[0]) == {"row", "capacity_pct", "capacity_macs", "macs",
                             "params", "accuracy"}
@@ -132,10 +132,10 @@ def test_untrained_model_chance_accuracy(tmp_path):
     })
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "--out", out, "pipeline"]) == 0
-    assert main(["--config", cfg, "eval", "--bundle",
+    ev = str(tmp_path / "ev")
+    assert main(["--config", cfg, "--out", ev, "eval", "--bundle",
                  os.path.join(out, "bundle")]) == 0
-    rows = list(csv.DictReader(open(os.path.join(out, "bundle",
-                                                 "eval.csv"))))
+    rows = list(csv.DictReader(open(os.path.join(ev, "eval.csv"))))
     acc = float(rows[0]["accuracy"])
     assert 0.05 <= acc <= 0.15  # ten classes, random weights
 
@@ -145,10 +145,11 @@ def test_switch_sim(pipeline_out, tmp_path):
     schedule = [[t, t % 2 * 3] for t in range(200)]  # alternate 100% and 25%
     spath = tmp_path / "schedule.json"
     spath.write_text(json.dumps(schedule))
-    rc = main(["--config", cfg, "switch-sim", "--bundle",
-               os.path.join(out, "bundle"), "--schedule", str(spath)])
+    rc = main(["--config", cfg, "--out", str(tmp_path), "switch-sim",
+               "--bundle", os.path.join(out, "bundle"),
+               "--schedule", str(spath)])
     assert rc == 0
-    log = json.load(open(os.path.join(out, "bundle", "switch_log.json")))
+    log = json.load(open(os.path.join(tmp_path, "switch_log.json")))
     assert len(log["events"]) == 200
     assert log["total_weights_copied"] == 0
     assert all(e["integers_updated"] == 2 for e in log["events"])
@@ -164,8 +165,9 @@ def test_switch_sim_invalid_row_exit_code(pipeline_out, tmp_path):
     _, cfg, out = pipeline_out
     spath = tmp_path / "bad.json"
     spath.write_text("[[0, 99]]")
-    rc = main(["--config", cfg, "switch-sim", "--bundle",
-               os.path.join(out, "bundle"), "--schedule", str(spath)])
+    rc = main(["--config", cfg, "--out", str(tmp_path), "switch-sim",
+               "--bundle", os.path.join(out, "bundle"),
+               "--schedule", str(spath)])
     assert rc == 2
 
 
@@ -173,11 +175,33 @@ def test_switch_sim_empty_schedule(pipeline_out, tmp_path):
     _, cfg, out = pipeline_out
     spath = tmp_path / "empty.json"
     spath.write_text("[]")
-    rc = main(["--config", cfg, "switch-sim", "--bundle",
-               os.path.join(out, "bundle"), "--schedule", str(spath)])
+    rc = main(["--config", cfg, "--out", str(tmp_path), "switch-sim",
+               "--bundle", os.path.join(out, "bundle"),
+               "--schedule", str(spath)])
     assert rc == 0
-    log = json.load(open(os.path.join(out, "bundle", "switch_log.json")))
+    log = json.load(open(os.path.join(tmp_path, "switch_log.json")))
     assert log["events"] == []
+
+
+def test_eval_and_switch_sim_leave_bundle_unchanged(pipeline_out,
+                                                    tmp_path):
+    _, cfg, out = pipeline_out
+    bundle = os.path.join(out, "bundle")
+
+    def contents():
+        return {fn: open(os.path.join(bundle, fn), "rb").read()
+                for fn in sorted(os.listdir(bundle))}
+
+    before = contents()
+    spath = tmp_path / "schedule.json"
+    spath.write_text("[[0, 1], [1, 0]]")
+    rep = str(tmp_path / "rep")
+    assert main(["--config", cfg, "--out", rep, "eval",
+                 "--bundle", bundle]) == 0
+    assert main(["--config", cfg, "--out", rep, "switch-sim",
+                 "--bundle", bundle, "--schedule", str(spath)]) == 0
+    assert contents() == before
+    assert sorted(os.listdir(rep)) == ["eval.csv", "switch_log.json"]
 
 
 def test_bench_cache_command(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -5,15 +6,15 @@ import pytest
 
 import nestslice.netgraph as ng
 from conftest import random_grad_store
-from nestslice.errors import ExtentError
+from nestslice.errors import ExtentError, IntegrityError
 from nestslice.finetune import evaluate_rows
 from nestslice.importance import (apply_to_scores, permute_descending,
                                   score_units)
-from nestslice.nest import (CACHE_OPTIMIZED, NestedModel, load_bundle,
-                            save_bundle)
+from nestslice.nest import (CACHE_OPTIMIZED, STANDARD, NestedModel,
+                            load_bundle, save_bundle)
 from nestslice.netgraph import build_reference, forward, full_macs, plan_macs
 from nestslice.planner import plan_bottom_up
-from nestslice.tensor import copy_counter
+from nestslice.tensor import copy_counter, read_blobs, write_blob
 
 
 def build_model(arch="dnn", ishape=16, layout="standard", seed=1,
@@ -145,6 +146,23 @@ def test_masked_all_ones_row_bit_identical(rng):
     np.testing.assert_array_equal(m.infer(x), m.masked_infer(0, x))
 
 
+@pytest.mark.parametrize("layout", [STANDARD, CACHE_OPTIMIZED])
+@pytest.mark.parametrize("arch,ishape", [("dnn", 24), ("cnn", (10, 10, 1)),
+                                         ("dscnn", (8, 8, 1))])
+def test_float32_programs_match_float64_oracle(arch, ishape, layout, rng):
+    m = build_model(arch, ishape, layout=layout, seed=6)
+    shape = (64, ishape) if np.isscalar(ishape) else (64,) + ishape
+    x = rng.standard_normal(shape)
+    for k in range(m.plan.n_rows):
+        m.activate(k)
+        got = m.infer(x)
+        want, _, _ = ng.run_forward(m.graph, x, slicing=m.plan.row_widths(k),
+                                    bn_stats=m.bn_stats[k], want_cache=True)
+        assert got.dtype == np.float32
+        assert np.abs(got - want).max() < 1e-5
+        np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))
+
+
 def test_standard_and_cache_optimized_layouts_agree(rng):
     std = build_model("dnn", 16, seed=5)
     opt = build_model("dnn", 16, layout=CACHE_OPTIMIZED, seed=5)
@@ -176,24 +194,15 @@ def test_weight_sharing_audit(dnn_model):
     w.writable_array()[0, 0] = old
 
 
-def test_bn_recalibration_changes_row_stats(rng):
-    m = build_model("dscnn", (8, 8, 1), seed=6)
-    x = rng.standard_normal((64, 8, 8, 1))
-    bn_layers = sorted(m.bn_stats[0])
-    before = np.array(m.bn_stats[-1][bn_layers[0]][0])
-    m.recalibrate_bn(x)
-    after = m.bn_stats[-1][bn_layers[0]][0]
-    w = ng.resolve_widths(m.graph, m.plan.row_widths(m.plan.n_rows - 1))
-    assert not np.allclose(before[: int(w[bn_layers[0]])],
-                           after[: int(w[bn_layers[0]])])
-    # rows diverge only in statistics, never in weights
-    m.assert_shared_store()
-
-
 def test_bundle_round_trip_byte_identical(tmp_path, rng):
     import hashlib
     m = build_model("dscnn", (8, 8, 1), seed=7)
-    m.recalibrate_bn(rng.standard_normal((32, 8, 8, 1)))
+    # distinct per-row statistics, written in place where the programs
+    # view them
+    for row in m.bn_stats:
+        for mean, var in row.values():
+            mean[...] = rng.standard_normal(mean.shape)
+            var[...] = rng.uniform(0.5, 2.0, var.shape)
     d1 = save_bundle(m, os.path.join(tmp_path, "b1"))
     m2 = load_bundle(d1)
     d2 = save_bundle(m2, os.path.join(tmp_path, "b2"))
@@ -251,3 +260,65 @@ def test_ten_row_plan_switching(rng):
     x = rng.standard_normal((2, 16))
     accs = evaluate_rows(m, x, np.zeros(2, dtype=int))
     assert len(accs) == 10
+
+
+@pytest.fixture
+def bundle_dir(tmp_path):
+    return save_bundle(build_model("dscnn", (8, 8, 1), seed=10),
+                       os.path.join(tmp_path, "b"))
+
+
+def _edit_json(path, edit):
+    with open(path) as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
+def _over_budget(doc):  # last row keeps its widths, capacity 1 MAC
+    doc["capacities"][-1] = 1
+
+
+def _one_layer_short(doc):
+    doc["points"] = [row[:-1] for row in doc["points"]]
+
+
+@pytest.mark.parametrize("edit,match", [
+    (_over_budget, "MACs > capacity"),
+    (_one_layer_short, "sliceable layers"),
+])
+def test_load_bundle_rejects_plan_failing_validation(bundle_dir, edit,
+                                                     match):
+    _edit_json(os.path.join(bundle_dir, "plan.json"), edit)
+    with pytest.raises(IntegrityError, match=match):
+        load_bundle(bundle_dir)
+
+
+@pytest.mark.parametrize("layout", [STANDARD, CACHE_OPTIMIZED])
+def test_load_bundle_rejects_layout_mismatch(tmp_path, layout):
+    m = build_model("dnn", 16, layout=layout, seed=11)
+    d = save_bundle(m, os.path.join(tmp_path, "b"))
+    other = CACHE_OPTIMIZED if layout == STANDARD else STANDARD
+    _edit_json(os.path.join(d, "bundle.json"),
+               lambda doc: doc.update(layout=other))
+    with pytest.raises(IntegrityError, match="layout"):
+        load_bundle(d)
+
+
+def test_load_bundle_rejects_foreign_bn_layers(bundle_dir):
+    _edit_json(os.path.join(bundle_dir, "bundle.json"),
+               lambda doc: doc.update(bn_layers=doc["bn_layers"][1:]))
+    with pytest.raises(IntegrityError, match="batchnorm layers"):
+        load_bundle(bundle_dir)
+
+
+def test_load_bundle_rejects_bn_blob_count(bundle_dir):
+    path = os.path.join(bundle_dir, "bn_stats.bin")
+    with open(path, "rb") as fh:
+        blobs = read_blobs(fh)
+    with open(path, "wb") as fh:
+        for t in blobs[:-1]:
+            write_blob(t, fh)
+    with pytest.raises(IntegrityError, match="blobs"):
+        load_bundle(bundle_dir)

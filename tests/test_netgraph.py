@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import nestslice.netgraph as ng
 from nestslice.errors import ConfigError, ExtentError
@@ -144,6 +146,32 @@ def test_sliced_forward_equals_truncated_copy(rng):
         a = forward(g, x, slicing=sl)
         b = forward(truncate(g, sl), x)
         assert np.abs(a - b).max() < 1e-9
+
+
+_ORACLE_GRAPHS = {
+    arch: build_reference(arch, "S", ishape, classes=6, seed=12)
+    for arch, ishape in [("dnn", 16), ("cnn", (8, 8, 1)),
+                         ("dscnn", (8, 8, 1))]
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(arch=st.sampled_from(sorted(_ORACLE_GRAPHS)),
+       fracs=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+       seed=st.integers(0, 2 ** 16))
+def test_float32_program_matches_float64_at_random_widths(arch, fracs,
+                                                          seed):
+    g = _ORACLE_GRAPHS[arch]
+    full = widths_of(g)
+    sl = [1 + int(f * (w - 1)) for f, w in zip(fracs, full)]
+    x = np.random.default_rng(seed).standard_normal(
+        (3,) + ((g.input_shape,) if np.isscalar(g.input_shape)
+                else g.input_shape))
+    got, macs = forward(g, x, slicing=sl, count_macs=True)
+    want, _, want_macs = ng.run_forward(g, x, slicing=sl, want_cache=True)
+    assert got.dtype == np.float32
+    assert np.abs(got - want).max() < 1e-5
+    assert macs == want_macs == plan_macs(g, sl)
 
 
 def test_width_out_of_range(rng):

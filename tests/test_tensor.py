@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 import nestslice.tensor as tz
 from conftest import matmul_triple_loop
-from nestslice.errors import ExtentError, ShapeMismatchError
+from nestslice.errors import ShapeMismatchError
 from nestslice.tensor import (Order, Tensor, copy_counter, matmul_basic,
                               matmul_basic_traced, matmul_optimized,
-                              matmul_optimized_traced, slice_view, transpose)
+                              matmul_optimized_traced, transpose)
 
 
 def t2(arr):
@@ -122,50 +122,6 @@ def test_basic_requires_row_major():
                           order=Order.COL_MAJOR)
     with pytest.raises(ShapeMismatchError):
         matmul_basic(t2(np.ones((2, 2))), w)
-
-
-# -- views ---------------------------------------------------------------
-
-
-def test_slice_view_toy_columns(rng):
-    # 3x4 weights sliced to 3x2 expose columns 0 and 1
-    wa = rng.standard_normal((3, 4)).astype(np.float32)
-    w = t2(wa)
-    before = copy_counter()
-    v = slice_view(w, 3, 2)
-    np.testing.assert_array_equal(v.array, wa[:, :2])
-    assert copy_counter() == before
-
-
-def test_slice_view_full_extent_equals_base(rng):
-    wa = rng.standard_normal((4, 4)).astype(np.float32)
-    v = slice_view(t2(wa), 4, 4)
-    np.testing.assert_array_equal(v.array, wa)
-
-
-def test_slice_view_rows_participate_in_multiply(rng):
-    # slicing a 4x4 to rows=2 means only the first two rows multiply
-    wa = rng.standard_normal((4, 4)).astype(np.float32)
-    xa = rng.standard_normal((2, 3)).astype(np.float32)
-    v = slice_view(t2(wa), 2, 4)
-    out = matmul_basic(t2(xa), t2(v.array))
-    np.testing.assert_allclose(out.array, xa.T @ wa[:2], atol=1e-6)
-
-
-def test_slice_view_bounds():
-    w = t2(np.ones((3, 4)))
-    for bad in [(0, 2), (4, 2), (2, 5), (2, 0)]:
-        with pytest.raises(ExtentError):
-            slice_view(w, *bad)
-
-
-def test_view_contiguous_prefix_rule():
-    w = t2(np.ones((4, 4)))
-    assert slice_view(w, 2, 4).is_contiguous_prefix()
-    assert not slice_view(w, 4, 2).is_contiguous_prefix()
-    wc = Tensor.from_array(np.ones((4, 4), dtype=np.float32),
-                           order=Order.COL_MAJOR)
-    assert slice_view(wc, 4, 2).is_contiguous_prefix()
 
 
 def test_transpose_vector_is_storage_noop():
