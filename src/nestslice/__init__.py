@@ -37,8 +37,6 @@ from .planner import (DwBlock, DwInstance, DwSolution, KnapsackInstance,
                       plan_baseline, plan_bottom_up, plan_depthwise,
                       plan_top_down, solve_depthwise, solve_exact,
                       solve_iterative)
-from .tensor import (Order, Tensor, copy_counter, matmul_basic,
-                     matmul_basic_traced, matmul_optimized,
-                     matmul_optimized_traced, transpose)
+from .tensor import Order, Tensor, copy_counter, transpose
 
 __version__ = "0.1.0"

@@ -1,9 +1,12 @@
 """Reverse-mode differentiation for the fixed layer vocabulary.
 
-This is not a general tape autodiff: each supported layer kind has a
-hand-written backward rule driven by the cache that ``run_forward``
-produces. That is enough to (a) accumulate the gradient sums used for
-importance scoring and (b) run (joint) fine-tuning.
+This is not a general tape autodiff. ``backward`` runs the same row
+program as inference (``netgraph._build_program``), in float64, keeping
+each layer's input; each kernel of the program has a hand-written
+backward rule, and the program's per-layer view mapping puts the weight
+gradients back into full-shape arrays. That is enough to (a) accumulate
+the gradient sums used for importance scoring and (b) run (joint)
+fine-tuning.
 
 Batchnorm running statistics are treated as constants (inference-mode
 statistics), which matches scoring and tuning of an already-trained
@@ -16,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import netgraph as ng
 from .errors import DataError, NumericError, ShapeMismatchError
@@ -97,147 +101,121 @@ def backward(g: ng.ModelGraph, batch, slicing=None, loss="ce", bn_stats=None):
     x, labels = batch
     if len(np.asarray(labels).reshape(-1)) == 0:
         raise DataError("empty minibatch")
-    logits, cache, _ = ng.run_forward(g, x, slicing=slicing, bn_stats=bn_stats,
-                                      want_cache=True)
+    prog = ng._build_program(g, slicing, bn_stats)
+    inputs = []
+    logits = ng._execute(prog, x, np.float64, inputs)
     value, dlogits = _loss_and_dlogits(logits, labels, loss)
     if not np.isfinite(value):
         raise NumericError(f"non-finite loss {value}; logits range "
                            f"[{np.min(logits)}, {np.max(logits)}]")
 
-    act = ng.resolve_widths(g, slicing)
     grads = {}
     d = dlogits
-    for entry in reversed(cache):
-        i = entry["layer"]
-        spec = g.layers[i]
-        if "pre_act" in entry:
-            d = d * (entry["pre_act"] > 0)
-        if spec.kind == ng.DENSE:
-            k = entry["kernel"]
-            xin = entry["input"]
-            u = int(act[i])
-            dk_active = xin.T @ d
-            db = d.sum(axis=0)
-            full = g.weights[i]["kernel"]
-            dk_full = np.zeros(
-                (int(np.prod(full.shape)) // spec.units, spec.units)
-                if i not in g.transposed_dense else
-                (full.shape[1], full.shape[0]))
-            # scatter active rows/cols back into the full logical kernel
-            feed, info = ng.dense_feed_structure(g, i)
-            if feed == "spatial":
-                h, w, cfull = info
-                cact = entry["act_in"]
-                view = dk_full.reshape(h * w, cfull, spec.units)
-                view[:, :cact, :u] = dk_active.reshape(h * w, cact, u)
-            else:
-                dk_full[: dk_active.shape[0], :u] = dk_active
-            if i in g.transposed_dense:
-                dk_full = dk_full.T
-            grads[(i, "kernel")] = dk_full.reshape(full.shape)
-            db_full = np.zeros(spec.units)
-            db_full[:u] = db
-            grads[(i, "bias")] = db_full
-            d = d @ k.T
-        elif spec.kind == ng.CONV2D:
-            cols = entry["cols"]
-            k2 = entry["k2"]
-            u, kk = k2.shape
-            kh, kw = spec.kernel
-            cin = kk // (kh * kw)
-            dk2 = np.tensordot(d, cols, axes=([0, 1, 2], [0, 1, 2]))
-            full = g.weights[i]["kernel"]
-            dk_full = np.zeros(full.shape)
-            dk_full[:u, :, :, :cin] = dk2.reshape(u, kh, kw, cin)
-            grads[(i, "kernel")] = dk_full
-            db_full = np.zeros(spec.units)
-            db_full[:u] = d.sum(axis=(0, 1, 2))
-            grads[(i, "bias")] = db_full
-            dcols = d @ k2  # (N, ho, wo, kh*kw*cin)
-            d = _col2im(dcols, entry["input"].shape, kh, kw, spec.stride)
-        elif spec.kind == ng.DEPTHWISE:
-            win = entry["win"]
-            kd = entry["kd"]
-            cin = kd.shape[0]
-            dkd = np.einsum("nhwc,nhwckl->ckl", d, win)
-            full = g.weights[i]["kernel"]
-            dk_full = np.zeros(full.shape)
-            dk_full[:cin] = dkd
-            grads[(i, "kernel")] = dk_full
-            db_full = np.zeros(spec.units)
-            db_full[:cin] = d.sum(axis=(0, 1, 2))
-            grads[(i, "bias")] = db_full
-            d = _depthwise_dx(d, kd, entry["input"].shape, spec.kernel,
-                              spec.stride)
-        elif spec.kind == ng.POINTWISE:
-            kp = entry["kp"]
-            u, cin = kp.shape
-            xin = entry["input"]
-            dkp = np.einsum("nhwu,nhwc->uc", d, xin)
-            full = g.weights[i]["kernel"]
-            dk_full = np.zeros(full.shape)
-            dk_full[:u, 0, 0, :cin] = dkp
-            grads[(i, "kernel")] = dk_full
-            db_full = np.zeros(spec.units)
-            db_full[:u] = d.sum(axis=(0, 1, 2))
-            grads[(i, "bias")] = db_full
-            d = d @ kp
-        elif spec.kind == ng.BATCHNORM:
-            xhat = entry["xhat"]
-            inv = entry["inv"]
-            gamma = entry["gamma"]
-            cw = xhat.shape[-1]
-            axes = tuple(range(d.ndim - 1))
-            dgamma = (d * xhat).sum(axis=axes)
-            dbeta = d.sum(axis=axes)
-            dg_full = np.zeros(spec.units)
-            dg_full[:cw] = dgamma
-            db_full = np.zeros(spec.units)
-            db_full[:cw] = dbeta
-            grads[(i, "gamma")] = dg_full
-            grads[(i, "beta")] = db_full
-            d = d * gamma * inv
-        elif spec.kind == ng.FLATTEN:
-            d = d.reshape(entry["input"].shape)
-    # layers without parameters contribute nothing; fill missing keys with
-    # zeros so GradStore addition stays total
-    for i, params in enumerate(g.weights):
-        if params is None:
-            continue
-        for name in params:
-            if name in ("mean", "var"):
-                continue
-            if (i, name) not in grads:
-                grads[(i, name)] = np.zeros(params[name].shape)
+    outputs = inputs[1:] + [logits]
+    layers = list(enumerate(zip(prog.steps, inputs, outputs)))
+    for i, (step, xin, out) in reversed(layers):
+        if step.relu:
+            d = d * (out > 0)
+        d, dviews = _RULES[step.run](d, xin, *step.args)
+        # the step's view mapping, applied to zero buffers of the store's
+        # shapes, puts each active gradient where its weight lives
+        bufs = {name: np.zeros_like(t.array, dtype=np.float64)
+                for name, t in (g.weights[i] or {}).items()}
+        for view, dv in zip(step.views(bufs), dviews):
+            if dv is not None:
+                view[...] = dv
+        for name, buf in bufs.items():
+            if name not in ("mean", "var"):  # running statistics: constants
+                grads[(i, name)] = buf
     return value, grads
 
 
-def _col2im(dcols, in_shape, kh, kw, stride):
-    n, h, w, c = in_shape
-    sh, sw = stride
-    ho = -(-h // sh)
-    wo = -(-w // sw)
-    dc = dcols.reshape(n, ho, wo, kh, kw, c)
-    dxp = np.zeros((n, h + 2 * (kh // 2), w + 2 * (kw // 2), c))
-    for a in range(kh):
-        for b in range(kw):
-            dxp[:, a:a + ho * sh:sh, b:b + wo * sw:sw, :] += dc[:, :, :, a, b, :]
-    ph, pw = kh // 2, kw // 2
-    return dxp[:, ph:ph + h, pw:pw + w, :]
+# Backward rules, one per kernel of the row program. Each takes the output
+# gradient, the layer's input and the kernel's arguments, and returns the
+# input gradient and the gradients of the weight views (None for views
+# that are constants).
 
 
-def _depthwise_dx(d, kd, in_shape, kernel, stride):
-    kh, kw = kernel
-    n, h, w, c = in_shape
-    sh, sw = stride
-    ho = -(-h // sh)
-    wo = -(-w // sw)
-    dxp = np.zeros((n, h + 2 * (kh // 2), w + 2 * (kw // 2), c))
-    for a in range(kh):
-        for b in range(kw):
-            dxp[:, a:a + ho * sh:sh, b:b + wo * sw:sw, :] += d * kd[:, a, b]
+def _dense_back(d, x, k, b):
+    return d @ k.T, (x.T @ d, d.sum(axis=0))
+
+
+def _dense_spatial_back(d, x, k3, b):
+    p, c, _ = k3.shape
+    x3 = x.reshape(len(x), p, c).transpose(1, 0, 2)  # (p, N, c)
+    dx3 = np.matmul(d, k3.transpose(0, 2, 1))
+    return (dx3.transpose(1, 0, 2).reshape(x.shape),
+            (np.matmul(x3.transpose(0, 2, 1), d), d.sum(axis=0)))
+
+
+def _windows(x, kh, kw, sh, sw):
+    """(N, Ho, Wo, C, kh, kw) windows of the padded input, as the forward."""
+    return sliding_window_view(ng._pad(x, kh, kw), (kh, kw),
+                               axis=(1, 2))[:, ::sh, ::sw]
+
+
+def _taps_to_input(taps, shape, kh, kw, sh, sw):
+    """Sum per-tap gradients (N, Ho, Wo, C) onto an (N, H, W, C) input."""
+    n, h, w, c = shape
     ph, pw = kh // 2, kw // 2
-    return dxp[:, ph:ph + h, pw:pw + w, :]
+    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c))
+    for t, dt in enumerate(taps):
+        a, b = divmod(t, kw)
+        ho, wo = dt.shape[1:3]
+        dxp[:, a:a + sh * (ho - 1) + 1:sh, b:b + sw * (wo - 1) + 1:sw] += dt
+    return dxp[:, ph:ph + h, pw:pw + w]
+
+
+def _conv_back(d, x, k, b, kh, kw, sh, sw):
+    n, _, _, cin = x.shape
+    _, ho, wo, u = d.shape
+    win = _windows(x, kh, kw, sh, sw)
+    d2 = d.reshape(-1, u)
+    if k.ndim == 2:  # one input channel: (kh*kw, u)
+        dk = win.reshape(-1, kh * kw).T @ d2
+        dcols = k @ d2.T
+    else:
+        cols = win.transpose(4, 5, 0, 1, 2, 3).reshape(kh * kw, -1, cin)
+        dk = np.matmul(cols.transpose(0, 2, 1), d2)
+        dcols = np.matmul(d2, k.transpose(0, 2, 1))
+    taps = dcols.reshape(kh * kw, n, ho, wo, cin)
+    return (_taps_to_input(taps, x.shape, kh, kw, sh, sw),
+            (dk, d2.sum(axis=0)))
+
+
+def _depthwise_back(d, x, kd, b, kh, kw, sh, sw):
+    dk = np.einsum("nhwc,nhwckl->ckl", d, _windows(x, kh, kw, sh, sw))
+    taps = (d * kd[:, di, dj] for di in range(kh) for dj in range(kw))
+    return (_taps_to_input(taps, x.shape, kh, kw, sh, sw),
+            (dk, d.sum(axis=(0, 1, 2))))
+
+
+def _pointwise_back(d, x, k, b):
+    d2 = d.reshape(-1, d.shape[-1])
+    x2 = x.reshape(-1, x.shape[-1])
+    return (d2 @ k.T).reshape(x.shape), (x2.T @ d2, d2.sum(axis=0))
+
+
+def _batchnorm_back(d, x, mean, var, gamma, beta):
+    inv = 1.0 / np.sqrt(var.astype(np.float64) + ng.BN_EPS)
+    axes = tuple(range(d.ndim - 1))
+    dgamma = (d * ((x - mean) * inv)).sum(axis=axes)
+    return d * (gamma * inv), (None, None, dgamma, d.sum(axis=axes))
+
+
+def _flatten_back(d, x):
+    return d.reshape(x.shape), ()
+
+
+_RULES = {
+    ng._run_dense: _dense_back,
+    ng._run_dense_spatial: _dense_spatial_back,
+    ng._run_conv: _conv_back,
+    ng._run_depthwise: _depthwise_back,
+    ng._run_pointwise: _pointwise_back,
+    ng._run_batchnorm: _batchnorm_back,
+    ng._run_flatten: _flatten_back,
+}
 
 
 def accumulate_importance_grads(g: ng.ModelGraph, stream,
@@ -257,12 +235,11 @@ def accumulate_importance_grads(g: ng.ModelGraph, stream,
     return store
 
 
-def sgd_step(g: ng.ModelGraph, grads: dict, lr: float, slicing=None) -> None:
+def sgd_step(g: ng.ModelGraph, grads: dict, lr: float) -> None:
     """In-place SGD update on the active weights.
 
-    ``slicing`` is accepted for symmetry with backward; gradients produced
-    under slicing are already exactly zero outside the active slice, so a
-    full-array update leaves inactive weights bit-identical.
+    Gradients produced under slicing are exactly zero outside the active
+    slice, so a full-array update leaves inactive weights bit-identical.
     """
     if lr <= 0:
         raise ShapeMismatchError("learning rate must be positive")

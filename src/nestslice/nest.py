@@ -113,15 +113,15 @@ class NestedModel:
 
     def infer(self, x, count_macs=False):
         """Float32 logits of the active subnetwork (its row program)."""
-        logits, _, macs = ng.run_forward(self.graph, x,
-                                         program=self._programs[self.active])
+        logits, macs = ng.run_forward(self.graph, x,
+                                      program=self._programs[self.active])
         return (logits, macs) if count_macs else logits
 
     def masked_infer(self, k: int, x, count_macs=False):
         """Full-width forward of row k with binary masks on layer inputs."""
         if not (0 <= k < self.plan.n_rows):
             raise ExtentError(f"row {k} out of range")
-        logits, _, macs = ng.run_forward(
+        logits, macs = ng.run_forward(
             self.graph, x, mask_widths=self.plan.row_widths(k),
             bn_stats=self.bn_stats[k])
         return (logits, macs) if count_macs else logits

@@ -14,6 +14,11 @@ inherit the width of the layer they are bound to. MAC counts come in two
 flavors: per-unit costs at full model widths (knapsack item weights) and
 exact width-aware totals (``plan_macs``), which the instrumented forward
 pass must reproduce multiplication for multiplication.
+
+There is one forward path: a row program (``_build_program``) resolves
+the widths, dims and weight views of one row, and ``_execute`` runs it,
+in float32 for inference and in float64, keeping each layer's input, for
+autograd.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -455,17 +461,6 @@ def param_counts(g: ModelGraph, slicing=None, encoder_only=False) -> int:
 # -- forward pass ------------------------------------------------------------
 
 
-def _im2col(x, kh, kw, sh, sw):
-    """Patch matrix for 'same' padding; x is (N, H, W, C) float64."""
-    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
-    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # N,Ho',Wo',C,kh,kw
-    win = win[:, ::sh, ::sw]
-    n_, ho, wo = win.shape[:3]
-    c = x.shape[3]
-    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n_, ho, wo, kh * kw * c)
-    return cols, ho, wo
-
-
 def dense_feed_structure(g: ModelGraph, i: int):
     """How dense layer i receives its input.
 
@@ -481,44 +476,32 @@ def dense_feed_structure(g: ModelGraph, i: int):
     return "flat", int(np.prod(_in_dims_at(g, i, dims)))
 
 
-def dense_active_kernel(g: ModelGraph, i: int, act_in, act_units):
-    """Active dense kernel as a float64 (fan_in_active, units_active) array.
-
-    ``act_in`` is the active input structure: channel count when the layer
-    follows a flatten of a spatial map, flat length otherwise. Rows of a
-    post-flatten kernel are grouped per channel, so channel slicing picks a
-    strided subset rather than a plain prefix.
-    """
-    karr = g.weights[i]["kernel"].array.astype(np.float64)
-    if i in g.transposed_dense:
-        karr = karr.T  # logical (fan_in, units)
-    feed, info = dense_feed_structure(g, i)
-    if feed == "spatial":
-        h, w, cfull = info
-        k = karr.reshape(h * w, cfull, g.layers[i].units)[:, :act_in, :]
-        k = k.reshape(h * w * act_in, g.layers[i].units)
-    else:
-        k = karr[:act_in, :]
-    return k[:, :act_units]
-
-
-# -- row programs: float32 inference on views of the store -------------------
+# -- row programs: the one forward path, on views of the store ---------------
 #
 # A row program resolves one row once: per layer the active width, the
-# active input dims, the dense feed structure and read-only float32 views
-# of the layer's store tensors (and of the row's batchnorm statistics).
-# It holds views only, never derived copies, so weight updates made in
-# place by training stay visible. How a layer computes depends on its
-# active shapes only, never on the full widths behind a view, so a sliced
-# row and the physically truncated copy of that row run the same float
-# operations.
+# active input dims, the dense feed structure and one function from the
+# layer's arrays (by parameter name) to the views its kernel reads.
+# Applied to the store, that function gives read-only float32 views, never
+# derived copies, so weight updates made in place by training stay
+# visible; autograd applies the same function to zero gradient buffers of
+# the store's shapes to put each gradient back in place. How a layer
+# computes depends on its active shapes only, never on the full widths
+# behind a view, so a sliced row and the physically truncated copy of that
+# row run the same float operations. Kernels compute in the dtype of the
+# activations: float32 for inference, float64 for autograd.
+
+
+class _Step(NamedTuple):
+    run: Callable  # run(cur, *args) computes the layer
+    args: tuple  # the layer's weight views, then static arguments
+    relu: bool
+    mask: int | None  # zero features past this width (binary-mask rows)
+    views: Callable  # {param name: array} -> the weight views in ``args``
 
 
 @dataclass
 class _Program:
-    # per layer: (run, args, relu, mask); ``run(cur, *args)`` computes
-    # the layer, ``mask`` zeroes features past a width (binary-mask rows)
-    steps: list
+    steps: list  # one _Step per layer, in layer order
     macs: int  # exact per-sample multiply count
     input_shape: tuple | int
 
@@ -579,19 +562,20 @@ def _run_conv(cur, k, b, kh, kw, sh, sw):
     return out.reshape(n, ho, wo, -1)
 
 
-def _run_depthwise(cur, taps, b, kh, kw, sh, sw):
+def _run_depthwise(cur, kd, b, kh, kw, sh, sw):
     """One shifted multiply-add per kernel tap on the padded input."""
     _, h, w, _ = cur.shape
     ho, wo = _out_hw(h, w, kh, kw, sh, sw)
     xp = _pad(cur, kh, kw)
     out = None
-    for t, k in enumerate(taps):
-        di, dj = divmod(t, kw)
-        xs = xp[:, di:di + sh * (ho - 1) + 1:sh, dj:dj + sw * (wo - 1) + 1:sw]
-        if out is None:
-            out = xs * k
-        else:
-            out += xs * k
+    for di in range(kh):
+        for dj in range(kw):
+            xs = xp[:, di:di + sh * (ho - 1) + 1:sh,
+                    dj:dj + sw * (wo - 1) + 1:sw]
+            if out is None:
+                out = xs * kd[:, di, dj]
+            else:
+                out += xs * kd[:, di, dj]
     out += b
     return out
 
@@ -604,7 +588,7 @@ def _run_pointwise(cur, k, b):
 
 
 def _run_batchnorm(cur, mean, var, gamma, beta):
-    scale = gamma / np.sqrt(var + BN_EPS)
+    scale = gamma / np.sqrt(var.astype(cur.dtype, copy=False) + BN_EPS)
     cur *= scale  # in place: the executor owns every activation
     cur += beta - mean * scale
     return cur
@@ -612,6 +596,65 @@ def _run_batchnorm(cur, mean, var, gamma, beta):
 
 def _run_flatten(cur):
     return cur.reshape(len(cur), -1)
+
+
+def _layer_step(g: ModelGraph, i: int, u: int, cur, pre_flat, full_dims):
+    """How layer i runs at active width ``u`` on active input dims ``cur``.
+
+    ``pre_flat`` is the active dims entering the last flatten. Returns
+    (run, views, static arguments, per-sample MACs, output dims).
+    """
+    spec = g.layers[i]
+    if spec.kind == DENSE:
+        units = spec.units
+        transposed = i in g.transposed_dense
+
+        def logical(a):  # the (fan_in, units) kernel, whatever its storage
+            return a["kernel"].T if transposed else a["kernel"]
+
+        if i > 0 and g.layers[i - 1].kind == FLATTEN and len(pre_flat) == 3:
+            # kernel rows grouped per channel: slice channels in 3-D
+            h, w, c = pre_flat
+            cfull = _in_dims_at(g, i - 1, full_dims)[2]
+
+            def views(a):
+                return (logical(a).reshape(h * w, cfull, units)[:, :c, :u],
+                        a["bias"][:u])
+            return _run_dense_spatial, views, (), h * w * c * u, (u,)
+        n_in = cur[0]
+
+        def views(a):
+            return logical(a)[:n_in, :u], a["bias"][:u]
+        return _run_dense, views, (), n_in * u, (u,)
+    if spec.kind == BATCHNORM:
+        cw = cur[-1]
+
+        def views(a):
+            return tuple(a[nm][:cw] for nm in ("mean", "var", "gamma", "beta"))
+        return _run_batchnorm, views, (), 0, cur
+    if spec.kind == FLATTEN:
+        return _run_flatten, lambda a: (), (), 0, (int(np.prod(cur)),)
+    h, w, cin = cur
+    if spec.kind == POINTWISE:
+        def views(a):
+            return a["kernel"][:u, 0, 0, :cin].T, a["bias"][:u]
+        return _run_pointwise, views, (), h * w * cin * u, (h, w, u)
+    kh, kw = spec.kernel
+    sh, sw = spec.stride
+    ho, wo = _out_hw(h, w, kh, kw, sh, sw)
+    if spec.kind == DEPTHWISE:
+        def views(a):
+            return a["kernel"][:cin], a["bias"][:cin]
+        return (_run_depthwise, views, (kh, kw, sh, sw),
+                ho * wo * kh * kw * cin, (ho, wo, cin))
+
+    def views(a):  # conv2d
+        kv = a["kernel"][:u, :, :, :cin]
+        k = (kv.reshape(u, kh * kw).T if cin == 1
+             else kv.reshape(u, kh * kw, cin).transpose(1, 2, 0))
+        return k, a["bias"][:u]
+    return (_run_conv, views, (kh, kw, sh, sw), ho * wo * kh * kw * cin * u,
+            (ho, wo, u))
 
 
 def _build_program(g: ModelGraph, slicing=None, bn_stats=None,
@@ -622,79 +665,26 @@ def _build_program(g: ModelGraph, slicing=None, bn_stats=None,
     masked = mask_widths is not None
     act = resolve_widths(g, mask_widths if masked else slicing)
     width = resolve_widths(g) if masked else act
-    full_dims = layer_output_dims(g)
+    full_dims = layer_output_dims(g)  # also rejects unknown layer kinds
     cur = _input_dims(g)  # active dims of the layer's input
     pre_flat = None  # active dims entering the last flatten
     steps = []
     macs = 0
     for i, spec in enumerate(g.layers):
-        u = int(width[i])
-        params = g.weights[i]
-        if spec.kind in COMPUTE_KINDS:
-            b = params["bias"].array[:u]
-        if spec.kind == DENSE:
-            k = params["kernel"].array
-            if i in g.transposed_dense:
-                k = k.T  # logical (fan_in, units)
-            if (i > 0 and g.layers[i - 1].kind == FLATTEN
-                    and len(pre_flat) == 3):
-                # kernel rows grouped per channel: slice channels in 3-D
-                h, w, c = pre_flat
-                cfull = full_dims[i - 2][2] if i >= 2 else _input_dims(g)[2]
-                k3 = k.reshape(h * w, cfull, spec.units)[:, :c, :u]
-                step = (_run_dense_spatial, (k3, b))
-                macs += h * w * c * u
-            else:
-                step = (_run_dense, (k[:cur[0], :u], b))
-                macs += cur[0] * u
-            cur = (u,)
-        elif spec.kind == CONV2D:
-            kh, kw = spec.kernel
-            sh, sw = spec.stride
-            cin = cur[2]
-            kv = params["kernel"].array[:u, :, :, :cin]
-            k = (kv.reshape(u, kh * kw).T if cin == 1
-                 else kv.reshape(u, kh * kw, cin).transpose(1, 2, 0))
-            step = (_run_conv, (k, b, kh, kw, sh, sw))
-            ho, wo = _out_hw(cur[0], cur[1], kh, kw, sh, sw)
-            macs += ho * wo * kh * kw * cin * u
-            cur = (ho, wo, u)
-        elif spec.kind == DEPTHWISE:
-            kh, kw = spec.kernel
-            sh, sw = spec.stride
-            cin = cur[2]
-            kd = params["kernel"].array[:cin]
-            taps = tuple(kd[:, di, dj] for di in range(kh) for dj in range(kw))
-            step = (_run_depthwise, (taps, b, kh, kw, sh, sw))
-            ho, wo = _out_hw(cur[0], cur[1], kh, kw, sh, sw)
-            macs += ho * wo * kh * kw * cin
-            cur = (ho, wo, cin)
-        elif spec.kind == POINTWISE:
-            cin = cur[2]
-            step = (_run_pointwise,
-                    (params["kernel"].array[:u, 0, 0, :cin].T, b))
-            macs += cur[0] * cur[1] * cin * u
-            cur = cur[:2] + (u,)
-        elif spec.kind == BATCHNORM:
-            cw = cur[-1]
-            if bn_stats is not None and i in bn_stats:
-                mean, var = (np.asarray(s, dtype=np.float32)[:cw]
-                             for s in bn_stats[i])
-            else:
-                mean = params["mean"].array[:cw]
-                var = params["var"].array[:cw]
-            step = (_run_batchnorm, (mean, var, params["gamma"].array[:cw],
-                                     params["beta"].array[:cw]))
-        elif spec.kind == FLATTEN:
+        if spec.kind == FLATTEN:
             pre_flat = cur
-            step = (_run_flatten, ())
-            cur = (int(np.prod(cur)),)
-        else:
-            raise ConfigError(f"unknown layer kind {spec.kind}")
+        run, views, static, step_macs, cur = _layer_step(
+            g, i, int(width[i]), cur, pre_flat, full_dims)
+        arrays = {nm: t.array for nm, t in (g.weights[i] or {}).items()}
+        if bn_stats is not None and i in bn_stats:
+            arrays["mean"], arrays["var"] = (
+                np.asarray(s, dtype=np.float32) for s in bn_stats[i])
         mask = None
         if masked and spec.kind != FLATTEN and act[i] < cur[-1]:
             mask = int(act[i])
-        steps.append(step + (spec.activation == "relu", mask))
+        steps.append(_Step(run, views(arrays) + static,
+                           spec.activation == "relu", mask, views))
+        macs += step_macs
     return _Program(steps, macs, g.input_shape)
 
 
@@ -717,14 +707,18 @@ def _check_input(input_shape, x):
     return x
 
 
-def _execute(prog: _Program, x):
-    """Float32 logits of a program on a batch.
+def _execute(prog: _Program, x, dtype=np.float32, cache=None):
+    """Logits of a program on a batch, computed in ``dtype``.
 
     Works on its own copy of the input, so activations and masks apply
-    in place.
+    in place. A ``cache`` list receives a copy of every layer's input
+    (batchnorm and relu would overwrite it in place), which is what the
+    backward rules read.
     """
-    cur = _check_input(prog.input_shape, np.array(x, dtype=np.float32))
-    for run, args, relu, mask in prog.steps:
+    cur = _check_input(prog.input_shape, np.array(x, dtype=dtype))
+    for run, args, relu, mask, _ in prog.steps:
+        if cache is not None:
+            cache.append(cur.copy())
         cur = run(cur, *args)
         if relu:
             np.maximum(cur, 0.0, out=cur)
@@ -734,127 +728,27 @@ def _execute(prog: _Program, x):
 
 
 def run_forward(g: ModelGraph, x, slicing=None, bn_stats=None,
-                mask_widths=None, want_cache=False, program=None):
-    """Shared forward pass.
+                mask_widths=None, program=None):
+    """Float32 forward pass on a row program over views of the store.
 
-    x: (N, ...) float array matching input_shape. Returns
-    (logits, cache, macs) where macs is the exact per-sample multiply
-    count of the dense/conv contractions. ``mask_widths`` runs the
-    network at full width but zeroes features beyond the given width at
-    every layer boundary (binary-mask baseline); mutually exclusive with
-    ``slicing``. ``bn_stats`` optionally overrides batchnorm running
-    statistics: dict layer index -> (mean, var) full-width arrays.
-
-    Inference (``want_cache=False``) runs float32 on a row program over
-    views of the store: ``program`` is one prebuilt by ``NestedModel``
-    for a plan row, else one is built here from the other arguments.
-    With ``want_cache=True`` (autograd) the pass runs in float64 and
-    returns the per-layer cache the backward rules read.
+    x: (N, ...) float array matching input_shape. Returns (logits, macs)
+    where macs is the exact per-sample multiply count of the dense/conv
+    contractions. ``program`` is one prebuilt by ``NestedModel`` for a
+    plan row, else one is built here from the other arguments.
+    ``mask_widths`` runs the network at full width but zeroes features
+    beyond the given width at every layer boundary (binary-mask
+    baseline); mutually exclusive with ``slicing``. ``bn_stats``
+    optionally overrides batchnorm running statistics: dict layer index
+    -> (mean, var) full-width arrays.
     """
-    if not want_cache:
-        if program is None:
-            program = _build_program(g, slicing, bn_stats, mask_widths)
-        return _execute(program, x), None, program.macs
-    if mask_widths is not None and slicing is not None:
-        raise ConfigError("slicing and mask_widths are mutually exclusive")
-    masked = mask_widths is not None
-    act = resolve_widths(g, mask_widths if masked else slicing)
-    x = _check_input(g.input_shape, np.asarray(x, dtype=np.float64))
-
-    cache = []
-    macs = 0
-    cur = x
-
-    for i, spec in enumerate(g.layers):
-        u = spec.units if masked else int(act[i]) if spec.kind != FLATTEN else 0
-        entry = {"kind": spec.kind, "layer": i, "input": cur}
-
-        if spec.kind == DENSE:
-            feed, _ = dense_feed_structure(g, i)
-            if masked:
-                act_in = (g.layers[i - 2].units if feed == "spatial"
-                          else cur.shape[1])
-            else:
-                act_in = (int(act[i - 2]) if feed == "spatial"
-                          else cur.shape[1])
-            k = dense_active_kernel(g, i, act_in, u)
-            b = g.weights[i]["bias"].array.astype(np.float64)[:u]
-            out = cur @ k + b
-            macs += k.shape[0] * u
-            entry["kernel"] = k
-            entry["act_in"] = act_in
-        elif spec.kind == CONV2D:
-            kh, kw = spec.kernel
-            sh, sw = spec.stride
-            cols, ho, wo = _im2col(cur, kh, kw, sh, sw)
-            cin = cur.shape[3]
-            k2 = g.weights[i]["kernel"].array.astype(np.float64)[
-                :u, :, :, :cin].reshape(u, kh * kw * cin)
-            b = g.weights[i]["bias"].array.astype(np.float64)[:u]
-            out = cols @ k2.T + b
-            macs += ho * wo * kh * kw * cin * u
-            entry["cols"] = cols
-            entry["k2"] = k2
-        elif spec.kind == DEPTHWISE:
-            kh, kw = spec.kernel
-            sh, sw = spec.stride
-            cin = cur.shape[3]
-            xp = np.pad(cur, ((0, 0), (kh // 2, kh // 2),
-                              (kw // 2, kw // 2), (0, 0)))
-            win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
-            ho, wo = win.shape[1:3]
-            kd = g.weights[i]["kernel"].array.astype(np.float64)[:cin]
-            b = g.weights[i]["bias"].array.astype(np.float64)[:cin]
-            out = np.einsum("nhwckl,ckl->nhwc", win, kd) + b
-            macs += ho * wo * kh * kw * cin
-            entry["win"] = win
-            entry["kd"] = kd
-        elif spec.kind == POINTWISE:
-            cin = cur.shape[3]
-            kp = g.weights[i]["kernel"].array.astype(np.float64)[:u, 0, 0, :cin]
-            b = g.weights[i]["bias"].array.astype(np.float64)[:u]
-            out = cur @ kp.T + b
-            ho, wo = cur.shape[1:3]
-            macs += ho * wo * cin * u
-            entry["kp"] = kp
-        elif spec.kind == BATCHNORM:
-            cw = cur.shape[-1]
-            if bn_stats is not None and i in bn_stats:
-                mean = np.asarray(bn_stats[i][0], dtype=np.float64)[:cw]
-                var = np.asarray(bn_stats[i][1], dtype=np.float64)[:cw]
-            else:
-                mean = g.weights[i]["mean"].array.astype(np.float64)[:cw]
-                var = g.weights[i]["var"].array.astype(np.float64)[:cw]
-            gamma = g.weights[i]["gamma"].array.astype(np.float64)[:cw]
-            beta = g.weights[i]["beta"].array.astype(np.float64)[:cw]
-            inv = 1.0 / np.sqrt(var + BN_EPS)
-            xhat = (cur - mean) * inv
-            out = gamma * xhat + beta
-            entry["xhat"] = xhat
-            entry["inv"] = inv
-            entry["gamma"] = gamma
-        elif spec.kind == FLATTEN:
-            out = cur.reshape(cur.shape[0], -1)
-        else:
-            raise ConfigError(f"unknown layer kind {spec.kind}")
-
-        if spec.activation == "relu":
-            entry["pre_act"] = out
-            out = np.maximum(out, 0.0)
-        # softmax is folded into the loss; forward returns logits
-
-        if masked and spec.kind in COMPUTE_KINDS + (BATCHNORM,):
-            width = int(act[i])
-            out = np.array(out)
-            out[..., width:] = 0.0
-        cache.append(entry)
-        cur = out
-    return cur, cache, macs
+    if program is None:
+        program = _build_program(g, slicing, bn_stats, mask_widths)
+    return _execute(program, x), program.macs
 
 
 def forward(g: ModelGraph, x, slicing=None, bn_stats=None, count_macs=False):
     """Class logits for a batch; optionally also the per-sample MAC count."""
-    logits, _, macs = run_forward(g, x, slicing=slicing, bn_stats=bn_stats)
+    logits, macs = run_forward(g, x, slicing=slicing, bn_stats=bn_stats)
     if count_macs:
         return logits, macs
     return logits
@@ -864,21 +758,20 @@ def truncate(g: ModelGraph, slicing) -> ModelGraph:
     """Physically truncated copy of the model at the given widths.
 
     Test oracle: sliced forward must equal the forward of this copy.
+    Dense kernels are copies of the row program's views.
     """
     act = resolve_widths(g, slicing)
     act_dims = layer_output_dims(g, slicing)
+    steps = _build_program(g, slicing).steps
     out = g.copy()
     for i, spec in enumerate(out.layers):
         u = int(act[i])
         params = out.weights[i]
         in_act = _in_dims_at(g, i, act_dims)
         if spec.kind == DENSE:
-            feed, _ = dense_feed_structure(g, i)
-            act_in = int(act[i - 2]) if feed == "spatial" else int(np.prod(in_act))
-            k = dense_active_kernel(g, i, act_in, u)
-            params["kernel"] = Tensor.from_array(k.astype(np.float32))
-            params["bias"] = Tensor.from_array(
-                g.weights[i]["bias"].array[:u].astype(np.float32))
+            k, b = steps[i].args
+            params["kernel"] = Tensor.from_array(k.reshape(-1, u))
+            params["bias"] = Tensor.from_array(b)
             out.transposed_dense.discard(i)
         elif spec.kind == CONV2D:
             params["kernel"] = Tensor.from_array(

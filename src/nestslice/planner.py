@@ -766,21 +766,23 @@ def plan_depthwise(g: ng.ModelGraph, scores, grad_store, capacities,
     caps = _validate_capacities(g, capacities)
     base = build_dw_instance(g, scores, grad_store)
     d = len(base.blocks)
-    rows = [None] * len(caps)
+    rows = []
     if mode == "bu":
+        # smallest budget first, then reversed to align with caps
         minc = [1] * (d + 1)
-        for stage, cap in enumerate(sorted(caps)):
+        for cap in reversed(caps):
             sol = solve_depthwise(replace(base, capacity=cap),
                                   min_counts=minc)
             minc = list(sol.counts)
-            rows[caps.index(cap)] = list(sol.counts)
+            rows.append(minc)
+        rows.reverse()
     elif mode == "td":
         maxc = None
-        for stage, cap in enumerate(caps):
+        for cap in caps:
             sol = solve_depthwise(replace(base, capacity=cap),
                                   max_counts=maxc)
             maxc = list(sol.counts)
-            rows[stage] = list(sol.counts)
+            rows.append(maxc)
     else:
         raise ConfigError(f"unknown mode {mode!r}")
     plan = SlicingPlan(caps, np.array(rows), heuristic=mode, seed=seed)

@@ -6,14 +6,9 @@ that materialize element data bump a module-wide copy counter, which lets
 tests prove that slicing and subnetwork switching move zero weight
 elements.
 
-Two matrix-multiply orderings are provided. ``matmul_basic`` computes
-``x.T @ w`` with the weight matrix in row-major order, which walks the
-weight buffer column-wise (large strides). ``matmul_optimized`` computes
-the same product from the transposed weight store ``(w.T @ x).T``, which
-walks each neuron's weights contiguously. The ``*_traced`` variants
-additionally record the flat index of every weight read, in order; they
-are slow reference implementations meant for tests and trace generation,
-never for the production path.
+``transpose`` materialises the transposed store of the cache-optimized
+layout, in which each neuron's weights are contiguous. Tensors
+serialise to a little-endian binary blob format.
 """
 
 from __future__ import annotations
@@ -143,92 +138,6 @@ def transpose(t: Tensor) -> Tensor:
         return Tensor((n, m), t._data, t.order)
     _count_copies(t.size)
     return Tensor((n, m), np.ascontiguousarray(t.array.T).ravel(), Order.ROW_MAJOR)
-
-
-# -- matrix multiplication -------------------------------------------------
-
-
-def _check_basic(x: Tensor, w: Tensor):
-    x._require_2d()
-    w._require_2d()
-    if x.shape[0] != w.shape[0]:
-        raise ShapeMismatchError(
-            f"inner dimensions disagree: x {x.shape} vs w {w.shape}"
-        )
-    if w.order != Order.ROW_MAJOR:
-        raise ShapeMismatchError("matmul_basic expects a row-major weight store")
-
-
-def matmul_basic(x: Tensor, w: Tensor) -> Tensor:
-    """out[i, j] = sum_k x[k, i] * w[k, j]  for x (m x b), w (m x n)."""
-    _check_basic(x, w)
-    xa = x.array.astype(np.float64)
-    wa = w.array.astype(np.float64)
-    return Tensor.from_array(xa.T @ wa)
-
-
-def matmul_basic_traced(x: Tensor, w: Tensor):
-    """Reference loop for matmul_basic recording flat weight-read indices."""
-    _check_basic(x, w)
-    m, b = x.shape
-    n = w.shape[1]
-    xa = x.array.astype(np.float64)
-    wf = w.flat.astype(np.float64)
-    out = np.zeros((b, n))
-    reads = []
-    for i in range(b):
-        for j in range(n):
-            acc = 0.0
-            for k in range(m):
-                reads.append(k * n + j)
-                acc += xa[k, i] * wf[k * n + j]
-            out[i, j] = acc
-    return Tensor.from_array(out), np.asarray(reads, dtype=np.int64)
-
-
-def _check_optimized(x: Tensor, wt: Tensor):
-    x._require_2d()
-    wt._require_2d()
-    if wt.shape[1] != x.shape[0]:
-        raise ShapeMismatchError(
-            f"inner dimensions disagree: wT {wt.shape} vs x {x.shape}"
-        )
-    if wt.order != Order.ROW_MAJOR:
-        raise ShapeMismatchError(
-            "matmul_optimized expects the transposed weights with each "
-            "logical column of w contiguous (row-major n x m store)"
-        )
-
-
-def matmul_optimized(x: Tensor, wt: Tensor) -> Tensor:
-    """Same product as matmul_basic, computed as (wT @ x).T.
-
-    ``wt`` is the transposed weight store (n x m); each of its rows holds
-    one neuron's weights contiguously.
-    """
-    _check_optimized(x, wt)
-    xa = x.array.astype(np.float64)
-    wa = wt.array.astype(np.float64)
-    return Tensor.from_array((wa @ xa).T)
-
-
-def matmul_optimized_traced(x: Tensor, wt: Tensor):
-    """Reference loop for matmul_optimized recording flat weight reads."""
-    _check_optimized(x, wt)
-    m, b = x.shape
-    n = wt.shape[0]
-    xa = x.array.astype(np.float64)
-    wf = wt.flat.astype(np.float64)
-    out = np.zeros((b, n))
-    reads = []
-    for j in range(n):
-        for i in range(b):
-            acc = 0.0
-            for k in range(m):
-                reads.append(j * m + k)
-                acc += wf[j * m + k] * xa[k, i]
-            out[i, j] = acc
-    return Tensor.from_array(out), np.asarray(reads, dtype=np.int64)
 
 
 # -- binary blob format ----------------------------------------------------

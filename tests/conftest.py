@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
 import nestslice.netgraph as ng
 from nestslice.autograd import GradStore, backward
+from nestslice.cachesim import bench_report
 
 
 def random_grad_store(g, seed=0):
@@ -17,21 +19,111 @@ def random_grad_store(g, seed=0):
     return store
 
 
-def matmul_triple_loop(xa, wa):
-    """Naive triple-loop oracle for x^T . w (independent of the library)."""
-    m, b = xa.shape
-    n = wa.shape[1]
-    out = np.zeros((b, n))
-    for i in range(b):
-        for j in range(n):
-            for k in range(m):
-                out[i, j] += xa[k, i] * wa[k, j]
-    return out
+def _im2col(x, kh, kw, sh, sw):
+    """Patch matrix for 'same' padding; x is (N, H, W, C) float64."""
+    xp = np.pad(x, ((0, 0), (kh // 2, kh // 2), (kw // 2, kw // 2), (0, 0)))
+    win = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # N,Ho',Wo',C,kh,kw
+    win = win[:, ::sh, ::sw]
+    n_, ho, wo = win.shape[:3]
+    c = x.shape[3]
+    cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n_, ho, wo, kh * kw * c)
+    return cols, ho, wo
+
+
+def _dense_active_kernel(g, i, act_in, act_units):
+    """Active dense kernel as a float64 (fan_in_active, units_active) copy.
+
+    ``act_in`` is the active channel count when the layer follows a
+    flatten of a spatial map (kernel rows grouped per channel, so a
+    strided subset), else the active flat length.
+    """
+    karr = g.weights[i]["kernel"].array.astype(np.float64)
+    if i in g.transposed_dense:
+        karr = karr.T  # logical (fan_in, units)
+    feed, info = ng.dense_feed_structure(g, i)
+    if feed == "spatial":
+        h, w, cfull = info
+        k = karr.reshape(h * w, cfull, g.layers[i].units)[:, :act_in, :]
+        k = k.reshape(h * w * act_in, g.layers[i].units)
+    else:
+        k = karr[:act_in, :]
+    return k[:, :act_units]
+
+
+def reference_forward(g, x, slicing=None, bn_stats=None):
+    """Float64 forward pass written apart from the library's row programs.
+
+    Copies every active weight slice to float64 and computes each layer
+    with its own algorithm (im2col for conv, einsum for depthwise,
+    normalise-then-scale batchnorm). Returns (logits, macs, relu_signs),
+    where relu_signs lists (layer, pre-activation > 0) per relu layer.
+    """
+    act = ng.resolve_widths(g, slicing)
+    cur = np.asarray(x, dtype=np.float64)
+    macs = 0
+    signs = []
+    for i, spec in enumerate(g.layers):
+        u = int(act[i]) if spec.kind != ng.FLATTEN else 0
+        if spec.kind == ng.DENSE:
+            feed, _ = ng.dense_feed_structure(g, i)
+            act_in = int(act[i - 2]) if feed == "spatial" else cur.shape[1]
+            k = _dense_active_kernel(g, i, act_in, u)
+            b = g.weights[i]["bias"].array.astype(np.float64)[:u]
+            out = cur @ k + b
+            macs += k.shape[0] * u
+        elif spec.kind == ng.CONV2D:
+            kh, kw = spec.kernel
+            sh, sw = spec.stride
+            cols, ho, wo = _im2col(cur, kh, kw, sh, sw)
+            cin = cur.shape[3]
+            k2 = g.weights[i]["kernel"].array.astype(np.float64)[
+                :u, :, :, :cin].reshape(u, kh * kw * cin)
+            b = g.weights[i]["bias"].array.astype(np.float64)[:u]
+            out = cols @ k2.T + b
+            macs += ho * wo * kh * kw * cin * u
+        elif spec.kind == ng.DEPTHWISE:
+            kh, kw = spec.kernel
+            sh, sw = spec.stride
+            cin = cur.shape[3]
+            xp = np.pad(cur, ((0, 0), (kh // 2, kh // 2),
+                              (kw // 2, kw // 2), (0, 0)))
+            win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
+            ho, wo = win.shape[1:3]
+            kd = g.weights[i]["kernel"].array.astype(np.float64)[:cin]
+            b = g.weights[i]["bias"].array.astype(np.float64)[:cin]
+            out = np.einsum("nhwckl,ckl->nhwc", win, kd) + b
+            macs += ho * wo * kh * kw * cin
+        elif spec.kind == ng.POINTWISE:
+            cin = cur.shape[3]
+            kp = g.weights[i]["kernel"].array.astype(np.float64)[:u, 0, 0, :cin]
+            b = g.weights[i]["bias"].array.astype(np.float64)[:u]
+            out = cur @ kp.T + b
+            ho, wo = cur.shape[1:3]
+            macs += ho * wo * cin * u
+        elif spec.kind == ng.BATCHNORM:
+            cw = cur.shape[-1]
+            if bn_stats is not None and i in bn_stats:
+                mean = np.asarray(bn_stats[i][0], dtype=np.float64)[:cw]
+                var = np.asarray(bn_stats[i][1], dtype=np.float64)[:cw]
+            else:
+                mean = g.weights[i]["mean"].array.astype(np.float64)[:cw]
+                var = g.weights[i]["var"].array.astype(np.float64)[:cw]
+            gamma = g.weights[i]["gamma"].array.astype(np.float64)[:cw]
+            beta = g.weights[i]["beta"].array.astype(np.float64)[:cw]
+            inv = 1.0 / np.sqrt(var + ng.BN_EPS)
+            xhat = (cur - mean) * inv
+            out = gamma * xhat + beta
+        else:  # flatten
+            out = cur.reshape(cur.shape[0], -1)
+        if spec.activation == "relu":
+            signs.append((i, out > 0))
+            out = np.maximum(out, 0.0)
+        cur = out
+    return cur, macs, signs
 
 
 def relu_mask_signature(g, x):
-    _, cache, _ = ng.run_forward(g, x, want_cache=True)
-    return [(e["layer"], e["pre_act"] > 0) for e in cache if "pre_act" in e]
+    return reference_forward(g, x)[2]
 
 
 def masks_equal(a, b):
@@ -88,6 +180,16 @@ def fd_gradient_check(g, x, y, n_checks=5, h=2.0 ** -10, seed=11,
             checked += 1
         assert checked == n_checks, f"could not sample layer {i} {name}"
     return worst
+
+
+@pytest.fixture(scope="session")
+def default_sweep():
+    """The 72-point default cache sweep (RP2040-like cache, batch 4).
+
+    About 20 s to compute, so it is computed once per session; the tests
+    that share it only read the rows.
+    """
+    return bench_report()
 
 
 @pytest.fixture

@@ -22,7 +22,7 @@ from nestslice.autograd import TrainConfig
 from nestslice.bounds import (brute_opt, bu_two_stage, td_two_stage,
                               random_instance, tight_instance_bu,
                               tight_instance_td)
-from nestslice.cachesim import RP2040_CACHE, bench_report, trace_matmul
+from nestslice.cachesim import trace_matmul
 from nestslice.datasets import synth_blobs
 from nestslice.finetune import (evaluate, evaluate_rows,
                                 few_shot_bu_td_harness, finetune_joint,
@@ -263,14 +263,9 @@ def test_criterion_08_gradient_correctness():
               f"{worst:.2e} over every layer kind")
 
 
-@pytest.fixture(scope="module")
-def cache_sweep():
-    return bench_report(cfg=RP2040_CACHE, b=4)
-
-
-def test_criterion_09a_cache_direction(cache_sweep):
+def test_criterion_09a_cache_direction(default_sweep):
     pairs = {}
-    for r in cache_sweep:
+    for r in default_sweep:
         pairs.setdefault((r["m"], r["n"], r["elem_bytes"], r["slice"]),
                          {})[r["mode"]] = r["hit_rate"]
     for key, pair in pairs.items():
@@ -279,13 +274,13 @@ def test_criterion_09a_cache_direction(cache_sweep):
                  f"sweep points (RP2040-like cache)")
 
 
-def test_criterion_09b_optimized_hit_rate_floor(cache_sweep):
+def test_criterion_09b_optimized_hit_rate_floor(default_sweep):
     # Faithful assertion of the 97% floor. Unattainable for a weight-only
     # trace: every line must be fetched once per sweep of a >16kB matrix,
     # so hit_rate <= 1 - elem_bytes/(8*4) <= 96.88%. Kept red on purpose;
     # do not weaken.
     floor = 0.97
-    worst = min(r["hit_rate"] for r in cache_sweep
+    worst = min(r["hit_rate"] for r in default_sweep
                 if r["mode"] == "optimized")
     assert worst >= floor, (
         f"optimized hit-rate floor {worst:.4f} < {floor}: a weight-only "

@@ -259,7 +259,7 @@ def test_sliced_sgd_leaves_inactive_weights_bit_identical(rng):
     x = rng.standard_normal((5, 10))
     y = rng.integers(0, 3, 5)
     _, grads = backward(g, (x, y), slicing=sl)
-    sgd_step(g, grads, lr=0.1, slicing=sl)
+    sgd_step(g, grads, lr=0.1)
     after0 = g.weights[0]["kernel"].array
     after1 = g.weights[1]["kernel"].array
     np.testing.assert_array_equal(after0[:, 40:], before0[:, 40:])

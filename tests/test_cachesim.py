@@ -7,8 +7,47 @@ from nestslice.cachesim import (CacheConfig, RP2040_CACHE, bench_report,
                                 simulate, simulate_direct_mapped,
                                 trace_matmul, write_report_csv)
 from nestslice.errors import ConfigError
-from nestslice.tensor import (Tensor, matmul_basic_traced,
-                              matmul_optimized_traced, transpose)
+from nestslice.tensor import Tensor, transpose
+
+
+def matmul_basic_traced(x: Tensor, w: Tensor):
+    """Loop for x.T @ w over a row-major store, recording flat weight reads.
+
+    x is (m x b), w (m x n): out[i, j] = sum_k x[k, i] * w[k, j].
+    """
+    m, b = x.shape
+    n = w.shape[1]
+    xa = x.array.astype(np.float64)
+    wf = w.flat.astype(np.float64)
+    out = np.zeros((b, n))
+    reads = []
+    for i in range(b):
+        for j in range(n):
+            acc = 0.0
+            for k in range(m):
+                reads.append(k * n + j)
+                acc += xa[k, i] * wf[k * n + j]
+            out[i, j] = acc
+    return Tensor.from_array(out), np.asarray(reads, dtype=np.int64)
+
+
+def matmul_optimized_traced(x: Tensor, wt: Tensor):
+    """The same product from the transposed store wt (n x m), each row one
+    neuron's weights, recording flat weight reads."""
+    m, b = x.shape
+    n = wt.shape[0]
+    xa = x.array.astype(np.float64)
+    wf = wt.flat.astype(np.float64)
+    out = np.zeros((b, n))
+    reads = []
+    for j in range(n):
+        for i in range(b):
+            acc = 0.0
+            for k in range(m):
+                reads.append(j * m + k)
+                acc += wf[j * m + k] * xa[k, i]
+            out[i, j] = acc
+    return Tensor.from_array(out), np.asarray(reads, dtype=np.int64)
 
 
 def test_cache_config_validation():
@@ -61,8 +100,8 @@ def test_trace_validation():
 
 
 def test_traces_match_instrumented_matmuls(rng):
-    # cross-module: tensor's reference loops read the same elements in
-    # the same order as the synthetic traces
+    # instrumented reference loops read the same elements in the same
+    # order as the synthetic traces
     m, n, b = 5, 4, 3
     x = Tensor.from_array(rng.standard_normal((m, b)).astype(np.float32))
     w = Tensor.from_array(rng.standard_normal((m, n)).astype(np.float32))
@@ -123,14 +162,9 @@ def test_negative_addresses_rejected():
 # -- sweep ---------------------------------------------------------------------
 
 
-@pytest.fixture(scope="module")
-def sweep_rows():
-    return bench_report()
-
-
-def test_optimized_never_worse_than_basic(sweep_rows):
+def test_optimized_never_worse_than_basic(default_sweep):
     by_key = {}
-    for r in sweep_rows:
+    for r in default_sweep:
         by_key.setdefault((r["m"], r["n"], r["elem_bytes"], r["slice"]),
                           {})[r["mode"]] = r
     for key, pair in by_key.items():
@@ -138,46 +172,46 @@ def test_optimized_never_worse_than_basic(sweep_rows):
         assert pair["optimized"]["cost"] <= pair["basic"]["cost"], key
 
 
-def test_directional_example_512x256_uint8(sweep_rows):
-    rows = [r for r in sweep_rows
+def test_directional_example_512x256_uint8(default_sweep):
+    rows = [r for r in default_sweep
             if (r["m"], r["n"], r["elem_bytes"], r["slice"]) ==
             (256, 512, 1, 1.0)]
     modes = {r["mode"]: r["hit_rate"] for r in rows}
     assert modes["optimized"] > modes["basic"]
 
 
-def test_hit_rate_gap_stable_across_slices(sweep_rows):
+def test_hit_rate_gap_stable_across_slices(default_sweep):
     # no notable difference across the 25/50/75/100% splits
     for (m, n, elem) in {(r["m"], r["n"], r["elem_bytes"])
-                         for r in sweep_rows}:
+                         for r in default_sweep}:
         gaps = []
         for sl in (0.25, 0.5, 0.75, 1.0):
-            pair = {r["mode"]: r["hit_rate"] for r in sweep_rows
+            pair = {r["mode"]: r["hit_rate"] for r in default_sweep
                     if (r["m"], r["n"], r["elem_bytes"], r["slice"]) ==
                     (m, n, elem, sl)}
             gaps.append(pair["optimized"] - pair["basic"])
         assert max(gaps) - min(gaps) < 0.05
 
 
-def test_optimized_hit_rate_formula(sweep_rows):
+def test_optimized_hit_rate_formula(default_sweep):
     # weight-only steady state: misses are compulsory line fetches, so the
     # hit rate is exactly 1 - elem_bytes / (line_bytes * batch)
-    for r in sweep_rows:
+    for r in default_sweep:
         if r["mode"] != "optimized":
             continue
         expect = 1.0 - r["elem_bytes"] / (8 * r["b"])
         assert r["hit_rate"] == pytest.approx(expect, abs=1e-3), r
 
 
-def test_report_csv(tmp_path, sweep_rows):
+def test_report_csv(tmp_path, default_sweep):
     path = tmp_path / "report.csv"
-    write_report_csv(sweep_rows, path)
+    write_report_csv(default_sweep, path)
     with open(path) as fh:
         rows = list(csv.DictReader(fh))
-    assert len(rows) == len(sweep_rows)
+    assert len(rows) == len(default_sweep)
     assert set(rows[0]) == {"mode", "m", "n", "b", "elem_bytes", "slice",
                             "accesses", "hits", "misses", "hit_rate", "cost"}
-    for got, want in zip(rows, sweep_rows):
+    for got, want in zip(rows, default_sweep):
         assert int(got["accesses"]) == want["accesses"]
         assert int(got["hits"]) + int(got["misses"]) == want["accesses"]
 

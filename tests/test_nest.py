@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import nestslice.netgraph as ng
-from conftest import random_grad_store
+from conftest import random_grad_store, reference_forward
 from nestslice.errors import ExtentError, IntegrityError
 from nestslice.finetune import evaluate_rows
 from nestslice.importance import (apply_to_scores, permute_descending,
@@ -156,8 +156,9 @@ def test_float32_programs_match_float64_oracle(arch, ishape, layout, rng):
     for k in range(m.plan.n_rows):
         m.activate(k)
         got = m.infer(x)
-        want, _, _ = ng.run_forward(m.graph, x, slicing=m.plan.row_widths(k),
-                                    bn_stats=m.bn_stats[k], want_cache=True)
+        want, _, _ = reference_forward(m.graph, x,
+                                       slicing=m.plan.row_widths(k),
+                                       bn_stats=m.bn_stats[k])
         assert got.dtype == np.float32
         assert np.abs(got - want).max() < 1e-5
         np.testing.assert_array_equal(got.argmax(axis=1), want.argmax(axis=1))

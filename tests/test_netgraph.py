@@ -4,11 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestslice.netgraph as ng
+from conftest import reference_forward
 from nestslice.errors import ConfigError, ExtentError
 from nestslice.netgraph import (build_reference, forward, full_macs,
                                 load_manifest, plan_macs, save_manifest,
                                 truncate, unit_macs)
-from nestslice.tensor import Tensor
+from nestslice.tensor import Tensor, transpose
 
 
 def widths_of(g):
@@ -168,10 +169,45 @@ def test_float32_program_matches_float64_at_random_widths(arch, fracs,
         (3,) + ((g.input_shape,) if np.isscalar(g.input_shape)
                 else g.input_shape))
     got, macs = forward(g, x, slicing=sl, count_macs=True)
-    want, _, want_macs = ng.run_forward(g, x, slicing=sl, want_cache=True)
+    want, want_macs, _ = reference_forward(g, x, slicing=sl)
     assert got.dtype == np.float32
     assert np.abs(got - want).max() < 1e-5
     assert macs == want_macs == plan_macs(g, sl)
+
+
+@pytest.mark.parametrize("transposed", [False, True])
+@pytest.mark.parametrize("arch", sorted(_ORACLE_GRAPHS))
+def test_float64_program_matches_reference_forward(arch, transposed, rng):
+    # autograd's forward: the row program run in float64
+    g = _ORACLE_GRAPHS[arch].copy()
+    bn_layers = [i for i, l in enumerate(g.layers) if l.kind == ng.BATCHNORM]
+    for i in bn_layers:
+        u = g.layers[i].units
+        for name, lo, hi in (("gamma", 0.5, 1.5), ("beta", -0.5, 0.5),
+                             ("mean", -0.3, 0.3), ("var", 0.5, 2.0)):
+            g.weights[i][name] = Tensor.from_array(rng.uniform(lo, hi, u))
+    if transposed:  # the cache-optimized dense store
+        for i, spec in enumerate(g.layers):
+            if spec.kind == ng.DENSE:
+                g.weights[i]["kernel"] = transpose(g.weights[i]["kernel"])
+                g.transposed_dense.add(i)
+    x = rng.standard_normal(
+        (8,) + ((g.input_shape,) if np.isscalar(g.input_shape)
+                else g.input_shape))
+    full = widths_of(g)
+    cases = [(None, None)]
+    for _ in range(3):
+        sl = [int(rng.integers(1, w + 1)) for w in full]
+        stats = {i: (rng.uniform(-0.3, 0.3, g.layers[i].units)
+                     .astype(np.float32),
+                     rng.uniform(0.5, 2.0, g.layers[i].units)
+                     .astype(np.float32)) for i in bn_layers}
+        cases.append((sl, stats))
+    for sl, stats in cases:
+        got = ng._execute(ng._build_program(g, sl, stats), x, np.float64)
+        want, _, _ = reference_forward(g, x, slicing=sl, bn_stats=stats)
+        assert got.dtype == np.float64
+        assert np.abs(got - want).max() < 1e-12
 
 
 def test_width_out_of_range(rng):

@@ -412,6 +412,18 @@ def test_plan_depthwise_bu_td_nested():
         plan.validate(g2)
 
 
+def test_plan_depthwise_repeated_capacities():
+    # equal budgets get equal rows; bottom-up once left a row unsolved
+    g2, scores2, store2 = planned_graph("dscnn", (8, 8, 1), seed=3)
+    full = full_macs(g2)
+    caps = [full, full // 2, full // 2]
+    for mode in ("bu", "td"):
+        plan = plan_depthwise(g2, scores2, store2, caps, mode=mode)
+        plan.validate(g2)
+        assert plan.n_rows == 3
+        assert plan.row_widths(1) == plan.row_widths(2)
+
+
 def test_dw_cost_model_matches_mac_accounting(rng):
     # the depthwise formulation's MAC term must equal the width-aware
     # count of the actual sliced network, for any count tuple
