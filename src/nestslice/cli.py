@@ -9,7 +9,9 @@ from (seed, config). ``eval`` and ``switch-sim`` read a bundle and write
 their report under --out, never into the bundle.
 
 Exit codes: 0 success, 2 config error, 3 infeasible plan, 4 data error,
-5 numeric error.
+5 numeric error, 6 integrity error (an inconsistent bundle), 7 shape
+mismatch (a truncated tensor blob). Diagnostics go to stderr through the
+``nestslice`` logger; results go to stdout.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ import argparse
 import csv
 import hashlib
 import json
+import logging
 import os
 import sys
 import traceback
@@ -35,6 +38,17 @@ from .importance import (apply_to_scores, export_scores_csv,
                          permute_descending, permute_grad_store, score_units)
 from .nest import NestedModel, load_bundle, save_bundle
 from .planner import SlicingPlan, make_plan, plan_baseline
+
+log = logging.getLogger("nestslice")
+
+
+class _StderrHandler(logging.Handler):
+    """Writes each record to the current ``sys.stderr``, so a redirected
+    or captured stderr sees it."""
+
+    def emit(self, record):
+        print(self.format(record), file=sys.stderr)
+
 
 DEFAULT_CONFIG = {
     "seed": 0,
@@ -259,7 +273,7 @@ def _run_stages(command, cfg, out_dir, state) -> int:
         try:
             info = STAGES[name](cfg, state, out_dir)
         except NestsliceError as e:
-            print(f"{command} halted at stage '{name}': {e}", file=sys.stderr)
+            log.error("%s halted at stage '%s': %s", command, name, e)
             done.append({"stage": f"failed:{name}", "error": str(e)})
             _write_manifest(out_dir, cfg, done)
             raise
@@ -420,6 +434,8 @@ def _make_parser():
 
 
 def main(argv=None) -> int:
+    if not any(isinstance(h, _StderrHandler) for h in log.handlers):
+        log.addHandler(_StderrHandler())
     ap = _make_parser()
     args = ap.parse_args(argv)
     try:
@@ -454,12 +470,9 @@ def main(argv=None) -> int:
             return cmd_verify_bounds(args, cfg["seed"])
         raise ConfigError(f"unknown command {args.command!r}")
     except NestsliceError as e:
-        for cls, code in EXIT_CODES.items():
-            if isinstance(e, cls):
-                print(f"error: {e}", file=sys.stderr)
-                return code
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        log.error("error: %s", e)
+        return next((code for cls, code in EXIT_CODES.items()
+                     if isinstance(e, cls)), 1)
     except Exception:  # pragma: no cover - unexpected crash path
         traceback.print_exc()
         return 1

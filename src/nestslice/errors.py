@@ -45,4 +45,6 @@ EXIT_CODES = {
     InfeasiblePlanError: 3,
     DataError: 4,
     NumericError: 5,
+    IntegrityError: 6,
+    ShapeMismatchError: 7,
 }

@@ -186,8 +186,8 @@ def fd_gradient_check(g, x, y, n_checks=5, h=2.0 ** -10, seed=11,
 def default_sweep():
     """The 72-point default cache sweep (RP2040-like cache, batch 4).
 
-    About 20 s to compute, so it is computed once per session; the tests
-    that share it only read the rows.
+    Computed once per session (about 1 s); the tests that share it only
+    read the rows.
     """
     return bench_report()
 

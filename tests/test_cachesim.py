@@ -1,13 +1,64 @@
 import csv
+import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from nestslice.cachesim import (CacheConfig, RP2040_CACHE, bench_report,
-                                simulate, simulate_direct_mapped,
-                                trace_matmul, write_report_csv)
+from nestslice.cachesim import (CacheConfig, RP2040_CACHE, TraceStats,
+                                bench_report, simulate, trace_matmul,
+                                write_report_csv)
 from nestslice.errors import ConfigError
 from nestslice.tensor import Tensor, transpose
+
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "reference.json")
+
+
+def _simulate_py(addrs, n_sets, ways, line_bytes):
+    """Per-access LRU loop (oracle of ``simulate``); returns the hits."""
+    tags = np.full((n_sets, ways), -1, dtype=np.int64)
+    stamp = np.zeros((n_sets, ways), dtype=np.int64)
+    t = 0
+    hits = 0
+    for a in addrs:
+        line = a // line_bytes
+        s = line % n_sets
+        tag = line // n_sets
+        t += 1
+        row = tags[s]
+        hit = False
+        for wy in range(ways):
+            if row[wy] == tag:
+                hits += 1
+                stamp[s, wy] = t
+                hit = True
+                break
+        if not hit:
+            victim = int(np.argmin(stamp[s]))
+            tags[s, victim] = tag
+            stamp[s, victim] = t
+    return hits
+
+
+def simulate_direct_mapped(trace, cfg: CacheConfig) -> TraceStats:
+    """Independent single-way reference simulator (test oracle)."""
+    if cfg.ways != 1:
+        raise ConfigError("direct-mapped oracle requires ways=1")
+    lines = {}
+    hits = 0
+    n = 0
+    for a in np.asarray(trace, dtype=np.int64):
+        line = int(a) // cfg.line_bytes
+        s = line % cfg.n_sets
+        n += 1
+        if lines.get(s) == line:
+            hits += 1
+        else:
+            lines[s] = line
+    return TraceStats(accesses=n, hits=hits)
 
 
 def matmul_basic_traced(x: Tensor, w: Tensor):
@@ -145,6 +196,37 @@ def test_against_direct_mapped_oracle(rng):
     assert fast.hits == ref.hits and fast.accesses == ref.accesses
 
 
+@st.composite
+def geometry_and_trace(draw):
+    """A power-of-two cache and a trace of runs over a few lines more than
+    it holds; optionally every line maps to one set."""
+    ways = 2 ** draw(st.integers(0, 3))
+    n_sets = 2 ** draw(st.integers(0, 6))
+    line_bytes = 2 ** draw(st.integers(0, 4))
+    cfg = CacheConfig(ways * n_sets * line_bytes, ways, line_bytes)
+    stride = n_sets if draw(st.booleans()) else 1  # one set, or all
+    n_lines = draw(st.integers(1, 3 * ways * n_sets))
+    base = draw(st.integers(0, 2 ** 32)) * n_sets
+    runs = draw(st.lists(st.tuples(st.integers(0, n_lines - 1),
+                                   st.integers(0, line_bytes - 1),
+                                   st.integers(1, 40)),
+                         max_size=120))
+    trace = [(base + li * stride) * line_bytes + off
+             for li, off, rep in runs for _ in range(rep)]
+    return cfg, np.asarray(trace, dtype=np.int64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=geometry_and_trace())
+@example(case=(CacheConfig(64, 4, 8), np.zeros(0, dtype=np.int64)))
+def test_matches_per_access_loop_oracle(case):
+    cfg, trace = case
+    got = simulate(trace, cfg)
+    assert got.accesses == trace.size
+    assert got.hits == _simulate_py(trace, cfg.n_sets, cfg.ways,
+                                    cfg.line_bytes)
+
+
 def test_simulator_deterministic_and_order_sensitive(rng):
     trace = rng.integers(0, 65536, 4000)
     a = simulate(trace, RP2040_CACHE)
@@ -201,6 +283,17 @@ def test_optimized_hit_rate_formula(default_sweep):
             continue
         expect = 1.0 - r["elem_bytes"] / (8 * r["b"])
         assert r["hit_rate"] == pytest.approx(expect, abs=1e-3), r
+
+
+def test_default_sweep_matches_benchmark_reference(default_sweep):
+    # perfbench/reference.json holds the accesses and hits of all 72
+    # default sweep points, written from the per-access loop
+    with open(REFERENCE) as fh:
+        want = json.load(fh)["sweep"]
+    got = {f"{r['mode']}/{r['m']}x{r['n']}/e{r['elem_bytes']}/s{r['slice']}":
+           [r["accesses"], r["hits"]] for r in default_sweep}
+    assert len(got) == 72
+    assert got == want
 
 
 def test_report_csv(tmp_path, default_sweep):

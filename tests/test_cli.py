@@ -2,6 +2,7 @@ import csv
 import json
 import os
 import shlex
+import shutil
 
 import numpy as np
 import pytest
@@ -321,6 +322,56 @@ def test_bundle_ships_validated_bn_statistics(conv_pipeline):
     val_x, val_y = build_dataset(load_config(cfg)).split("val")
     assert evaluate_rows(model, val_x, val_y) == [logged[k]
                                                   for k in sorted(logged)]
+
+
+def _truncate_bn_stats(bundle):
+    path = os.path.join(bundle, "bn_stats.bin")
+    with open(path, "rb") as fh:
+        data = fh.read()
+    with open(path, "wb") as fh:
+        fh.write(data[:-3])  # cuts the last blob's data short
+
+
+def _extra_row(bundle):
+    path = os.path.join(bundle, "bundle.json")
+    with open(path) as fh:
+        meta = json.load(fh)
+    meta["n_rows"] += 1
+    with open(path, "w") as fh:
+        json.dump(meta, fh)
+
+
+@pytest.mark.parametrize("command", ["eval", "switch-sim"])
+@pytest.mark.parametrize("corrupt, code", [(_truncate_bn_stats, 7),
+                                           (_extra_row, 6)],
+                         ids=["truncated_bn_stats", "n_rows_mismatch"])
+def test_corrupt_bundle_exit_code(conv_pipeline, tmp_path, capsys, command,
+                                  corrupt, code):
+    _, cfg, out = conv_pipeline
+    bundle = str(tmp_path / "bundle")
+    shutil.copytree(os.path.join(out, "bundle"), bundle)
+    corrupt(bundle)
+    spath = tmp_path / "schedule.json"
+    spath.write_text("[[0, 0]]")
+    extra = ["--schedule", str(spath)] if command == "switch-sim" else []
+    capsys.readouterr()
+    rc = main(["--config", cfg, "--out", str(tmp_path / "rep"), command,
+               "--bundle", bundle] + extra)
+    err = capsys.readouterr().err
+    assert rc == code
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+
+
+def test_stage_failure_is_logged_to_stderr(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"capacities_percent": [100, 0.00001]})
+    rc = main(["--config", cfg, "--out", str(tmp_path / "o"), "pipeline"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    halted, error = captured.err.splitlines()
+    assert halted.startswith("pipeline halted at stage 'plan': ")
+    assert error.startswith("error: ")
+    assert "halted" not in captured.out and "error:" not in captured.out
 
 
 def test_subcommands_compose_into_pipeline(conv_pipeline):
