@@ -1,12 +1,18 @@
 """Reverse-mode differentiation for the fixed layer vocabulary.
 
 This is not a general tape autodiff. ``backward`` runs the same row
-program as inference (``netgraph._build_program``), in float64, keeping
-each layer's input; each kernel of the program has a hand-written
-backward rule, and the program's per-layer view mapping puts the weight
-gradients back into full-shape arrays. That is enough to (a) accumulate
-the gradient sums used for importance scoring and (b) run (joint)
-fine-tuning.
+program as inference (``netgraph._build_program``), keeping each layer's
+input; each kernel of the program has a hand-written backward rule, and
+the program's per-layer view mapping puts the weight gradients back into
+full-shape arrays. That is enough to (a) accumulate the gradient sums
+used for importance scoring and (b) run (joint) fine-tuning.
+
+Precision is split as in mixed-precision training: activations and the
+backward rules run in float32, the precision of the weight store, while
+the softmax/loss reduction and every gradient sum (the full-shape
+gradient buffers, ``GradStore``, Adam's moments, the pi-weighted joint
+totals) are float64. ``backward(..., dtype=np.float64)`` runs the whole
+pass in float64; only the gradient checks use it.
 
 Batchnorm running statistics are treated as constants (inference-mode
 statistics), which matches scoring and tuning of an already-trained
@@ -35,6 +41,8 @@ def _one_hot(labels, classes):
 
 
 def _loss_and_dlogits(logits, labels, loss):
+    """Loss value and its logit gradient, both in float64."""
+    logits = logits.astype(np.float64, copy=False)
     n = logits.shape[0]
     if loss == "ce":
         y = _one_hot(labels, logits.shape[1])
@@ -91,26 +99,29 @@ class GradStore:
                 )
 
 
-def backward(g: ng.ModelGraph, batch, slicing=None, loss="ce", bn_stats=None):
+def backward(g: ng.ModelGraph, batch, slicing=None, loss="ce", bn_stats=None,
+             dtype=np.float32):
     """Gradients of the mean loss over one minibatch.
 
     batch: (inputs, labels). Returns (loss_value, grads) where grads maps
     (layer, param) to a full-shape float64 array; sliced-off weights get
-    exactly zero.
+    exactly zero. Activations and the backward rules run in ``dtype``:
+    float32 for training, float64 only for gradient checks. The loss and
+    its logit gradient are reduced in float64 either way.
     """
     x, labels = batch
     if len(np.asarray(labels).reshape(-1)) == 0:
         raise DataError("empty minibatch")
     prog = ng._build_program(g, slicing, bn_stats)
     inputs = []
-    logits = ng._execute(prog, x, np.float64, inputs)
+    logits = ng._execute(prog, x, dtype, inputs)
     value, dlogits = _loss_and_dlogits(logits, labels, loss)
     if not np.isfinite(value):
         raise NumericError(f"non-finite loss {value}; logits range "
                            f"[{np.min(logits)}, {np.max(logits)}]")
 
     grads = {}
-    d = dlogits
+    d = dlogits.astype(dtype)
     outputs = inputs[1:] + [logits]
     layers = list(enumerate(zip(prog.steps, inputs, outputs)))
     for i, (step, xin, out) in reversed(layers):
@@ -154,11 +165,11 @@ def _windows(x, kh, kw, sh, sw):
                                axis=(1, 2))[:, ::sh, ::sw]
 
 
-def _taps_to_input(taps, shape, kh, kw, sh, sw):
+def _taps_to_input(taps, shape, dtype, kh, kw, sh, sw):
     """Sum per-tap gradients (N, Ho, Wo, C) onto an (N, H, W, C) input."""
     n, h, w, c = shape
     ph, pw = kh // 2, kw // 2
-    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c))
+    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=dtype)
     for t, dt in enumerate(taps):
         a, b = divmod(t, kw)
         ho, wo = dt.shape[1:3]
@@ -179,14 +190,14 @@ def _conv_back(d, x, k, b, kh, kw, sh, sw):
         dk = np.matmul(cols.transpose(0, 2, 1), d2)
         dcols = np.matmul(d2, k.transpose(0, 2, 1))
     taps = dcols.reshape(kh * kw, n, ho, wo, cin)
-    return (_taps_to_input(taps, x.shape, kh, kw, sh, sw),
+    return (_taps_to_input(taps, x.shape, d.dtype, kh, kw, sh, sw),
             (dk, d2.sum(axis=0)))
 
 
 def _depthwise_back(d, x, kd, b, kh, kw, sh, sw):
     dk = np.einsum("nhwc,nhwckl->ckl", d, _windows(x, kh, kw, sh, sw))
     taps = (d * kd[:, di, dj] for di in range(kh) for dj in range(kw))
-    return (_taps_to_input(taps, x.shape, kh, kw, sh, sw),
+    return (_taps_to_input(taps, x.shape, d.dtype, kh, kw, sh, sw),
             (dk, d.sum(axis=(0, 1, 2))))
 
 
@@ -197,7 +208,7 @@ def _pointwise_back(d, x, k, b):
 
 
 def _batchnorm_back(d, x, mean, var, gamma, beta):
-    inv = 1.0 / np.sqrt(var.astype(np.float64) + ng.BN_EPS)
+    inv = 1.0 / np.sqrt(var.astype(d.dtype, copy=False) + ng.BN_EPS)
     axes = tuple(range(d.ndim - 1))
     dgamma = (d * ((x - mean) * inv)).sum(axis=axes)
     return d * (gamma * inv), (None, None, dgamma, d.sum(axis=axes))

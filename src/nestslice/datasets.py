@@ -68,9 +68,16 @@ def _read_exact(fh, n, what):
     return raw
 
 
+def _open_idx(path):
+    try:
+        return open(path, "rb")
+    except OSError as e:  # missing or unreadable
+        raise DataError(f"cannot open IDX file: {e}") from e
+
+
 def load_idx(images_path, labels_path, normalize=True, seed=0) -> Dataset:
     """Load an IDX image/label pair with big-endian headers."""
-    with open(images_path, "rb") as fh:
+    with _open_idx(images_path) as fh:
         magic, count, rows, cols = struct.unpack(
             ">IIII", _read_exact(fh, 16, "image header"))
         if magic != IDX_IMAGES_MAGIC:
@@ -80,7 +87,7 @@ def load_idx(images_path, labels_path, normalize=True, seed=0) -> Dataset:
             )
         raw = _read_exact(fh, count * rows * cols, "image data")
         images = np.frombuffer(raw, dtype=np.uint8).reshape(count, rows, cols)
-    with open(labels_path, "rb") as fh:
+    with _open_idx(labels_path) as fh:
         magic, lcount = struct.unpack(">II", _read_exact(fh, 8, "label header"))
         if magic != IDX_LABELS_MAGIC:
             raise DataError(

@@ -235,12 +235,19 @@ def load_bundle(bundle_dir) -> NestedModel:
     inconsistent bundle raises IntegrityError: a plan that fails
     ``plan.validate``, a layout flag that disagrees with the transposed
     dense layers, batchnorm layers that differ from the graph's, or a
-    statistics blob count other than rows x batchnorm layers x 2.
+    statistics blob count other than rows x batchnorm layers x 2. So does
+    a bundle file that is missing or unreadable, or JSON that does not
+    parse.
     """
-    with open(os.path.join(bundle_dir, "bundle.json")) as fh:
-        meta = json.load(fh)
-    graph = ng.load_manifest(os.path.join(bundle_dir, "model.json"))
-    plan = SlicingPlan.load(os.path.join(bundle_dir, "plan.json"))
+    try:
+        with open(os.path.join(bundle_dir, "bundle.json")) as fh:
+            meta = json.load(fh)
+        graph = ng.load_manifest(os.path.join(bundle_dir, "model.json"))
+        plan = SlicingPlan.load(os.path.join(bundle_dir, "plan.json"))
+        with open(os.path.join(bundle_dir, "bn_stats.bin"), "rb") as fh:
+            blobs = tz.read_blobs(fh)
+    except (OSError, json.JSONDecodeError) as e:
+        raise IntegrityError(f"cannot read bundle {bundle_dir}: {e}") from e
     layout = meta["layout"]
     _check_layout(graph, layout)
     bn_layers = [int(i) for i in meta["bn_layers"]]
@@ -254,8 +261,6 @@ def load_bundle(bundle_dir) -> NestedModel:
         raise IntegrityError(
             f"bundle has {n_rows} rows (active {active}), plan has "
             f"{plan.n_rows}")
-    with open(os.path.join(bundle_dir, "bn_stats.bin"), "rb") as fh:
-        blobs = tz.read_blobs(fh)
     if len(blobs) != n_rows * len(bn_layers) * 2:
         raise IntegrityError(
             f"bn_stats.bin holds {len(blobs)} blobs, want {n_rows} rows x "

@@ -16,9 +16,10 @@ exact width-aware totals (``plan_macs``), which the instrumented forward
 pass must reproduce multiplication for multiplication.
 
 There is one forward path: a row program (``_build_program``) resolves
-the widths, dims and weight views of one row, and ``_execute`` runs it,
-in float32 for inference and in float64, keeping each layer's input, for
-autograd.
+the widths, dims and weight views of one row, and ``_execute`` runs it
+in float32, for inference and, keeping each layer's input, for autograd.
+Autograd reduces the loss and sums gradients in float64; float64
+activations are for checks only.
 """
 
 from __future__ import annotations
@@ -488,7 +489,7 @@ def dense_feed_structure(g: ModelGraph, i: int):
 # computes depends on its active shapes only, never on the full widths
 # behind a view, so a sliced row and the physically truncated copy of that
 # row run the same float operations. Kernels compute in the dtype of the
-# activations: float32 for inference, float64 for autograd.
+# activations: float32, or float64 for the gradient checks.
 
 
 class _Step(NamedTuple):

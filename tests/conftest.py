@@ -140,9 +140,15 @@ def fd_gradient_check(g, x, y, n_checks=5, h=2.0 ** -10, seed=11,
     Central differences are only valid where the loss is differentiable,
     so perturbations that flip any relu sign between the two evaluations
     are resampled. The step is the realized float32 step, which removes
-    weight-storage quantization from the comparison.
+    weight-storage quantization from the comparison. Backprop runs in
+    float64, so the check measures the backward rules, not float32
+    rounding.
     """
-    _, grads = backward(g, (x, y), loss=loss, slicing=slicing)
+    def run():
+        return backward(g, (x, y), loss=loss, slicing=slicing,
+                        dtype=np.float64)
+
+    _, grads = run()
     base = relu_mask_signature(g, x)
     worst = 0.0
 
@@ -151,11 +157,11 @@ def fd_gradient_check(g, x, y, n_checks=5, h=2.0 ** -10, seed=11,
         flat[j] = old + step
         hp = float(flat[j])
         okp = masks_equal(base, relu_mask_signature(g, x))
-        lp, _ = backward(g, (x, y), loss=loss, slicing=slicing)
+        lp, _ = run()
         flat[j] = old - step
         hm = float(flat[j])
         okm = masks_equal(base, relu_mask_signature(g, x))
-        lm, _ = backward(g, (x, y), loss=loss, slicing=slicing)
+        lm, _ = run()
         flat[j] = old
         if not (okp and okm) or hp == hm:
             return None

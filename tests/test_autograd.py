@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import nestslice.autograd as ag
 import nestslice.netgraph as ng
 from conftest import fd_gradient_check, random_grad_store
 from nestslice.autograd import (Adam, TrainConfig,
@@ -88,6 +89,80 @@ def test_gradcheck_vs_finite_differences(case, rng):
     y = rng.integers(0, 4, 4)
     worst = fd_gradient_check(g, x, y, slicing=sl)
     assert worst < 1e-4
+
+
+def _relu_masks(g, x, dtype):
+    """output > 0 of every relu layer, run in ``dtype``."""
+    prog = ng._build_program(g)
+    inputs = []
+    logits = ng._execute(prog, x, dtype, inputs)
+    outputs = inputs[1:] + [logits]
+    return [out > 0 for step, out in zip(prog.steps, outputs) if step.relu]
+
+
+@pytest.mark.parametrize("layout", ["standard", "cache_optimized"])
+@pytest.mark.parametrize("arch,ishape", [("dnn", 24), ("cnn", (10, 10, 1)),
+                                         ("dscnn", (8, 8, 1))])
+def test_float32_gradients_agree_with_float64(arch, ishape, layout):
+    from nestslice.nest import _transpose_dense_store
+    g = build_reference(arch, "S", ishape, classes=5, seed=0)
+    if layout == "cache_optimized":
+        g = _transpose_dense_store(g)
+    rng = np.random.default_rng(0)
+    shape = (100, ishape) if np.isscalar(ishape) else (100,) + ishape
+    x = rng.standard_normal(shape)
+    y = rng.integers(0, 5, 100)
+    # a relu kink crossed in one precision only is a real difference of
+    # the two functions, not float32 error: the seeds are pinned so that
+    # no mask flips, and this keeps a changed seed from passing silently
+    m32 = _relu_masks(g, x, np.float32)
+    m64 = _relu_masks(g, x, np.float64)
+    assert all(np.array_equal(a, b) for a, b in zip(m32, m64))
+    loss32, grads32 = backward(g, (x, y))
+    loss64, grads64 = backward(g, (x, y), dtype=np.float64)
+    assert abs(loss32 - loss64) <= 1e-6 * abs(loss64)
+    assert grads32.keys() == grads64.keys()
+    for key, want in grads64.items():
+        got = grads32[key]
+        assert got.dtype == np.float64  # buffers stay float64
+        assert np.abs(got - want).max() <= 1e-4 * np.abs(want).max(), key
+
+
+@pytest.mark.parametrize("arch,ishape", [("cnn", (10, 10, 1)),
+                                         ("dscnn", (8, 8, 1))])
+def test_backward_rules_run_in_float32(arch, ishape, rng, monkeypatch):
+    # an upcast anywhere in the chain would silently bring back float64
+    # passes; every rule must see and return float32 arrays
+    seen = {}
+
+    def checked(rule):
+        def run(d, x, *args):
+            dx, dviews = rule(d, x, *args)
+            seen.setdefault(rule.__name__, []).append(
+                (d.dtype, x.dtype, dx.dtype,
+                 *(dv.dtype for dv in dviews if dv is not None)))
+            return dx, dviews
+        return run
+
+    for kernel, rule in list(ag._RULES.items()):
+        monkeypatch.setitem(ag._RULES, kernel, checked(rule))
+    g = build_reference(arch, "S", ishape, classes=5, seed=1)
+    x = rng.standard_normal((8,) + ishape)
+    backward(g, (x, rng.integers(0, 5, 8)))
+    assert seen
+    for name, calls in seen.items():
+        for dtypes in calls:
+            assert all(dt == np.float32 for dt in dtypes), (name, dtypes)
+
+
+def test_loss_of_float32_logits_is_reduced_in_float64(rng):
+    logits = (rng.standard_normal((100, 5)) * 4).astype(np.float32)
+    y = rng.integers(0, 5, 100)
+    value, dlogits = ag._loss_and_dlogits(logits, y, "ce")
+    want, dwant = ag._loss_and_dlogits(logits.astype(np.float64), y, "ce")
+    assert value == want
+    np.testing.assert_array_equal(dlogits, dwant)
+    assert dlogits.dtype == np.float64
 
 
 def test_sliced_backward_equals_truncated_backward(rng):

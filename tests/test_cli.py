@@ -239,7 +239,7 @@ def test_data_error_exit_code(tmp_path):
         "dataset": {"kind": "idx", "images": "/nonexistent/i.idx",
                     "labels": "/nonexistent/l.idx"}})
     rc = main(["--config", cfg, "--out", str(tmp_path / "o"), "pipeline"])
-    assert rc in (1, 4)  # FileNotFoundError path or DataError
+    assert rc == 4
 
 
 def test_plan_command_baselines(tmp_path):
@@ -341,10 +341,22 @@ def _extra_row(bundle):
         json.dump(meta, fh)
 
 
+def _drop_bn_stats(bundle):
+    os.remove(os.path.join(bundle, "bn_stats.bin"))
+
+
+def _garble_bundle_json(bundle):
+    with open(os.path.join(bundle, "bundle.json"), "a") as fh:
+        fh.write("}")  # trailing garbage: the JSON no longer parses
+
+
 @pytest.mark.parametrize("command", ["eval", "switch-sim"])
 @pytest.mark.parametrize("corrupt, code", [(_truncate_bn_stats, 7),
-                                           (_extra_row, 6)],
-                         ids=["truncated_bn_stats", "n_rows_mismatch"])
+                                           (_extra_row, 6),
+                                           (_drop_bn_stats, 6),
+                                           (_garble_bundle_json, 6)],
+                         ids=["truncated_bn_stats", "n_rows_mismatch",
+                              "missing_bn_stats", "bad_bundle_json"])
 def test_corrupt_bundle_exit_code(conv_pipeline, tmp_path, capsys, command,
                                   corrupt, code):
     _, cfg, out = conv_pipeline
