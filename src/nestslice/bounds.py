@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .planner import KnapsackInstance, KnapsackSolution, solve_exact
+from .planner import (KnapsackInstance, KnapsackSolution, solve_exact,
+                      solve_iterative)
 
 BRUTE_LIMIT = 22
 
@@ -89,9 +90,7 @@ def bu_two_stage(profits, weights, c):
 
     Returns (profit at c, selected set, selected set at c/2).
     """
-    half = solve_exact(KnapsackInstance(profits, weights, c // 2))
-    full = solve_exact(KnapsackInstance(
-        profits, weights, c, forced_in=frozenset(half.selected)))
+    full, half = solve_iterative(profits, weights, [c, c // 2], "bu")
     return full.profit, full.selected, half.selected
 
 
@@ -100,11 +99,7 @@ def td_two_stage(profits, weights, c):
 
     Returns (profit at c/2, selected set at c/2, selected set at c).
     """
-    n = len(profits)
-    big = solve_exact(KnapsackInstance(profits, weights, c))
-    small = solve_exact(KnapsackInstance(
-        profits, weights, c // 2,
-        excluded=frozenset(range(n)) - frozenset(big.selected)))
+    big, small = solve_iterative(profits, weights, [c, c // 2], "td")
     return small.profit, small.selected, big.selected
 
 

@@ -135,9 +135,6 @@ class Permutation:
 
     maps: dict
 
-    def old_to_new(self, layer: int) -> np.ndarray:
-        return np.argsort(self.maps[layer])
-
     def inverse(self) -> "Permutation":
         return Permutation({l: np.argsort(p) for l, p in self.maps.items()})
 

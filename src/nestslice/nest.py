@@ -42,6 +42,8 @@ from .tensor import Tensor
 
 STANDARD = "standard"
 CACHE_OPTIMIZED = "cache_optimized"
+# the keys save_bundle writes to bundle.json
+BUNDLE_KEYS = frozenset({"layout", "active", "bn_layers", "n_rows"})
 
 
 @dataclass
@@ -236,8 +238,9 @@ def load_bundle(bundle_dir) -> NestedModel:
     ``plan.validate``, a layout flag that disagrees with the transposed
     dense layers, batchnorm layers that differ from the graph's, or a
     statistics blob count other than rows x batchnorm layers x 2. So does
-    a bundle file that is missing or unreadable, or JSON that does not
-    parse.
+    a bundle file that is missing or unreadable, JSON that does not
+    parse, or a ``bundle.json`` that is not an object holding every key
+    in BUNDLE_KEYS.
     """
     try:
         with open(os.path.join(bundle_dir, "bundle.json")) as fh:
@@ -248,6 +251,11 @@ def load_bundle(bundle_dir) -> NestedModel:
             blobs = tz.read_blobs(fh)
     except (OSError, json.JSONDecodeError) as e:
         raise IntegrityError(f"cannot read bundle {bundle_dir}: {e}") from e
+    if not isinstance(meta, dict):
+        raise IntegrityError("bundle.json does not hold an object")
+    missing = sorted(BUNDLE_KEYS - set(meta))
+    if missing:
+        raise IntegrityError(f"bundle.json lacks {', '.join(missing)}")
     layout = meta["layout"]
     _check_layout(graph, layout)
     bn_layers = [int(i) for i in meta["bn_layers"]]

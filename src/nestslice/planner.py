@@ -1,12 +1,12 @@
 """Iterative knapsack planning of nested subnetwork widths.
 
 The core is an exact 0-1 knapsack solver: dynamic programming over
-GCD-reduced integer MAC weights with a branch-and-bound fallback when the
-DP table would be too large. On top of it sit the two multi-stage
-heuristics: bottom-up (solve the tightest capacity first, freeze its
-items for all larger stages) and top-down (solve the loosest capacity
-first, restrict every smaller stage to the previous selection). Both
-produce nested plans by construction.
+GCD-reduced integer MAC weights, with a branch-and-bound fallback when
+the DP's take-bit table would exceed a byte budget. On top of it sit the
+two multi-stage heuristics: bottom-up (solve the tightest capacity first,
+freeze its items for all larger stages) and top-down (solve the loosest
+capacity first, restrict every smaller stage to the previous selection).
+Both produce nested plans by construction.
 
 Items are the encoder's computational units with their importance score
 as profit and their full-width MAC count as weight. Costs that a unit
@@ -18,9 +18,13 @@ MAC count of the resulting subnetwork.
 Depthwise-separable chains get a dedicated exact solver: choosing k
 filters in a layer forces k depthwise filters and k kernels per chosen
 pointwise filter in the next block, which couples consecutive counts. The
-solver runs dynamic programming over (block, previous count, MAC budget)
-and is intended for moderate widths; its table grows with width^2, so
-wide models should plan with the flat formulation instead.
+solver runs dynamic programming over (block, count, MAC budget); its work
+grows with width^2 per block, so ``make_plan`` plans wide models with the
+flat formulation instead.
+
+Both exact solvers have one shape: a forward DP pass that records one
+compact decision per cell (a take bit, or a predecessor count), then a
+walk back over those decisions.
 """
 
 from __future__ import annotations
@@ -35,10 +39,11 @@ from . import netgraph as ng
 from .errors import ConfigError, InfeasiblePlanError, IntegrityError
 from .importance import scores_by_layer
 
-# DP cell budget before solve_exact falls back to branch and bound,
-# plus a cap on the live suffix-row memory (about 2*sqrt(n) rows)
-DP_CELL_LIMIT = 2_500_000_000
-DP_ROW_BYTES_LIMIT = 400_000_000
+# bytes of solve_exact's DP (take bits plus float rows) before it falls
+# back to branch and bound
+DP_BYTE_LIMIT = 400_000_000
+# depthwise DP cells above which make_plan's 'auto' plans flat
+DW_WORK_LIMIT = 2e9
 
 
 @dataclass
@@ -79,7 +84,9 @@ def solve_exact(inst: KnapsackInstance) -> KnapsackSolution:
     sorts first, so trailing zero-profit items are dropped while a leading
     zero-profit item that keeps the set lexicographically smaller is kept).
     Exact float ties require exactly representable profit sums; integer
-    valued profits are safe.
+    valued profits are safe. When the DP would need more than
+    DP_BYTE_LIMIT bytes it falls back to branch and bound, which is exact
+    but not lex-canonical.
     """
     n = len(inst.profits)
     forced = sorted(inst.forced_in)
@@ -115,64 +122,46 @@ def solve_exact(inst: KnapsackInstance) -> KnapsackSolution:
     g = int(np.gcd.reduce(w_free))
     ws = (w_free // g).astype(np.int64)
     cap_s = cap_free // g
-    row_bytes = 16 * (cap_s + 1) * (int(np.sqrt(len(free))) + 2)
-    if ((len(free) + 1) * (cap_s + 1) > DP_CELL_LIMIT
-            or row_bytes > DP_ROW_BYTES_LIMIT):
+    # per capacity: one take bit per item, about 25 bytes of float rows
+    if (cap_s + 1) * (len(free) // 8 + 25) > DP_BYTE_LIMIT:
         sel_free = _branch_and_bound(p_free, w_free, cap_free)
-        return finish([free[i] for i in sel_free])
-    sel_free = _dp_lexmin(p_free, ws, cap_s)
+    else:
+        sel_free = _dp_lexmin(p_free, ws, cap_s)
     return finish([free[i] for i in sel_free])
 
 
 def _dp_lexmin(p, w, cap):
-    """Lex-smallest optimal subset via suffix DP with block checkpoints.
+    """Lex-smallest optimal subset: one suffix pass, then a walk over bits.
 
-    dp_i[c] = best profit using items i.. within capacity c. The greedy
-    scan over ascending indices includes item i when doing so is needed
-    for optimality, or on a profit tie whenever positive profit remains
-    behind it (which is exactly when inclusion keeps the sorted index
-    sequence lexicographically smaller). Memory is O(sqrt(n) * cap).
+    best[c] = best profit of items i.. within capacity c, built from the
+    last item back. Item i's take bit at capacity c is set when taking it
+    is needed for optimality, or on a profit tie whenever positive profit
+    remains behind it (which is exactly when taking it keeps the sorted
+    index sequence lexicographically smaller). The forward walk from
+    capacity cap follows the bits. Memory is n*(cap+1) bits plus a few
+    float rows.
     """
     n = len(p)
-    k = max(1, int(np.sqrt(n)))
-    # suffix rows at block boundaries n, n-k, n-2k, ...
-    checkpoints = {n: np.zeros(cap + 1)}
-    row = checkpoints[n]
+    best = np.zeros(cap + 1)
+    take = np.zeros((n, cap // 8 + 1), dtype=np.uint8)
+    bits = np.zeros(cap + 1, dtype=bool)
     for i in range(n - 1, -1, -1):
-        nxt = row.copy()
         wi = int(w[i])
-        if wi <= cap:
-            np.maximum(nxt[wi:], row[: cap + 1 - wi] + p[i], out=nxt[wi:])
-        row = nxt
-        if i % k == 0:
-            checkpoints[i] = row
+        if wi > cap:
+            continue
+        with_i = best[: cap + 1 - wi] + p[i]
+        bits[:wi] = False
+        np.greater_equal(with_i, best[wi:], out=bits[wi:])
+        if p[i] <= 0:
+            bits[wi:] &= with_i > 0
+        take[i] = np.packbits(bits)
+        np.maximum(best[wi:], with_i, out=best[wi:])
     sel = []
     c = cap
-    block_rows = {}
     for i in range(n):
-        j = i + 1  # need dp over items j..
-        if j not in block_rows:
-            base = min(((j + k - 1) // k) * k, n)
-            block_rows = {base: checkpoints[base]}
-            r = checkpoints[base]
-            for t in range(base - 1, j - 1, -1):
-                nxt = r.copy()
-                wt = int(w[t])
-                if wt <= cap:
-                    np.maximum(nxt[wt:], r[: cap + 1 - wt] + p[t],
-                               out=nxt[wt:])
-                block_rows[t] = nxt
-                r = nxt
-        suffix = block_rows[j]
-        wi = int(w[i])
-        best_without = suffix[c]
-        best_with = p[i] + suffix[c - wi] if wi <= c else -np.inf
-        take = best_with > best_without or (
-            best_with == best_without and best_without > 0
-        )
-        if take:
+        if (take[i, c >> 3] >> (7 - (c & 7))) & 1:
             sel.append(i)
-            c -= wi
+            c -= int(w[i])
     return sel
 
 
@@ -214,6 +203,37 @@ def _branch_and_bound(p, w, cap):
     return sorted(best_set)
 
 
+def _descending(capacities) -> list:
+    caps = [int(c) for c in capacities]
+    if caps != sorted(caps, reverse=True):
+        raise ConfigError("capacities must be sorted descending")
+    return caps
+
+
+def _run_stages(capacities, mode, solve) -> list:
+    """One nested stage per capacity, aligned with the descending caps.
+
+    solve(cap, prev) solves a stage given the previous stage's result
+    (None for the first). Bottom-up solves the capacities in ascending
+    order, top-down in descending order. An infeasible stage is named in
+    the raised InfeasiblePlanError.
+    """
+    caps = _descending(capacities)
+    if mode not in ("bu", "td"):
+        raise ConfigError(f"unknown mode {mode!r}")
+    order = caps[::-1] if mode == "bu" else caps
+    name = "bottom-up" if mode == "bu" else "top-down"
+    sols, prev = [], None
+    for stage, cap in enumerate(order):
+        try:
+            prev = solve(cap, prev)
+        except InfeasiblePlanError as e:
+            raise InfeasiblePlanError(
+                f"{name} stage {stage} (capacity {cap}): {e}") from None
+        sols.append(prev)
+    return sols[::-1] if mode == "bu" else sols
+
+
 def solve_iterative(profits, weights, capacities, mode="bu",
                     forced=frozenset()):
     """Multi-stage knapsack with nesting across stages.
@@ -224,43 +244,23 @@ def solve_iterative(profits, weights, capacities, mode="bu",
     the previous selection. Returns KnapsackSolutions aligned with the
     (descending) capacities.
     """
-    caps = [int(c) for c in capacities]
-    if caps != sorted(caps, reverse=True):
-        raise ConfigError("capacities must be sorted descending")
     profits = np.asarray(profits, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.int64)
-    n = len(profits)
-    sols = []
-    if mode == "bu":
-        cur_forced = frozenset(forced)
-        for stage, cap in enumerate(reversed(caps)):
-            try:
-                sol = solve_exact(KnapsackInstance(
-                    profits, weights, cap, forced_in=cur_forced))
-            except InfeasiblePlanError as e:
-                raise InfeasiblePlanError(
-                    f"bottom-up stage {stage} (capacity {cap}): {e}"
-                ) from None
-            cur_forced = frozenset(sol.selected)
-            sols.append(sol)
-        sols.reverse()
-    elif mode == "td":
-        allowed = frozenset(range(n))
-        for stage, cap in enumerate(caps):
-            excluded = frozenset(range(n)) - allowed
-            try:
-                sol = solve_exact(KnapsackInstance(
-                    profits, weights, cap, forced_in=frozenset(forced),
-                    excluded=excluded))
-            except InfeasiblePlanError as e:
-                raise InfeasiblePlanError(
-                    f"top-down stage {stage} (capacity {cap}): {e}"
-                ) from None
-            allowed = frozenset(sol.selected)
-            sols.append(sol)
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
-    return sols
+    forced = frozenset(forced)
+    every = frozenset(range(len(profits)))
+
+    def solve(cap, prev):
+        if prev is None:
+            inst = KnapsackInstance(profits, weights, cap, forced_in=forced)
+        elif mode == "bu":
+            inst = KnapsackInstance(profits, weights, cap,
+                                    forced_in=prev.selected)
+        else:
+            inst = KnapsackInstance(profits, weights, cap, forced_in=forced,
+                                    excluded=every - set(prev.selected))
+        return solve_exact(inst)
+
+    return _run_stages(capacities, mode, solve)
 
 
 # -- slicing plans -----------------------------------------------------------
@@ -423,37 +423,27 @@ class PlanItems:
         return [counts[li] for li in self.sliceable]
 
 
-def _validate_capacities(g, capacities):
-    caps = [int(c) for c in capacities]
-    if caps != sorted(caps, reverse=True):
-        raise ConfigError("capacities must be sorted descending")
-    return caps
+def _plan_flat(g, scores, capacities, mode, seed) -> SlicingPlan:
+    items = PlanItems.build(g, scores)
+    sols = solve_iterative(items.profits, items.weights, capacities,
+                           mode=mode, forced=items.forced_min)
+    points = [items.counts_from_selection(s.selected) for s in sols]
+    plan = SlicingPlan(capacities, np.array(points), heuristic=mode,
+                       seed=seed)
+    plan.validate(g)
+    return plan
 
 
 def plan_bottom_up(g: ng.ModelGraph, scores, capacities,
                    seed=None) -> SlicingPlan:
     """Nested plan via the bottom-up heuristic on the flat formulation."""
-    caps = _validate_capacities(g, capacities)
-    items = PlanItems.build(g, scores)
-    sols = solve_iterative(items.profits, items.weights, caps, mode="bu",
-                           forced=items.forced_min)
-    points = [items.counts_from_selection(s.selected) for s in sols]
-    plan = SlicingPlan(caps, np.array(points), heuristic="bu", seed=seed)
-    plan.validate(g)
-    return plan
+    return _plan_flat(g, scores, capacities, "bu", seed)
 
 
 def plan_top_down(g: ng.ModelGraph, scores, capacities,
                   seed=None) -> SlicingPlan:
     """Nested plan via the top-down heuristic on the flat formulation."""
-    caps = _validate_capacities(g, capacities)
-    items = PlanItems.build(g, scores)
-    sols = solve_iterative(items.profits, items.weights, caps, mode="td",
-                           forced=items.forced_min)
-    points = [items.counts_from_selection(s.selected) for s in sols]
-    plan = SlicingPlan(caps, np.array(points), heuristic="td", seed=seed)
-    plan.validate(g)
-    return plan
+    return _plan_flat(g, scores, capacities, "td", seed)
 
 
 def plan_baseline(g: ng.ModelGraph, strategy, capacities, seed=0):
@@ -465,7 +455,7 @@ def plan_baseline(g: ng.ModelGraph, strategy, capacities, seed=0):
     """
     from .importance import UnitScore, permute_descending
 
-    caps = _validate_capacities(g, capacities)
+    caps = _descending(capacities)
     rng = np.random.default_rng(seed)
     costs = {(c.layer, c.unit): c.macs for c in ng.unit_macs(g)}
     scores = []
@@ -592,8 +582,12 @@ def solve_depthwise(inst: DwInstance, min_counts=None,
 
     Choosing count x in a layer takes its top-x prefix; the depthwise
     filter count equals the previous layer count and every chosen
-    pointwise filter carries exactly that many kernels. Dynamic
-    programming over (block, previous count, MAC budget).
+    pointwise filter carries exactly that many kernels. A forward pass
+    over the blocks keeps one float table (count, MAC budget) and records
+    in a small-integer table per block the previous layer's count behind
+    each cell; among equal profits it takes the larger previous count,
+    and the final layer takes its largest optimal count. The counts are
+    a walk back over those tables.
     """
     d = len(inst.blocks)
     sizes = [inst.n0] + [b.n_units for b in inst.blocks]
@@ -629,62 +623,54 @@ def solve_depthwise(inst: DwInstance, min_counts=None,
         k2[1:, 1:] = b.kernel_profits.cumsum(axis=0).cumsum(axis=1)
         kpre.append(k2)
 
+    # best[x, c]: best profit with count x in the current layer within
+    # budget c; choice[i][x, c]: the previous layer's count behind it
     neg = -np.inf
-    tables = []
-    m = np.full((sizes[0] + 1, cap + 1), neg)
+    best = np.full((sizes[0] + 1, cap + 1), neg)
     for x in range(minc[0], maxc[0] + 1):
         c0 = x * w1
         if c0 <= cap:
-            m[x, c0:] = f1[x]
-    tables.append(m)
-    for i, blk in enumerate(inst.blocks):
-        w2 = blk.w2 // g
-        w3 = blk.w3 // g
-        wf = blk.pw_extra_macs // g
-        mn = np.full((sizes[i + 1] + 1, cap + 1), neg)
-        prev = tables[i]
+            best[x, c0:] = f1[x]
+    coef = [(b.w2 // g, b.w3 // g, b.pw_extra_macs // g)
+            for b in inst.blocks]
+    choice = []
+    for i, (w2, w3, wf) in enumerate(coef):
+        nxt = np.full((sizes[i + 1] + 1, cap + 1), neg)
+        pick = np.zeros((sizes[i + 1] + 1, cap + 1),
+                        dtype=np.min_scalar_type(sizes[i]))
+        count = pick.dtype.type
         for x in range(minc[i + 1], maxc[i + 1] + 1):
+            # xp ascends, so the maximum of the marks is the last xp whose
+            # candidate reached the running best: ties go to the larger xp
             for xp in range(minc[i], maxc[i] + 1):
                 s = xp * w2 + x * xp * w3 + x * wf
                 if s > cap:
-                    continue
-                add = dpre[i][xp] + kpre[i][x, xp]
-                np.maximum(mn[x, s:], prev[xp, : cap + 1 - s] + add,
-                           out=mn[x, s:])
-        tables.append(mn)
+                    break
+                cand = best[xp, : cap + 1 - s] + (dpre[i][xp]
+                                                  + kpre[i][x, xp])
+                seg = nxt[x, s:]
+                mark = (cand >= seg).view(np.uint8) * count(xp)
+                np.maximum(seg, cand, out=seg)
+                np.maximum(pick[x, s:], mark, out=pick[x, s:])
+        best = nxt
+        choice.append(pick)
 
-    last = tables[-1]
     best_x, best_v = -1, neg
     for x in range(maxc[-1], minc[-1] - 1, -1):  # prefer larger counts on ties
-        if last[x, cap] > best_v:
-            best_v, best_x = last[x, cap], x
+        if best[x, cap] > best_v:
+            best_v, best_x = best[x, cap], x
     if best_x < 0 or best_v == neg:
         raise InfeasiblePlanError("no feasible depthwise configuration")
 
-    # backtrack by recomputation, preferring larger predecessor counts
     counts = [0] * (d + 1)
     counts[d] = best_x
     budget = cap
     for i in range(d, 0, -1):
-        blk = inst.blocks[i - 1]
-        w2 = blk.w2 // g
-        w3 = blk.w3 // g
-        wf = blk.pw_extra_macs // g
+        w2, w3, wf = coef[i - 1]
         x = counts[i]
-        target = tables[i][x, budget]
-        found = False
-        for xp in range(maxc[i - 1], minc[i - 1] - 1, -1):
-            s = xp * w2 + x * xp * w3 + x * wf
-            if s > budget:
-                continue
-            add = dpre[i - 1][xp] + kpre[i - 1][x, xp]
-            if tables[i - 1][xp, budget - s] + add == target:
-                counts[i - 1] = xp
-                budget -= s
-                found = True
-                break
-        if not found:
-            raise IntegrityError("depthwise backtrack failed")
+        xp = int(choice[i - 1][x, budget])
+        counts[i - 1] = xp
+        budget -= xp * w2 + x * xp * w3 + x * wf
     profit, macs = dw_objective(inst, counts)
     return DwSolution(tuple(counts), profit, macs)
 
@@ -762,30 +748,23 @@ def build_dw_instance(g: ng.ModelGraph, scores, grad_store) -> DwInstance:
 
 def plan_depthwise(g: ng.ModelGraph, scores, grad_store, capacities,
                    mode="bu", seed=None) -> SlicingPlan:
-    """Iterative BU/TD planning with the exact depthwise solver."""
-    caps = _validate_capacities(g, capacities)
+    """Iterative BU/TD planning with the exact depthwise solver.
+
+    Bottom-up makes each stage's counts the next stage's minimum counts;
+    top-down makes them the next stage's maximum counts.
+    """
     base = build_dw_instance(g, scores, grad_store)
-    d = len(base.blocks)
-    rows = []
-    if mode == "bu":
-        # smallest budget first, then reversed to align with caps
-        minc = [1] * (d + 1)
-        for cap in reversed(caps):
-            sol = solve_depthwise(replace(base, capacity=cap),
-                                  min_counts=minc)
-            minc = list(sol.counts)
-            rows.append(minc)
-        rows.reverse()
-    elif mode == "td":
-        maxc = None
-        for cap in caps:
-            sol = solve_depthwise(replace(base, capacity=cap),
-                                  max_counts=maxc)
-            maxc = list(sol.counts)
-            rows.append(maxc)
-    else:
-        raise ConfigError(f"unknown mode {mode!r}")
-    plan = SlicingPlan(caps, np.array(rows), heuristic=mode, seed=seed)
+
+    def solve(cap, prev):
+        bound = None if prev is None else list(prev.counts)
+        inst = replace(base, capacity=cap)
+        if mode == "bu":
+            return solve_depthwise(inst, min_counts=bound)
+        return solve_depthwise(inst, max_counts=bound)
+
+    sols = _run_stages(capacities, mode, solve)
+    plan = SlicingPlan(capacities, np.array([s.counts for s in sols]),
+                       heuristic=mode, seed=seed)
     plan.validate(g)
     return plan
 
@@ -802,20 +781,20 @@ def dw_dp_work(g: ng.ModelGraph, capacities) -> float:
 
 
 def make_plan(g: ng.ModelGraph, scores, capacities, heuristic="bu",
-              grad_store=None, formulation="auto", seed=None,
-              dw_work_limit=2e9):
+              grad_store=None, formulation="auto", seed=None):
     """Plan entry point choosing between flat and depthwise formulations.
 
     'auto' uses the exact depthwise solver when the graph has depthwise
-    blocks and the DP is affordable, otherwise the flat item formulation
-    (depthwise MACs ride along with the preceding layer's units).
+    blocks and the DP's work is at most DW_WORK_LIMIT cells, otherwise
+    the flat item formulation (depthwise MACs ride along with the
+    preceding layer's units).
     """
     has_dw = any(l.kind == ng.DEPTHWISE for l in g.layers)
     if heuristic in ("l1", "random"):
         raise ConfigError("baseline plans are built by plan_baseline")
     if formulation == "auto":
         use_dw = (has_dw and grad_store is not None
-                  and dw_dp_work(g, capacities) <= dw_work_limit)
+                  and dw_dp_work(g, capacities) <= DW_WORK_LIMIT)
     elif formulation == "depthwise":
         if not has_dw:
             raise ConfigError("graph has no depthwise blocks")

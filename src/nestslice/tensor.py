@@ -179,13 +179,3 @@ def read_blobs(fh) -> list:
             return out
         fh.seek(pos)
         out.append(read_blob(fh))
-
-
-def save_tensor(t: Tensor, path) -> None:
-    with open(path, "wb") as fh:
-        write_blob(t, fh)
-
-
-def load_tensor(path) -> Tensor:
-    with open(path, "rb") as fh:
-        return read_blob(fh)

@@ -350,13 +350,30 @@ def _garble_bundle_json(bundle):
         fh.write("}")  # trailing garbage: the JSON no longer parses
 
 
+def _drop_layout_key(bundle):
+    path = os.path.join(bundle, "bundle.json")
+    with open(path) as fh:
+        meta = json.load(fh)
+    del meta["layout"]
+    with open(path, "w") as fh:
+        json.dump(meta, fh)
+
+
+def _bundle_json_list(bundle):
+    with open(os.path.join(bundle, "bundle.json"), "w") as fh:
+        json.dump(["layout", "active"], fh)  # parses, but not an object
+
+
 @pytest.mark.parametrize("command", ["eval", "switch-sim"])
 @pytest.mark.parametrize("corrupt, code", [(_truncate_bn_stats, 7),
                                            (_extra_row, 6),
                                            (_drop_bn_stats, 6),
-                                           (_garble_bundle_json, 6)],
+                                           (_garble_bundle_json, 6),
+                                           (_drop_layout_key, 6),
+                                           (_bundle_json_list, 6)],
                          ids=["truncated_bn_stats", "n_rows_mismatch",
-                              "missing_bn_stats", "bad_bundle_json"])
+                              "missing_bn_stats", "bad_bundle_json",
+                              "missing_layout_key", "bundle_json_not_object"])
 def test_corrupt_bundle_exit_code(conv_pipeline, tmp_path, capsys, command,
                                   corrupt, code):
     _, cfg, out = conv_pipeline

@@ -1,5 +1,7 @@
 import itertools
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +20,9 @@ from nestslice.planner import (DwBlock, DwInstance, KnapsackInstance,
                                plan_baseline, plan_bottom_up, plan_depthwise,
                                plan_top_down, rider_costs, solve_depthwise,
                                solve_exact, solve_iterative)
+
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "perfbench", "reference.json")
 
 
 def test_tight_instance_selects_heavier_item():
@@ -113,6 +118,23 @@ def test_gcd_scaling_handles_large_capacities():
     assert sol.selected == (0, 1)
 
 
+def test_dp_memory_is_bits_per_cell():
+    # the DP keeps one take bit per (item, capacity) cell plus a few float
+    # rows; storing float rows per item would need 64 bits a cell
+    rng = np.random.default_rng(3)
+    n, cap = 400, 50_000
+    weights = rng.integers(1, 1000, n)
+    profits = rng.integers(1, 100, n).astype(np.float64)
+    assert np.gcd.reduce(weights) == 1 and weights.sum() > cap
+    tracemalloc.start()
+    try:
+        solve_exact(KnapsackInstance(profits, weights, cap))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * (n * (cap + 1) / 8 + 32 * (cap + 1))
+
+
 def test_branch_and_bound_fallback_agrees(monkeypatch):
     import nestslice.planner as pl
     rng = np.random.default_rng(5)
@@ -120,7 +142,7 @@ def test_branch_and_bound_fallback_agrees(monkeypatch):
     profits = rng.integers(1, 100, 24).astype(np.float64)
     cap = int(weights.sum() * 0.4)
     dp = solve_exact(KnapsackInstance(profits, weights, cap))
-    monkeypatch.setattr(pl, "DP_CELL_LIMIT", 10)
+    monkeypatch.setattr(pl, "DP_BYTE_LIMIT", 10)
     bb = solve_exact(KnapsackInstance(profits, weights, cap))
     assert bb.profit == pytest.approx(dp.profit)
     assert bb.weight <= cap
@@ -179,8 +201,8 @@ def test_iterative_nesting_property(rng):
 # -- plans over graphs ---------------------------------------------------------
 
 
-def planned_graph(arch="dnn", ishape=16, seed=1):
-    g = build_reference(arch, "S", ishape, classes=5, seed=seed)
+def planned_graph(arch="dnn", ishape=16, seed=1, size="S", classes=5):
+    g = build_reference(arch, size, ishape, classes=classes, seed=seed)
     store = random_grad_store(g, seed=seed)
     scores = score_units(g, store)
     g2, perm = permute_descending(g, scores)
@@ -218,6 +240,27 @@ def test_plan_top_down_nested_and_feasible():
     plan = plan_top_down(g2, scores2, caps)
     plan.validate(g2)
     assert np.all(plan.points[1:] <= plan.points[:-1])
+
+
+def test_plans_match_benchmark_reference():
+    # perfbench/reference.json holds the six plans of the benchmark's
+    # analysis workload: DS-CNN L and S (seed 11, noise gradient sums) at
+    # 100/75/50/25% of full MACs, flat in both modes and depthwise on S
+    with open(REFERENCE) as fh:
+        want = json.load(fh)["plans"]
+    got = {}
+    for size, ishape, classes in (("L", (10, 10, 1), 12),
+                                  ("S", (8, 8, 1), 10)):
+        g2, scores2, store2 = planned_graph("dscnn", ishape, seed=11,
+                                            size=size, classes=classes)
+        caps = quarter_caps(g2)
+        got[f"{size}.flat.bu"] = plan_bottom_up(g2, scores2, caps)
+        got[f"{size}.flat.td"] = plan_top_down(g2, scores2, caps)
+        if size == "S":
+            for mode in ("bu", "td"):
+                got[f"S.depthwise.{mode}"] = plan_depthwise(
+                    g2, scores2, store2, caps, mode=mode)
+    assert {k: p.points.tolist() for k, p in got.items()} == want
 
 
 def test_plan_with_duplicate_capacities():
@@ -380,6 +423,35 @@ def test_dw_matches_brute_force(rng):
         best_p, _ = brute_dw(inst, sizes)
         assert sol.profit == pytest.approx(best_p, abs=1e-9)
         assert sol.macs <= cap
+
+
+def test_dw_ties_take_reverse_lex_largest_counts(rng):
+    # with profits in {0, 1, 2} optima tie often; the solver returns the
+    # optimal count tuple that is largest compared from the last layer back
+    ties = 0
+    for _ in range(150):
+        inst, sizes, total = random_dw_instance(rng, nmax=5)
+        first = np.sort(rng.integers(0, 3, inst.n0))[::-1].astype(float)
+        blocks = []
+        for b in inst.blocks:
+            km = rng.integers(0, 3, b.kernel_profits.shape).astype(float)
+            km = km[np.argsort(-km.sum(axis=1), kind="stable")]
+            blocks.append(DwBlock(rng.integers(0, 3, len(b.dw_profits)),
+                                  b.w2, b.n_units, km, b.w3,
+                                  b.pw_extra_macs))
+        cap = int(rng.integers(max(1, total // 4), total + 3))
+        inst = DwInstance(first, inst.w1, inst.n0, blocks, cap)
+        tuples = list(itertools.product(*[range(1, s + 1) for s in sizes]))
+        objs = [dw_objective(inst, t) for t in tuples]
+        feas = [(p, t) for t, (p, m) in zip(tuples, objs) if m <= cap]
+        if not feas:
+            continue
+        best = max(p for p, _ in feas)
+        optima = [t for p, t in feas if p == best]
+        ties += len(optima) > 1
+        want = max(optima, key=lambda t: t[::-1])
+        assert solve_depthwise(inst).counts == want
+    assert ties >= 20
 
 
 def test_dw_prefix_kernel_accounting():
