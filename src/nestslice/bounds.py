@@ -30,35 +30,43 @@ BRUTE_LIMIT = 22
 
 def brute_opt(profits, weights, capacity) -> KnapsackSolution:
     """Exhaustive optimum; lexicographically smallest set among ties."""
+    return _brute_opts(profits, weights, (capacity,))[0]
+
+
+def _brute_opts(profits, weights, capacities) -> list:
+    """brute_opt at each capacity, enumerating the subsets once."""
     profits = np.asarray(profits, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.int64)
     n = len(profits)
     if n > BRUTE_LIMIT:
         raise ConfigError(f"brute force limited to {BRUTE_LIMIT} items")
     if n == 0:
-        return KnapsackSolution((), 0.0, 0)
+        return [KnapsackSolution((), 0.0, 0) for _ in capacities]
     masks = np.arange(1 << n, dtype=np.uint32)
     bits = ((masks[:, None] >> np.arange(n, dtype=np.uint32)) & 1).astype(
         np.float64
     )
     tot_w = bits @ weights.astype(np.float64)
     tot_p = bits @ profits
-    feas = tot_w <= capacity
-    best = tot_p[feas].max(initial=0.0)
-    cand = np.nonzero(feas & (tot_p >= best))[0]
-    best_key = None
-    best_sel = ()
-    for mk in cand:
-        sel = tuple(int(i) for i in range(n) if (int(mk) >> i) & 1)
-        if best_key is None or sel < best_key:
-            best_key = sel
-            best_sel = sel
-    idx = np.array(best_sel, dtype=np.int64)
-    return KnapsackSolution(
-        best_sel,
-        float(profits[idx].sum()) if best_sel else 0.0,
-        int(weights[idx].sum()) if best_sel else 0,
-    )
+    sols = []
+    for capacity in capacities:
+        feas = tot_w <= capacity
+        best = tot_p[feas].max(initial=0.0)
+        cand = np.nonzero(feas & (tot_p >= best))[0]
+        best_key = None
+        best_sel = ()
+        for mk in cand:
+            sel = tuple(int(i) for i in range(n) if (int(mk) >> i) & 1)
+            if best_key is None or sel < best_key:
+                best_key = sel
+                best_sel = sel
+        idx = np.array(best_sel, dtype=np.int64)
+        sols.append(KnapsackSolution(
+            best_sel,
+            float(profits[idx].sum()) if best_sel else 0.0,
+            int(weights[idx].sum()) if best_sel else 0,
+        ))
+    return sols
 
 
 @dataclass
@@ -202,10 +210,12 @@ def random_instance(rng, max_items=12, restrict_weights=True):
     return profits, weights, c
 
 
-def _opt(profits, weights, cap):
+def _opts(profits, weights, c):
+    """Optimal solutions at c and c // 2."""
     if len(profits) <= 15:
-        return brute_opt(profits, weights, cap)
-    return solve_exact(KnapsackInstance(profits, weights, cap))
+        return _brute_opts(profits, weights, (c, c // 2))
+    return [solve_exact(KnapsackInstance(profits, weights, cap))
+            for cap in (c, c // 2)]
 
 
 def verify_bounds(n_instances=1000, seed=0, max_items=12,
@@ -222,44 +232,40 @@ def verify_bounds(n_instances=1000, seed=0, max_items=12,
     reports = []
     for _ in range(n_instances):
         profits, weights, c = random_instance(rng, max_items)
-        opt_c = _opt(profits, weights, c).profit
-        opt_half = _opt(profits, weights, c // 2).profit
+        opt_c, opt_half = _opts(profits, weights, c)
         bu_profit, _, bu_half_sel = bu_two_stage(profits, weights, c)
         td_profit, _, _ = td_two_stage(profits, weights, c)
-        case1 = _case1_holds(profits, weights, c, bu_half_sel)
+        case1 = _case1_holds(weights, c, opt_c, opt_half, bu_half_sel)
         reports.append(_make_report(
-            "bu", profits, weights, c, bu_profit, opt_c, opt_half,
-            2.0 / 3.0, extra={"case1": case1}))
+            "bu", profits, weights, c, bu_profit, opt_c.profit,
+            opt_half.profit, 2.0 / 3.0, extra={"case1": case1}))
         reports.append(_make_report(
-            "td", profits, weights, c, td_profit, opt_c, opt_half,
-            1.0 / 2.0))
+            "td", profits, weights, c, td_profit, opt_c.profit,
+            opt_half.profit, 1.0 / 2.0))
     if include_tight:
         eps = tight_p / 1000.0
         profits, weights, c, _ = tight_instance_bu(tight_p, eps)
         bu_profit, _, _ = bu_two_stage(profits, weights, c)
+        opt_c, opt_half = _opts(profits, weights, c)
         reports.append(_make_report(
-            "bu", profits, weights, c, bu_profit,
-            _opt(profits, weights, c).profit,
-            _opt(profits, weights, c // 2).profit,
-            2.0 / 3.0, extra={"tight": True}))
+            "bu", profits, weights, c, bu_profit, opt_c.profit,
+            opt_half.profit, 2.0 / 3.0, extra={"tight": True}))
         profits, weights, c, _ = tight_instance_td(tight_p, eps)
         td_profit, _, _ = td_two_stage(profits, weights, c)
+        opt_c, opt_half = _opts(profits, weights, c)
         reports.append(_make_report(
-            "td", profits, weights, c, td_profit,
-            _opt(profits, weights, c).profit,
-            _opt(profits, weights, c // 2).profit,
-            1.0 / 2.0, extra={"tight": True}))
+            "td", profits, weights, c, td_profit, opt_c.profit,
+            opt_half.profit, 1.0 / 2.0, extra={"tight": True}))
     return reports
 
 
-def _case1_holds(profits, weights, c, bu_half_selected):
+def _case1_holds(weights, c, opt_c, opt_half, bu_half_selected):
     """True when the proof's ordering of Opt_c has no split item at c/2.
 
-    In that case the bottom-up heuristic must hit Opt_c exactly; callers
-    can assert that on flagged instances.
+    opt_c and opt_half are the optimal solutions at c and c // 2. In that
+    case the bottom-up heuristic must hit Opt_c exactly; callers can
+    assert that on flagged instances.
     """
-    opt_c = _opt(profits, weights, c)
-    opt_half = _opt(profits, weights, c // 2)
     half_set = set(opt_half.selected)
     bu_fill = set(bu_half_selected)
     both = [i for i in opt_c.selected if i in half_set]
@@ -282,12 +288,11 @@ def violation_search(n_instances=200, seed=0, max_items=10) -> list:
     for _ in range(n_instances):
         profits, weights, c = random_instance(rng, max_items,
                                               restrict_weights=False)
-        opt_c = _opt(profits, weights, c).profit
-        opt_half = _opt(profits, weights, c // 2).profit
+        opt_c, opt_half = _opts(profits, weights, c)
         bu_profit, _, _ = bu_two_stage(profits, weights, c)
         td_profit, _, _ = td_two_stage(profits, weights, c)
         reports.append(_make_report("bu", profits, weights, c, bu_profit,
-                                    opt_c, opt_half, 2.0 / 3.0))
+                                    opt_c.profit, opt_half.profit, 2.0 / 3.0))
         reports.append(_make_report("td", profits, weights, c, td_profit,
-                                    opt_c, opt_half, 1.0 / 2.0))
+                                    opt_c.profit, opt_half.profit, 1.0 / 2.0))
     return reports

@@ -239,8 +239,9 @@ def load_bundle(bundle_dir) -> NestedModel:
     dense layers, batchnorm layers that differ from the graph's, or a
     statistics blob count other than rows x batchnorm layers x 2. So does
     a bundle file that is missing or unreadable, JSON that does not
-    parse, or a ``bundle.json`` that is not an object holding every key
-    in BUNDLE_KEYS.
+    decode or parse, a blob of unknown memory order, or a ``bundle.json``
+    that is not an object holding every key in BUNDLE_KEYS, or whose
+    ``n_rows``, ``active`` or ``bn_layers`` entries are not integers.
     """
     try:
         with open(os.path.join(bundle_dir, "bundle.json")) as fh:
@@ -249,7 +250,7 @@ def load_bundle(bundle_dir) -> NestedModel:
         plan = SlicingPlan.load(os.path.join(bundle_dir, "plan.json"))
         with open(os.path.join(bundle_dir, "bn_stats.bin"), "rb") as fh:
             blobs = tz.read_blobs(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as e:
         raise IntegrityError(f"cannot read bundle {bundle_dir}: {e}") from e
     if not isinstance(meta, dict):
         raise IntegrityError("bundle.json does not hold an object")
@@ -258,13 +259,17 @@ def load_bundle(bundle_dir) -> NestedModel:
         raise IntegrityError(f"bundle.json lacks {', '.join(missing)}")
     layout = meta["layout"]
     _check_layout(graph, layout)
-    bn_layers = [int(i) for i in meta["bn_layers"]]
+    try:
+        bn_layers = [int(i) for i in meta["bn_layers"]]
+        n_rows = int(meta["n_rows"])
+        active = int(meta["active"])
+    except (TypeError, ValueError) as e:
+        raise IntegrityError(
+            f"bundle.json holds a malformed value: {e}") from e
     if bn_layers != _bn_layers(graph):
         raise IntegrityError(
             f"bundle lists batchnorm layers {bn_layers}, graph has "
             f"{_bn_layers(graph)}")
-    n_rows = int(meta["n_rows"])
-    active = int(meta["active"])
     if n_rows != plan.n_rows or not 0 <= active < n_rows:
         raise IntegrityError(
             f"bundle has {n_rows} rows (active {active}), plan has "

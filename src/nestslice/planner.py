@@ -24,7 +24,14 @@ flat formulation instead.
 
 Both exact solvers have one shape: a forward DP pass that records one
 compact decision per cell (a take bit, or a predecessor count), then a
-walk back over those decisions.
+walk back over those decisions. Each pass computes only a band of budget
+cells per item or count: below the band the walk back never reads, and
+above it every value and decision repeats the band's top cell (the
+budget exceeds all the weight left to place). The depthwise solver skips
+the DP altogether when every profit is nonnegative and the upper count
+bounds fit. Neither changes a result, the byte budget behind the
+branch-and-bound fallback, or the work estimate behind make_plan's
+choice of formulation.
 """
 
 from __future__ import annotations
@@ -138,30 +145,57 @@ def _dp_lexmin(p, w, cap):
     is needed for optimality, or on a profit tie whenever positive profit
     remains behind it (which is exactly when taking it keeps the sorted
     index sequence lexicographically smaller). The forward walk from
-    capacity cap follows the bits. Memory is n*(cap+1) bits plus a few
-    float rows.
+    capacity cap follows the bits.
+
+    Only a band of cells is computed per item. Counting items that fit
+    (w <= cap), let spent be the weight of those before i and suffix the
+    weight of i and those after it. The walk reaches item i with at
+    least cap - spent left, and at or above suffix every value and bit is
+    that of cell suffix. So item i fills [lo, hi] with hi = min(cap,
+    suffix) and lo = max(min(cap - spent, hi), w[i]), and the walk reads
+    its bit at min(c, hi). Memory is n*(cap+1) bits plus a few float
+    rows.
     """
     n = len(p)
+    total = int(w[w <= cap].sum())
     best = np.zeros(cap + 1)
     take = np.zeros((n, cap // 8 + 1), dtype=np.uint8)
-    bits = np.zeros(cap + 1, dtype=bool)
+    bits = np.zeros(take.shape[1] * 8, dtype=bool)
+    suffix = top = 0  # best is current on cells up to top
     for i in range(n - 1, -1, -1):
         wi = int(w[i])
         if wi > cap:
             continue
-        with_i = best[: cap + 1 - wi] + p[i]
-        bits[:wi] = False
-        np.greater_equal(with_i, best[wi:], out=bits[wi:])
-        if p[i] <= 0:
-            bits[wi:] &= with_i > 0
-        take[i] = np.packbits(bits)
-        np.maximum(best[wi:], with_i, out=best[wi:])
+        suffix += wi
+        hi = min(cap, suffix)
+        lo = max(min(cap - total + suffix, hi), wi)
+        if hi > top:  # cells above top hold the value at top
+            best[top + 1: hi + 1] = best[top]
+            top = hi
+        pi = p[i]
+        with_i = best[lo - wi: hi + 1 - wi] + pi
+        cur = best[lo: hi + 1]
+        band = bits[lo: hi + 1]
+        b0 = lo >> 3
+        if lo == wi and lo & 7:  # the walk may read the cells below wi
+            bits[b0 * 8: lo] = False
+        np.greater_equal(with_i, cur, out=band)
+        if pi <= 0:
+            band &= with_i > 0
+        row = take[i]
+        row[b0: (hi >> 3) + 1] = np.packbits(bits[b0 * 8: hi + 1])
+        np.maximum(cur, with_i, out=cur)
     sel = []
-    c = cap
+    c, suffix = cap, total
     for i in range(n):
-        if (take[i, c >> 3] >> (7 - (c & 7))) & 1:
+        wi = int(w[i])
+        if wi > cap:
+            continue
+        at = min(c, suffix)
+        suffix -= wi
+        if (take[i, at >> 3] >> (7 - (at & 7))) & 1:
             sel.append(i)
-            c -= int(w[i])
+            c -= wi
     return sel
 
 
@@ -383,10 +417,10 @@ class PlanItems:
         by_layer = scores_by_layer(scores)
         riders = rider_costs(g)
         sliceable = g.sliceable_indices()
-        layer_of, unit_of, profits, weights = [], [], [], []
-        forced = []
         top = max((s.importance for s in scores), default=1.0)
         floor = 1e-9 * max(top, 1.0)
+        layer_of, unit_of, profits, weights, forced = [], [], [], [], []
+        start = 0
         for li in sliceable:
             lst = by_layer.get(li)
             if lst is None or len(lst) != g.layers[li].units:
@@ -396,31 +430,31 @@ class PlanItems:
                 raise IntegrityError(
                     f"layer {li} scores are not descending; permute first"
                 )
-            forced.append(len(layer_of))  # first unit of the layer
-            for s in lst:
-                layer_of.append(li)
-                unit_of.append(s.unit)
-                profits.append(s.importance + floor)
-                weights.append(s.macs + riders[li])
-        return cls(np.array(layer_of), np.array(unit_of),
-                   np.array(profits, dtype=np.float64),
-                   np.array(weights, dtype=np.int64),
+            forced.append(start)  # first unit of the layer
+            start += len(lst)
+            layer_of.append(np.full(len(lst), li))
+            unit_of.append(np.array([s.unit for s in lst]))
+            profits.append(imp + floor)
+            weights.append(np.array([s.macs for s in lst], dtype=np.int64)
+                           + riders[li])
+        return cls(np.concatenate(layer_of), np.concatenate(unit_of),
+                   np.concatenate(profits), np.concatenate(weights),
                    frozenset(forced), sliceable)
 
     def counts_from_selection(self, selected) -> list:
-        counts = {li: 0 for li in self.sliceable}
-        sel = set(selected)
-        for pos in sel:
-            counts[int(self.layer_of[pos])] += 1
+        chosen = np.zeros(len(self.layer_of), dtype=bool)
+        chosen[list(selected)] = True
+        counts = []
         # prefix audit: the selected units of each layer must be 0..k-1
         for li in self.sliceable:
-            got = sorted(int(self.unit_of[p]) for p in sel
-                         if self.layer_of[p] == li)
-            if got != list(range(len(got))):
+            got = np.sort(self.unit_of[chosen & (self.layer_of == li)])
+            if np.any(got != np.arange(len(got))):
                 raise IntegrityError(
-                    f"selection in layer {li} is not a leading prefix: {got}"
+                    f"selection in layer {li} is not a leading prefix: "
+                    f"{got.tolist()}"
                 )
-        return [counts[li] for li in self.sliceable]
+            counts.append(len(got))
+        return counts
 
 
 def _plan_flat(g, scores, capacities, mode, seed) -> SlicingPlan:
@@ -605,6 +639,16 @@ def solve_depthwise(inst: DwInstance, min_counts=None,
             f"{inst.capacity}"
         )
 
+    profits = [inst.first_profits] + [p for b in inst.blocks
+                                      for p in (b.dw_profits, b.kernel_profits)]
+    if all(np.all(p >= 0) for p in profits):
+        # every count at its upper bound fits: with no negative profit that
+        # tuple is optimal, and as the componentwise largest it is also
+        # the one the tie rule below picks
+        profit, macs = dw_objective(inst, maxc)
+        if macs <= inst.capacity:
+            return DwSolution(tuple(maxc), profit, macs)
+
     coeffs = [inst.w1]
     for b in inst.blocks:
         coeffs.extend([b.w2, b.w3])
@@ -624,42 +668,65 @@ def solve_depthwise(inst: DwInstance, min_counts=None,
         kpre.append(k2)
 
     # best[x, c]: best profit with count x in the current layer within
-    # budget c; choice[i][x, c]: the previous layer's count behind it
+    # budget c; choice[i][x, c]: the previous layer's count behind it.
+    # band[x] = (lo, hi): row x is -inf below lo, and from hi on every
+    # value and choice is that of cell hi. Only cells [lo, hi] are
+    # computed; None marks a count no budget up to cap reaches.
     neg = -np.inf
-    best = np.full((sizes[0] + 1, cap + 1), neg)
+    best = np.empty((sizes[0] + 1, cap + 1))
+    band = [None] * (sizes[0] + 1)
     for x in range(minc[0], maxc[0] + 1):
         c0 = x * w1
         if c0 <= cap:
-            best[x, c0:] = f1[x]
+            best[x, c0] = f1[x]
+            band[x] = (c0, c0)
     coef = [(b.w2 // g, b.w3 // g, b.pw_extra_macs // g)
             for b in inst.blocks]
-    choice = []
+    choice, bands = [], []
     for i, (w2, w3, wf) in enumerate(coef):
-        nxt = np.full((sizes[i + 1] + 1, cap + 1), neg)
+        nxt = np.empty((sizes[i + 1] + 1, cap + 1))
         pick = np.zeros((sizes[i + 1] + 1, cap + 1),
                         dtype=np.min_scalar_type(sizes[i]))
-        count = pick.dtype.type
+        nband = [None] * (sizes[i + 1] + 1)
         for x in range(minc[i + 1], maxc[i + 1] + 1):
-            # xp ascends, so the maximum of the marks is the last xp whose
-            # candidate reached the running best: ties go to the larger xp
+            ups = []
             for xp in range(minc[i], maxc[i] + 1):
                 s = xp * w2 + x * xp * w3 + x * wf
                 if s > cap:
                     break
-                cand = best[xp, : cap + 1 - s] + (dpre[i][xp]
-                                                  + kpre[i][x, xp])
-                seg = nxt[x, s:]
-                mark = (cand >= seg).view(np.uint8) * count(xp)
+                if band[xp] is not None and s + band[xp][0] <= cap:
+                    ups.append((xp, s))
+            if not ups:
+                continue
+            lo = min(s + band[xp][0] for xp, s in ups)
+            hi = min(cap, max(s + band[xp][1] for xp, s in ups))
+            nband[x] = (lo, hi)
+            row, prow = nxt[x], pick[x]
+            row[lo: hi + 1] = neg
+            tails = []
+            # xp ascends, so a cell keeps the last xp whose candidate
+            # reached the running best: ties go to the larger xp
+            for xp, s in ups:
+                a, z = band[xp]
+                end = min(s + z, cap)
+                cand = best[xp, a: end + 1 - s] + (dpre[i][xp]
+                                                   + kpre[i][x, xp])
+                seg = row[s + a: end + 1]
+                np.copyto(prow[s + a: end + 1], xp, where=cand >= seg)
                 np.maximum(seg, cand, out=seg)
-                np.maximum(pick[x, s:], mark, out=pick[x, s:])
-        best = nxt
+                if end < hi:  # from end + 1 on the candidate is constant
+                    tails.append((end + 1, cand[-1], xp))
+            if tails:
+                _fold_tails(row[: hi + 1], prow[: hi + 1], tails)
+        best, band = nxt, nband
         choice.append(pick)
+        bands.append(nband)
 
     best_x, best_v = -1, neg
     for x in range(maxc[-1], minc[-1] - 1, -1):  # prefer larger counts on ties
-        if best[x, cap] > best_v:
-            best_v, best_x = best[x, cap], x
-    if best_x < 0 or best_v == neg:
+        if band[x] is not None and best[x, band[x][1]] > best_v:
+            best_v, best_x = best[x, band[x][1]], x
+    if best_x < 0:
         raise InfeasiblePlanError("no feasible depthwise configuration")
 
     counts = [0] * (d + 1)
@@ -668,11 +735,39 @@ def solve_depthwise(inst: DwInstance, min_counts=None,
     for i in range(d, 0, -1):
         w2, w3, wf = coef[i - 1]
         x = counts[i]
-        xp = int(choice[i - 1][x, budget])
+        xp = int(choice[i - 1][x, min(budget, bands[i - 1][x][1])])
         counts[i - 1] = xp
         budget -= xp * w2 + x * xp * w3 + x * wf
     profit, macs = dw_objective(inst, counts)
     return DwSolution(tuple(counts), profit, macs)
+
+
+def _fold_tails(row, prow, tails):
+    """Fold constant candidates into the end of one depthwise DP row.
+
+    tails holds (start, value, xp): the candidate of count xp equals value
+    on every cell from start to the end of row. One running max over the
+    starts gives each cell the best such value and, on ties, the largest
+    xp; it then joins the banded values and choices already in row and
+    prow under the same rule.
+    """
+    tails.sort(key=lambda t: t[0])
+    starts, vals, picks = [], [], []
+    v_run, p_run = -np.inf, 0
+    for start, v, xp in tails:
+        if v > v_run or (v == v_run and xp > p_run):
+            v_run, p_run = v, xp
+        starts.append(start)
+        vals.append(v_run)
+        picks.append(p_run)
+    # equal starts give all but the last of their entries zero length
+    lens = np.diff(starts + [len(row)])
+    tv = np.repeat(vals, lens)
+    tp = np.repeat(np.array(picks, dtype=prow.dtype), lens)
+    seg, pseg = row[starts[0]:], prow[starts[0]:]
+    np.copyto(pseg, tp, where=tv > seg)
+    np.maximum(pseg, tp, out=pseg, where=tv == seg)
+    np.maximum(seg, tv, out=seg)
 
 
 def build_dw_instance(g: ng.ModelGraph, scores, grad_store) -> DwInstance:

@@ -19,7 +19,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import IntegrityError, ShapeMismatchError
 
 
 class Order(IntEnum):
@@ -166,7 +166,11 @@ def read_blob(fh) -> Tensor:
     if len(raw) < 4 * size:
         raise ShapeMismatchError("truncated tensor blob data")
     data = np.frombuffer(raw, dtype="<f4").astype(np.float32)
-    return Tensor(shape, data, Order(order))
+    try:
+        order = Order(order)
+    except ValueError:
+        raise IntegrityError(f"tensor blob has unknown order {order}") from None
+    return Tensor(shape, data, order)
 
 
 def read_blobs(fh) -> list:

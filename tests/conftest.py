@@ -7,6 +7,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 import nestslice.netgraph as ng
 from nestslice.autograd import GradStore, backward
 from nestslice.cachesim import bench_report
+from nestslice.errors import InfeasiblePlanError
+from nestslice.planner import DwSolution, dw_objective
 
 
 def random_grad_store(g, seed=0):
@@ -186,6 +188,94 @@ def fd_gradient_check(g, x, y, n_checks=5, h=2.0 ** -10, seed=11,
             checked += 1
         assert checked == n_checks, f"could not sample layer {i} {name}"
     return worst
+
+
+def dp_lexmin_oracle(p, w, cap):
+    """Unbanded lex-smallest knapsack DP (oracle of ``planner._dp_lexmin``).
+
+    Fills every capacity cell for every item, then walks the take bits
+    from capacity cap.
+    """
+    n = len(p)
+    best = np.zeros(cap + 1)
+    take = np.zeros((n, cap + 1), dtype=bool)
+    for i in range(n - 1, -1, -1):
+        wi = int(w[i])
+        if wi > cap:
+            continue
+        with_i = best[: cap + 1 - wi] + p[i]
+        take[i, wi:] = with_i >= best[wi:]
+        if p[i] <= 0:
+            take[i, wi:] &= with_i > 0
+        np.maximum(best[wi:], with_i, out=best[wi:])
+    sel = []
+    c = cap
+    for i in range(n):
+        if take[i, c]:
+            sel.append(i)
+            c -= int(w[i])
+    return sel
+
+
+def solve_depthwise_oracle(inst, min_counts=None, max_counts=None):
+    """Unbanded depthwise DP (oracle of ``planner.solve_depthwise``).
+
+    Every (count, budget) cell of every block is computed, with no
+    shortcut when everything fits. Ties go to the larger previous count,
+    and the last layer takes its largest optimal count. Raises
+    InfeasiblePlanError where the solver does; bounds are not validated.
+    """
+    d = len(inst.blocks)
+    sizes = [inst.n0] + [b.n_units for b in inst.blocks]
+    minc = [1] * (d + 1) if min_counts is None else list(min_counts)
+    maxc = list(sizes) if max_counts is None else list(max_counts)
+    _, min_macs = dw_objective(inst, minc)
+    if min_macs > inst.capacity:
+        raise InfeasiblePlanError("minimal network exceeds the capacity")
+    coeffs = [inst.w1] + [c for b in inst.blocks
+                          for c in (b.w2, b.w3, b.pw_extra_macs) if c]
+    g = int(np.gcd.reduce(np.array(coeffs, dtype=np.int64)))
+    cap = int(inst.capacity) // g
+    f1 = np.concatenate([[0.0], np.cumsum(inst.first_profits)])
+    best = np.full((sizes[0] + 1, cap + 1), -np.inf)
+    for x in range(minc[0], maxc[0] + 1):
+        if x * inst.w1 // g <= cap:
+            best[x, x * inst.w1 // g:] = f1[x]
+    choice = []
+    for i, b in enumerate(inst.blocks):
+        w2, w3, wf = b.w2 // g, b.w3 // g, b.pw_extra_macs // g
+        dpre = np.concatenate([[0.0], np.cumsum(b.dw_profits)])
+        kpre = np.zeros((b.n_units + 1, len(b.dw_profits) + 1))
+        kpre[1:, 1:] = b.kernel_profits.cumsum(axis=0).cumsum(axis=1)
+        nxt = np.full((sizes[i + 1] + 1, cap + 1), -np.inf)
+        pick = np.zeros((sizes[i + 1] + 1, cap + 1), dtype=np.int64)
+        for x in range(minc[i + 1], maxc[i + 1] + 1):
+            for xp in range(minc[i], maxc[i] + 1):
+                s = xp * w2 + x * xp * w3 + x * wf
+                if s > cap:
+                    break
+                cand = best[xp, : cap + 1 - s] + (dpre[xp] + kpre[x, xp])
+                seg = nxt[x, s:]
+                pick[x, s:][cand >= seg] = xp
+                np.maximum(seg, cand, out=seg)
+        best = nxt
+        choice.append(pick)
+    best_x, best_v = -1, -np.inf
+    for x in range(maxc[-1], minc[-1] - 1, -1):
+        if best[x, cap] > best_v:
+            best_v, best_x = best[x, cap], x
+    if best_x < 0:
+        raise InfeasiblePlanError("no feasible depthwise configuration")
+    counts = [0] * (d + 1)
+    counts[d] = best_x
+    budget = cap
+    for i in range(d, 0, -1):
+        b, x = inst.blocks[i - 1], counts[i]
+        xp = int(choice[i - 1][x, budget])
+        counts[i - 1] = xp
+        budget -= (xp * b.w2 + x * xp * b.w3 + x * b.pw_extra_macs) // g
+    profit, macs = dw_objective(inst, counts)
+    return DwSolution(tuple(counts), profit, macs)
 
 
 @pytest.fixture(scope="session")

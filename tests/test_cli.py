@@ -3,6 +3,7 @@ import json
 import os
 import shlex
 import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -364,16 +365,49 @@ def _bundle_json_list(bundle):
         json.dump(["layout", "active"], fh)  # parses, but not an object
 
 
+def _set_bundle_key(key, value):
+    def corrupt(bundle):
+        path = os.path.join(bundle, "bundle.json")
+        with open(path) as fh:
+            meta = json.load(fh)
+        meta[key] = value
+        with open(path, "w") as fh:
+            json.dump(meta, fh)
+    return corrupt
+
+
+def _non_utf8_plan(bundle):
+    path = os.path.join(bundle, "plan.json")
+    with open(path, "rb") as fh:
+        data = bytearray(fh.read())
+    data[len(data) // 2] = 0xFF  # never valid in UTF-8
+    with open(path, "wb") as fh:
+        fh.write(data)
+
+
+def _bad_blob_order(bundle):
+    path = os.path.join(bundle, "bn_stats.bin")
+    with open(path, "r+b") as fh:
+        fh.seek(4)  # the first blob's order word
+        fh.write(struct.pack("<I", 32768))
+
+
 @pytest.mark.parametrize("command", ["eval", "switch-sim"])
 @pytest.mark.parametrize("corrupt, code", [(_truncate_bn_stats, 7),
                                            (_extra_row, 6),
                                            (_drop_bn_stats, 6),
                                            (_garble_bundle_json, 6),
                                            (_drop_layout_key, 6),
-                                           (_bundle_json_list, 6)],
+                                           (_bundle_json_list, 6),
+                                           (_non_utf8_plan, 6),
+                                           (_set_bundle_key("n_rows", "x"), 6),
+                                           (_set_bundle_key("bn_layers", 3), 6),
+                                           (_bad_blob_order, 6)],
                          ids=["truncated_bn_stats", "n_rows_mismatch",
                               "missing_bn_stats", "bad_bundle_json",
-                              "missing_layout_key", "bundle_json_not_object"])
+                              "missing_layout_key", "bundle_json_not_object",
+                              "non_utf8_json", "n_rows_not_int",
+                              "bn_layers_not_list", "unknown_blob_order"])
 def test_corrupt_bundle_exit_code(conv_pipeline, tmp_path, capsys, command,
                                   corrupt, code):
     _, cfg, out = conv_pipeline

@@ -2,6 +2,7 @@ import itertools
 import json
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nestslice.netgraph as ng
-from conftest import random_grad_store
+import nestslice.planner as pl
+from conftest import dp_lexmin_oracle, random_grad_store, solve_depthwise_oracle
 from nestslice.bounds import brute_opt
 from nestslice.errors import ConfigError, InfeasiblePlanError
 from nestslice.importance import (apply_to_scores, permute_descending,
@@ -109,6 +111,50 @@ def test_forced_and_excluded_match_reduced_brute_force(rng):
         assert sol.selected == expect
         assert forced <= set(sol.selected)
         assert not (excluded & set(sol.selected))
+
+
+# zero, negative, tied and float profits; weights up to twice the capacity
+PROFITS = st.one_of(st.sampled_from([-2.0, -1.0, 0.0, 0.0, 1.0, 1.0, 2.0]),
+                    st.floats(-10, 10, allow_nan=False))
+ITEMS = st.lists(st.tuples(PROFITS, st.integers(1, 120)), min_size=1,
+                 max_size=16)
+
+
+@settings(max_examples=400, deadline=None)
+@given(items=ITEMS, cap=st.integers(1, 70))
+def test_banded_dp_matches_unbanded_oracle(items, cap):
+    p = np.array([v for v, _ in items])
+    w = np.array([v for _, v in items], dtype=np.int64)
+    assert pl._dp_lexmin(p, w, cap) == dp_lexmin_oracle(p, w, cap)
+
+
+@settings(max_examples=200, deadline=None)
+@given(items=ITEMS, cap=st.integers(1, 70), data=st.data())
+def test_forced_and_excluded_match_unbanded_oracle(items, cap, data):
+    p = np.array([v for v, _ in items])
+    w = np.array([v for _, v in items], dtype=np.int64)
+    index = st.integers(0, len(items) - 1)
+    forced = data.draw(st.frozensets(index, max_size=3))
+    excluded = data.draw(st.frozensets(index, max_size=3)) - forced
+    inst = KnapsackInstance(p, w, cap, forced_in=forced, excluded=excluded)
+    try:
+        got = solve_exact(inst)
+    except InfeasiblePlanError:
+        assert int(w[list(forced)].sum()) > cap
+        return
+    with mock.patch.object(pl, "_dp_lexmin", dp_lexmin_oracle):
+        assert got == solve_exact(inst)
+
+
+def test_banded_dp_matches_oracle_on_wide_instances(rng):
+    # many items and capacities spanning many take-bit bytes, with the
+    # capacity below, near and above the total weight
+    for total_share in (0.1, 0.5, 0.95, 1.2):
+        n = 150
+        w = rng.integers(1, 200, n)
+        p = rng.integers(-5, 40, n).astype(np.float64)
+        cap = int(total_share * w.sum())
+        assert pl._dp_lexmin(p, w, cap) == dp_lexmin_oracle(p, w, cap)
 
 
 def test_gcd_scaling_handles_large_capacities():
@@ -452,6 +498,65 @@ def test_dw_ties_take_reverse_lex_largest_counts(rng):
         want = max(optima, key=lambda t: t[::-1])
         assert solve_depthwise(inst).counts == want
     assert ties >= 20
+
+
+def random_signed_dw_instance(rng, kind):
+    """Random chain whose profits are ties (kind 0), signed (1) or float."""
+    def prof(shape):
+        if kind == 0:
+            return rng.integers(0, 3, shape).astype(float)
+        if kind == 1:
+            return rng.integers(-2, 3, shape).astype(float)
+        return rng.normal(size=shape)
+
+    sizes = [int(rng.integers(1, 7))]
+    first = np.sort(prof(sizes[0]))[::-1].copy()
+    blocks = []
+    for _ in range(int(rng.integers(1, 4))):
+        ni = int(rng.integers(1, 7))
+        km = prof((ni, sizes[-1]))
+        km = km[np.argsort(-km.sum(axis=1), kind="stable")]
+        blocks.append(DwBlock(prof(sizes[-1]), int(rng.integers(1, 9)), ni,
+                              km, int(rng.integers(1, 5)),
+                              int(rng.integers(0, 4))))
+        sizes.append(ni)
+    inst = DwInstance(first, int(rng.integers(1, 6)), sizes[0], blocks, 1)
+    return inst, sizes
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), kind=st.integers(0, 2),
+       bounds=st.sampled_from(["none", "min", "max", "both"]))
+def test_banded_dw_matches_unbanded_oracle(seed, kind, bounds):
+    rng = np.random.default_rng(seed)
+    inst, sizes = random_signed_dw_instance(rng, kind)
+    _, total = dw_objective(inst, sizes)
+    inst.capacity = int(rng.integers(1, total + 5))
+    lo = [int(rng.integers(1, n + 1)) for n in sizes]
+    hi = [int(rng.integers(1, n + 1)) for n in sizes]
+    if bounds == "both":
+        hi = [max(a, b) for a, b in zip(lo, hi)]
+    minc = lo if bounds in ("min", "both") else None
+    maxc = hi if bounds in ("max", "both") else None
+    try:
+        want = solve_depthwise_oracle(inst, minc, maxc)
+    except InfeasiblePlanError:
+        with pytest.raises(InfeasiblePlanError):
+            solve_depthwise(inst, minc, maxc)
+        return
+    assert solve_depthwise(inst, minc, maxc) == want
+
+
+def test_dw_fits_all_returns_bounds_without_a_dp():
+    # with coprime MAC coefficients and a capacity of 10^12 the DP table
+    # could not be allocated; nonnegative profits that all fit skip it
+    blk = DwBlock(dw_profits=np.array([1.0, 0.0]), w2=7, n_units=3,
+                  kernel_profits=np.array([[2.0, 0.0], [1.0, 1.0],
+                                           [0.0, 0.0]]), w3=5)
+    inst = DwInstance(np.array([3.0, 0.0]), 11, 2, [blk], capacity=10 ** 12)
+    sol = solve_depthwise(inst)
+    assert sol.counts == (2, 3)
+    assert solve_depthwise(inst, max_counts=[1, 2]).counts == (1, 2)
 
 
 def test_dw_prefix_kernel_accounting():
