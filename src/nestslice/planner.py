@@ -37,6 +37,7 @@ choice of formulation.
 from __future__ import annotations
 
 import json
+import mmap
 import warnings
 from dataclasses import dataclass, replace
 
@@ -51,6 +52,8 @@ from .importance import scores_by_layer
 DP_BYTE_LIMIT = 400_000_000
 # depthwise DP cells above which make_plan's 'auto' plans flat
 DW_WORK_LIMIT = 2e9
+# DP tables of at least this many bytes get a memory mapping of their own
+TABLE_MAP_BYTES = 1 << 20
 
 
 @dataclass
@@ -81,6 +84,25 @@ class KnapsackSolution:
     selected: tuple
     profit: float
     weight: int
+
+
+def _dp_table(shape, dtype=np.float64) -> np.ndarray:
+    """A zero-filled DP table; large ones in their own anonymous mapping.
+
+    The banded solvers write only part of their tables. From malloc, a
+    large table may come from heap pages that earlier solves left
+    resident, since glibc serves blocks below its mmap threshold (raised
+    to the largest block freed so far) from the heap and keeps freed heap
+    pages. How much of the table adds to resident memory then depends on
+    what ran before. A private mapping holds only the pages the solve
+    writes and is unmapped when the table is freed, whatever ran before.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = int(np.prod(shape)) * dtype.itemsize
+    if nbytes < TABLE_MAP_BYTES:
+        return np.zeros(shape, dtype)
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype).reshape(shape)
 
 
 def solve_exact(inst: KnapsackInstance) -> KnapsackSolution:
@@ -159,7 +181,7 @@ def _dp_lexmin(p, w, cap):
     n = len(p)
     total = int(w[w <= cap].sum())
     best = np.zeros(cap + 1)
-    take = np.zeros((n, cap // 8 + 1), dtype=np.uint8)
+    take = _dp_table((n, cap // 8 + 1), np.uint8)
     bits = np.zeros(take.shape[1] * 8, dtype=bool)
     suffix = top = 0  # best is current on cells up to top
     for i in range(n - 1, -1, -1):
@@ -673,7 +695,7 @@ def solve_depthwise(inst: DwInstance, min_counts=None,
     # value and choice is that of cell hi. Only cells [lo, hi] are
     # computed; None marks a count no budget up to cap reaches.
     neg = -np.inf
-    best = np.empty((sizes[0] + 1, cap + 1))
+    best = _dp_table((sizes[0] + 1, cap + 1))
     band = [None] * (sizes[0] + 1)
     for x in range(minc[0], maxc[0] + 1):
         c0 = x * w1
@@ -684,9 +706,9 @@ def solve_depthwise(inst: DwInstance, min_counts=None,
             for b in inst.blocks]
     choice, bands = [], []
     for i, (w2, w3, wf) in enumerate(coef):
-        nxt = np.empty((sizes[i + 1] + 1, cap + 1))
-        pick = np.zeros((sizes[i + 1] + 1, cap + 1),
-                        dtype=np.min_scalar_type(sizes[i]))
+        nxt = _dp_table((sizes[i + 1] + 1, cap + 1))
+        pick = _dp_table((sizes[i + 1] + 1, cap + 1),
+                         np.min_scalar_type(sizes[i]))
         nband = [None] * (sizes[i + 1] + 1)
         for x in range(minc[i + 1], maxc[i + 1] + 1):
             ups = []

@@ -164,7 +164,7 @@ def test_gcd_scaling_handles_large_capacities():
     assert sol.selected == (0, 1)
 
 
-def test_dp_memory_is_bits_per_cell():
+def test_dp_memory_is_bits_per_cell(monkeypatch):
     # the DP keeps one take bit per (item, capacity) cell plus a few float
     # rows; storing float rows per item would need 64 bits a cell
     rng = np.random.default_rng(3)
@@ -172,6 +172,8 @@ def test_dp_memory_is_bits_per_cell():
     weights = rng.integers(1, 1000, n)
     profits = rng.integers(1, 100, n).astype(np.float64)
     assert np.gcd.reduce(weights) == 1 and weights.sum() > cap
+    # tracemalloc sees no mapped table, so keep the take bits on the heap
+    monkeypatch.setattr(pl, "TABLE_MAP_BYTES", float("inf"))
     tracemalloc.start()
     try:
         solve_exact(KnapsackInstance(profits, weights, cap))
@@ -179,6 +181,22 @@ def test_dp_memory_is_bits_per_cell():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * (n * (cap + 1) / 8 + 32 * (cap + 1))
+
+
+def test_mapped_tables_give_the_same_solutions(rng, monkeypatch):
+    table = pl._dp_table((3, 5), np.uint16)
+    assert table.shape == (3, 5) and table.dtype == np.uint16
+    assert table.flags.writeable and not table.any()
+    w = rng.integers(1, 200, 150)
+    p = rng.integers(-5, 40, 150).astype(np.float64)
+    dw, sizes = random_signed_dw_instance(rng, 2)
+    least = dw_objective(dw, [1] * len(sizes))[1]
+    dw.capacity = (least + dw_objective(dw, sizes)[1]) // 2
+    heap = pl._dp_lexmin(p, w, int(w.sum()) // 2), solve_depthwise(dw)
+    monkeypatch.setattr(pl, "TABLE_MAP_BYTES", 1)  # map every table
+    mapped = pl._dp_lexmin(p, w, int(w.sum()) // 2), solve_depthwise(dw)
+    assert pl._dp_table((3, 5)).base is not None
+    assert mapped == heap
 
 
 def test_branch_and_bound_fallback_agrees(monkeypatch):
