@@ -195,10 +195,22 @@ def _conv_back(d, x, k, b, kh, kw, sh, sw):
 
 
 def _depthwise_back(d, x, kd, b, kh, kw, sh, sw):
+    """The input gradient adds each tap's product into the padded
+    gradient, block by block as the forward runs, in the forward's tap
+    order; the reductions (kernel and bias sums) keep their own order."""
+    n, h, w, c = x.shape
+    _, ho, wo, _ = d.shape
     dk = np.einsum("nhwc,nhwckl->ckl", d, _windows(x, kh, kw, sh, sw))
-    taps = (d * kd[:, di, dj] for di in range(kh) for dj in range(kw))
-    return (_taps_to_input(taps, x.shape, d.dtype, kh, kw, sh, sw),
-            (dk, d.sum(axis=(0, 1, 2))))
+    rows = ng._tap_rows(kd, wo, d.dtype)
+    ph, pw = kh // 2, kw // 2
+    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=d.dtype)
+    for blk in ng._batch_blocks(n, ho * wo * c):
+        db = d[blk]
+        for di in range(kh):
+            for dj in range(kw):
+                dxp[blk, di:di + sh * (ho - 1) + 1:sh,
+                    dj:dj + sw * (wo - 1) + 1:sw] += db * rows[di, dj]
+    return dxp[:, ph:ph + h, pw:pw + w], (dk, d.sum(axis=(0, 1, 2)))
 
 
 def _pointwise_back(d, x, k, b):

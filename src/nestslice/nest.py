@@ -29,7 +29,6 @@ from __future__ import annotations
 import json
 import os
 import time
-import zipfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -201,7 +200,7 @@ def _transpose_dense_store(g: ng.ModelGraph) -> ng.ModelGraph:
 # -- bundle serialization ------------------------------------------------------
 
 
-def save_bundle(model: NestedModel, out_dir, zipped=False) -> str:
+def save_bundle(model: NestedModel, out_dir) -> str:
     """Write manifest + weights + plan + per-row batchnorm statistics."""
     os.makedirs(out_dir, exist_ok=True)
     ng.save_manifest(model.graph, out_dir, name="model")
@@ -221,12 +220,6 @@ def save_bundle(model: NestedModel, out_dir, zipped=False) -> str:
     }
     with open(os.path.join(out_dir, "bundle.json"), "w") as fh:
         json.dump(meta, fh, sort_keys=True, separators=(",", ":"))
-    if zipped:
-        zpath = out_dir.rstrip("/\\") + ".zip"
-        with zipfile.ZipFile(zpath, "w") as zf:
-            for fn in sorted(os.listdir(out_dir)):
-                zf.write(os.path.join(out_dir, fn), fn)
-        return zpath
     return out_dir
 
 

@@ -563,21 +563,59 @@ def _run_conv(cur, k, b, kh, kw, sh, sw):
     return out.reshape(n, ho, wo, -1)
 
 
+# A batch block holds at most this many activations (256 KiB of float32),
+# so that one block of a depthwise output or input gradient, the padded
+# input it pairs with and one tap's product fit together in a 2 MiB
+# per-core L2 while every tap passes over them.
+_BLOCK_ACTIVATIONS = 1 << 16
+
+
+def _batch_blocks(n, per_sample):
+    """Slices of a batch of n, each of at most _BLOCK_ACTIVATIONS
+    activations of ``per_sample`` each (and at least one sample)."""
+    step = max(1, _BLOCK_ACTIVATIONS // per_sample)
+    for lo in range(0, n, step):
+        yield slice(lo, lo + step)
+
+
+def _tap_rows(kd, wo, dtype):
+    """(kh, kw, wo, c): each tap's channel weights repeated along a row.
+
+    A tap product with one output row of an (N, Ho, Wo, C) map then runs
+    one inner loop of wo*c elements instead of one loop of c per pixel.
+    Built on every call from the live kernel view, so in-place weight
+    updates show, and never stored.
+    """
+    c, kh, kw = kd.shape
+    rows = np.empty((kh, kw, wo, c), dtype=dtype)
+    rows[...] = kd.transpose(1, 2, 0)[:, :, None, :]
+    return rows
+
+
 def _run_depthwise(cur, kd, b, kh, kw, sh, sw):
-    """One shifted multiply-add per kernel tap on the padded input."""
-    _, h, w, _ = cur.shape
+    """One shifted multiply-add per kernel tap on the padded input.
+
+    Runs one batch block at a time, all taps on a block before the next,
+    so the block stays in cache. Every output element sees the plain tap
+    loop's operations in its order: the first tap's product, each further
+    tap's product added in turn, then the bias.
+    """
+    n, h, w, c = cur.shape
     ho, wo = _out_hw(h, w, kh, kw, sh, sw)
     xp = _pad(cur, kh, kw)
-    out = None
-    for di in range(kh):
-        for dj in range(kw):
-            xs = xp[:, di:di + sh * (ho - 1) + 1:sh,
-                    dj:dj + sw * (wo - 1) + 1:sw]
-            if out is None:
-                out = xs * kd[:, di, dj]
-            else:
-                out += xs * kd[:, di, dj]
-    out += b
+    rows = _tap_rows(kd, wo, cur.dtype)
+    out = np.empty((n, ho, wo, c), dtype=cur.dtype)
+    for blk in _batch_blocks(n, ho * wo * c):
+        ob = out[blk]
+        for di in range(kh):
+            for dj in range(kw):
+                xs = xp[blk, di:di + sh * (ho - 1) + 1:sh,
+                        dj:dj + sw * (wo - 1) + 1:sw]
+                if di == dj == 0:
+                    np.multiply(xs, rows[0, 0], out=ob)
+                else:
+                    ob += xs * rows[di, dj]
+        ob += b
     return out
 
 
@@ -712,14 +750,17 @@ def _execute(prog: _Program, x, dtype=np.float32, cache=None):
     """Logits of a program on a batch, computed in ``dtype``.
 
     Works on its own copy of the input, so activations and masks apply
-    in place. A ``cache`` list receives a copy of every layer's input
-    (batchnorm and relu would overwrite it in place), which is what the
-    backward rules read.
+    in place. A ``cache`` list receives every layer's input, which is
+    what the backward rules read. It keeps them by reference: relu and
+    masks write only a step's fresh output, and batchnorm, the one step
+    that overwrites its input, runs on a copy of it.
     """
     cur = _check_input(prog.input_shape, np.array(x, dtype=dtype))
     for run, args, relu, mask, _ in prog.steps:
         if cache is not None:
-            cache.append(cur.copy())
+            cache.append(cur)
+            if run is _run_batchnorm:
+                cur = cur.copy()
         cur = run(cur, *args)
         if relu:
             np.maximum(cur, 0.0, out=cur)
@@ -841,6 +882,9 @@ def load_manifest(path) -> ModelGraph:
     weights = []
     for entry in doc["layers"]:
         spec = LayerSpec.from_json(entry)
+        if spec.kind not in _PARAM_ORDER and spec.kind != FLATTEN:
+            raise IntegrityError(
+                f"layer {len(layers)} has unknown kind {spec.kind!r}")
         layers.append(spec)
         rel = entry.get("weights_file")
         if rel is None:

@@ -375,8 +375,13 @@ class SlicingPlan:
 
     @classmethod
     def from_json(cls, d: dict) -> "SlicingPlan":
-        return cls(d["capacities"], np.asarray(d["points"]),
-                   d.get("heuristic", "bu"), d.get("seed"))
+        """Plan from its JSON object; IntegrityError if a key is missing
+        or a value has the wrong type."""
+        try:
+            return cls(d["capacities"], np.asarray(d["points"]),
+                       d.get("heuristic", "bu"), d.get("seed"))
+        except (KeyError, TypeError, ValueError) as e:
+            raise IntegrityError(f"malformed plan: {e!r}") from e
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -124,6 +124,42 @@ def reference_forward(g, x, slicing=None, bn_stats=None):
     return cur, macs, signs
 
 
+def depthwise_oracle(cur, kd, b, kh, kw, sh, sw):
+    """Unblocked per-tap depthwise forward (oracle of
+    ``netgraph._run_depthwise``): each tap multiplies the whole strided
+    (N, Ho, Wo, C) window by its length-C weight vector."""
+    _, h, w, _ = cur.shape
+    ho, wo = ng._out_hw(h, w, kh, kw, sh, sw)
+    xp = ng._pad(cur, kh, kw)
+    out = None
+    for di in range(kh):
+        for dj in range(kw):
+            xs = xp[:, di:di + sh * (ho - 1) + 1:sh,
+                    dj:dj + sw * (wo - 1) + 1:sw]
+            if out is None:
+                out = xs * kd[:, di, dj]
+            else:
+                out += xs * kd[:, di, dj]
+    out += b
+    return out
+
+
+def depthwise_input_grad_oracle(d, shape, kd, kh, kw, sh, sw):
+    """Unblocked depthwise input gradient (oracle of the input gradient of
+    ``autograd._depthwise_back``): every tap's whole (N, Ho, Wo, C)
+    product, summed in tap order onto a zeroed padded input."""
+    n, h, w, c = shape
+    _, ho, wo, _ = d.shape
+    ph, pw = kh // 2, kw // 2
+    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=d.dtype)
+    for di in range(kh):
+        for dj in range(kw):
+            dt = d * kd[:, di, dj]
+            dxp[:, di:di + sh * (ho - 1) + 1:sh,
+                dj:dj + sw * (wo - 1) + 1:sw] += dt
+    return dxp[:, ph:ph + h, pw:pw + w]
+
+
 def relu_mask_signature(g, x):
     return reference_forward(g, x)[2]
 

@@ -100,6 +100,44 @@ def _relu_masks(g, x, dtype):
     return [out > 0 for step, out in zip(prog.steps, outputs) if step.relu]
 
 
+def _inputs_copying_each(prog, x, dtype):
+    """Every layer's input, each copied before its step runs."""
+    cur = ng._check_input(prog.input_shape, np.array(x, dtype=dtype))
+    inputs = []
+    for run, args, relu, mask, _ in prog.steps:
+        inputs.append(cur.copy())
+        cur = run(cur, *args)
+        if relu:
+            np.maximum(cur, 0.0, out=cur)
+        if mask is not None:
+            cur[..., mask:] = 0.0
+    return inputs, cur
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("net", ["one_block", "dscnn_masked", "cnn_sliced"])
+def test_cached_inputs_equal_those_of_a_copying_run(net, dtype, rng):
+    # the cache keeps inputs by reference; no later step may write one
+    if net == "one_block":
+        prog = ng._build_program(one_block_net(rng))
+        x = rng.standard_normal((4, 6, 6, 2))
+    else:
+        arch = net.split("_")[0]
+        g = build_reference(arch, "S", (8, 8, 1), classes=5, seed=3)
+        widths = [max(1, g.layers[i].units // 2)
+                  for i in g.sliceable_indices()]
+        prog = (ng._build_program(g, mask_widths=widths) if net.endswith(
+            "masked") else ng._build_program(g, slicing=widths))
+        x = rng.standard_normal((6, 8, 8, 1))
+    got = []
+    logits = ng._execute(prog, x, dtype, got)
+    want, want_logits = _inputs_copying_each(prog, x, dtype)
+    assert np.array_equal(logits, want_logits)
+    assert len(got) == len(want) == len(prog.steps)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
 @pytest.mark.parametrize("layout", ["standard", "cache_optimized"])
 @pytest.mark.parametrize("arch,ishape", [("dnn", 24), ("cnn", (10, 10, 1)),
                                          ("dscnn", (8, 8, 1))])

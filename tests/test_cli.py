@@ -385,6 +385,20 @@ def _non_utf8_plan(bundle):
         fh.write(data)
 
 
+def _empty_plan(bundle):
+    with open(os.path.join(bundle, "plan.json"), "w") as fh:
+        json.dump({}, fh)  # an object, but without capacities or points
+
+
+def _unknown_layer_kind(bundle):
+    path = os.path.join(bundle, "model.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["layers"][0]["kind"] = "bogus"  # a layer with a weights file
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+
+
 def _bad_blob_order(bundle):
     path = os.path.join(bundle, "bn_stats.bin")
     with open(path, "r+b") as fh:
@@ -402,12 +416,15 @@ def _bad_blob_order(bundle):
                                            (_non_utf8_plan, 6),
                                            (_set_bundle_key("n_rows", "x"), 6),
                                            (_set_bundle_key("bn_layers", 3), 6),
-                                           (_bad_blob_order, 6)],
+                                           (_bad_blob_order, 6),
+                                           (_empty_plan, 6),
+                                           (_unknown_layer_kind, 6)],
                          ids=["truncated_bn_stats", "n_rows_mismatch",
                               "missing_bn_stats", "bad_bundle_json",
                               "missing_layout_key", "bundle_json_not_object",
                               "non_utf8_json", "n_rows_not_int",
-                              "bn_layers_not_list", "unknown_blob_order"])
+                              "bn_layers_not_list", "unknown_blob_order",
+                              "empty_plan", "unknown_layer_kind"])
 def test_corrupt_bundle_exit_code(conv_pipeline, tmp_path, capsys, command,
                                   corrupt, code):
     _, cfg, out = conv_pipeline

@@ -223,12 +223,6 @@ def test_bundle_round_trip_byte_identical(tmp_path, rng):
         np.testing.assert_array_equal(m.infer(x), m2.infer(x))
 
 
-def test_bundle_zip(tmp_path):
-    m = build_model("dnn", 16, seed=8)
-    z = save_bundle(m, os.path.join(tmp_path, "zb"), zipped=True)
-    assert z.endswith(".zip") and os.path.exists(z)
-
-
 def test_cache_optimized_bundle_round_trip(tmp_path, rng):
     m = build_model("dnn", 16, layout=CACHE_OPTIMIZED, seed=9)
     d = save_bundle(m, os.path.join(tmp_path, "co"))

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nestslice.autograd as ag
 import nestslice.netgraph as ng
-from conftest import reference_forward
+from conftest import (depthwise_input_grad_oracle, depthwise_oracle,
+                      reference_forward)
 from nestslice.errors import ConfigError, ExtentError
 from nestslice.netgraph import (build_reference, forward, full_macs,
                                 load_manifest, plan_macs, save_manifest,
@@ -208,6 +210,53 @@ def test_float64_program_matches_reference_forward(arch, transposed, rng):
         want, _, _ = reference_forward(g, x, slicing=sl, bn_stats=stats)
         assert got.dtype == np.float64
         assert np.abs(got - want).max() < 1e-12
+
+
+@settings(max_examples=100, deadline=None)
+@given(batch=st.sampled_from(["1", "step-1", "step", "step+1", "2step+3"]),
+       width=st.sampled_from([1, 16, 64]),
+       hw=st.sampled_from([(8, 8), (49, 10)]),
+       stride=st.sampled_from([(1, 1), (2, 2)]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**16))
+def test_blocked_depthwise_matches_tap_loop_oracle(batch, width, hw, stride,
+                                                   dtype, seed):
+    # bit-exact: blocking and tap rows change where the loops run, not the
+    # float operations any element sees
+    kh = kw = 3
+    sh, sw = stride
+    ho, wo = ng._out_hw(*hw, kh, kw, sh, sw)
+    step = ng._BLOCK_ACTIVATIONS // (ho * wo * width)
+    n = {"1": 1, "step-1": step - 1, "step": step, "step+1": step + 1,
+         "2step+3": 2 * step + 3}[batch]
+    rng = np.random.default_rng(seed)
+    wide = width + 5  # slice everything from a wider store: strided views
+    x = rng.standard_normal((n, *hw, wide)).astype(dtype)[..., :width]
+    kd = rng.standard_normal((wide, kh, kw)).astype(np.float32)[:width]
+    b = rng.standard_normal(wide).astype(np.float32)[:width]
+    out = ng._run_depthwise(x, kd, b, kh, kw, sh, sw)
+    want = depthwise_oracle(x, kd, b, kh, kw, sh, sw)
+    assert out.dtype == want.dtype == dtype
+    assert np.array_equal(out, want)
+    d = rng.standard_normal((n, ho, wo, wide)).astype(dtype)[..., :width]
+    dx, _ = ag._depthwise_back(d, x, kd, b, kh, kw, sh, sw)
+    want = depthwise_input_grad_oracle(d, x.shape, kd, kh, kw, sh, sw)
+    assert dx.dtype == want.dtype == dtype
+    assert np.array_equal(dx, want)
+
+
+def test_depthwise_reads_in_place_weight_updates(rng):
+    # the tap rows are rebuilt from the live kernel view on every call: an
+    # update between two runs of one prebuilt program shows in its output
+    g = build_reference("dscnn", "S", (8, 8, 1), classes=5, seed=2)
+    prog = ng._build_program(g)
+    x = rng.standard_normal((3, 8, 8, 1))
+    before = ng.run_forward(g, x, program=prog)[0]
+    i = next(i for i, l in enumerate(g.layers) if l.kind == ng.DEPTHWISE)
+    g.weights[i]["kernel"].writable_array()[:, 1, 2] += 0.5
+    after = ng.run_forward(g, x, program=prog)[0]
+    assert not np.array_equal(before, after)
+    assert np.array_equal(after, ng.run_forward(g, x)[0])
 
 
 def test_width_out_of_range(rng):
