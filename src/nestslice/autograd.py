@@ -2,10 +2,13 @@
 
 This is not a general tape autodiff. ``backward`` runs the same row
 program as inference (``netgraph._build_program``), keeping each layer's
-input; each kernel of the program has a hand-written backward rule, and
-the program's per-layer view mapping puts the weight gradients back into
-full-shape arrays. That is enough to (a) accumulate the gradient sums
-used for importance scoring and (b) run (joint) fine-tuning.
+input except the batchnorm outputs: walking the steps in reverse, it
+rebuilds one of those by replaying its batchnorm step, and drops each
+kept input once the last rule that reads it has run. Each kernel of the
+program has a hand-written backward rule, and the program's per-layer
+view mapping puts the weight gradients back into full-shape arrays.
+That is enough to (a) accumulate the gradient sums used for importance
+scoring and (b) run (joint) fine-tuning.
 
 Precision is split as in mixed-precision training: activations and the
 backward rules run in float32, the precision of the weight store, while
@@ -90,14 +93,6 @@ class GradStore:
             arr[...] = 0.0
         self.minibatch_count = 0
 
-    def check_shapes(self, g: ng.ModelGraph) -> None:
-        for (i, name), arr in self.grads.items():
-            if arr.shape != g.weights[i][name].shape:
-                raise ShapeMismatchError(
-                    f"gradient shape {arr.shape} != weight shape "
-                    f"{g.weights[i][name].shape} for layer {i} {name}"
-                )
-
 
 def backward(g: ng.ModelGraph, batch, slicing=None, loss="ce", bn_stats=None,
              dtype=np.float32):
@@ -108,6 +103,13 @@ def backward(g: ng.ModelGraph, batch, slicing=None, loss="ce", bn_stats=None,
     exactly zero. Activations and the backward rules run in ``dtype``:
     float32 for training, float64 only for gradient checks. The loss and
     its logit gradient are reduced in float64 either way.
+
+    The forward keeps the layer inputs but not the batchnorm outputs
+    (``netgraph._execute``). Walking the steps in reverse, a missing
+    input is rebuilt by replaying the batchnorm step before it on a copy
+    of that step's input, which repeats the forward's float operations;
+    each input is dropped once the relu mask of the step before it has
+    read it.
     """
     x, labels = batch
     if len(np.asarray(labels).reshape(-1)) == 0:
@@ -122,11 +124,14 @@ def backward(g: ng.ModelGraph, batch, slicing=None, loss="ce", bn_stats=None,
 
     grads = {}
     d = dlogits.astype(dtype)
-    outputs = inputs[1:] + [logits]
-    layers = list(enumerate(zip(prog.steps, inputs, outputs)))
-    for i, (step, xin, out) in reversed(layers):
-        if step.relu:
-            d = d * (out > 0)
+    xin = logits
+    for i in reversed(range(len(prog.steps))):
+        step = prog.steps[i]
+        if step.relu:  # xin still holds the next step's input: this output
+            np.multiply(d, xin > 0, out=d)
+        xin = inputs.pop()
+        if xin is None:  # a batchnorm output
+            xin = ng._apply_step(prog.steps[i - 1], inputs[-1].copy())
         d, dviews = _RULES[step.run](d, xin, *step.args)
         # the step's view mapping, applied to zero buffers of the store's
         # shapes, puts each active gradient where its weight lives
@@ -220,10 +225,17 @@ def _pointwise_back(d, x, k, b):
 
 
 def _batchnorm_back(d, x, mean, var, gamma, beta):
+    """One full-size temporary: it holds d * (x - mean) * inv for the
+    gamma sum, then the input gradient."""
     inv = 1.0 / np.sqrt(var.astype(d.dtype, copy=False) + ng.BN_EPS)
     axes = tuple(range(d.ndim - 1))
-    dgamma = (d * ((x - mean) * inv)).sum(axis=axes)
-    return d * (gamma * inv), (None, None, dgamma, d.sum(axis=axes))
+    t = x - mean
+    t *= inv
+    t *= d
+    dgamma = t.sum(axis=axes)
+    dbeta = d.sum(axis=axes)
+    np.multiply(d, gamma * inv, out=t)
+    return t, (None, None, dgamma, dbeta)
 
 
 def _flatten_back(d, x):

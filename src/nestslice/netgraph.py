@@ -17,14 +17,16 @@ pass must reproduce multiplication for multiplication.
 
 There is one forward path: a row program (``_build_program``) resolves
 the widths, dims and weight views of one row, and ``_execute`` runs it
-in float32, for inference and, keeping each layer's input, for autograd.
-Autograd reduces the loss and sums gradients in float64; float64
-activations are for checks only.
+in float32, for inference and, for autograd, keeping each layer's input
+except the batchnorm outputs, which the backward rebuilds by replaying
+their batchnorm step. Autograd reduces the loss and sums gradients in
+float64; float64 activations are for checks only.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -77,14 +79,20 @@ class LayerSpec:
 
     @classmethod
     def from_json(cls, d: dict) -> "LayerSpec":
-        return cls(
-            kind=d["kind"],
-            units=int(d["units"]),
-            kernel=tuple(d["kernel"]) if d.get("kernel") else None,
-            stride=tuple(d.get("stride", (1, 1))),
-            activation=d.get("activation", "none"),
-            sliceable=bool(d.get("sliceable", False)),
-        )
+        """Spec from its JSON object; IntegrityError if ``kind`` or
+        ``units`` is missing, ``units`` is not an integer or a value has
+        the wrong type."""
+        try:
+            return cls(
+                kind=d["kind"],
+                units=operator.index(d["units"]),
+                kernel=tuple(d["kernel"]) if d.get("kernel") else None,
+                stride=tuple(d.get("stride", (1, 1))),
+                activation=d.get("activation", "none"),
+                sliceable=bool(d.get("sliceable", False)),
+            )
+        except (KeyError, TypeError, ValueError) as e:
+            raise IntegrityError(f"malformed layer: {e!r}") from e
 
 
 @dataclass
@@ -746,26 +754,41 @@ def _check_input(input_shape, x):
     return x
 
 
+def _apply_step(step: _Step, cur):
+    """Run one step on ``cur``, then its relu, then its mask."""
+    run, args, relu, mask, _ = step
+    cur = run(cur, *args)
+    if relu:
+        np.maximum(cur, 0.0, out=cur)
+    if mask is not None:
+        cur[..., mask:] = 0.0
+    return cur
+
+
 def _execute(prog: _Program, x, dtype=np.float32, cache=None):
     """Logits of a program on a batch, computed in ``dtype``.
 
     Works on its own copy of the input, so activations and masks apply
-    in place. A ``cache`` list receives every layer's input, which is
-    what the backward rules read. It keeps them by reference: relu and
-    masks write only a step's fresh output, and batchnorm, the one step
-    that overwrites its input, runs on a copy of it.
+    in place. A ``cache`` list receives one entry per step: the step's
+    input, which is what the backward rules read, kept by reference
+    (relu and masks write only a step's fresh output, and batchnorm, the
+    one step that overwrites its input, runs on a copy of it). The input
+    of a step that follows a batchnorm step is a batchnorm output, which
+    one replay of that step (``_apply_step`` on a copy of its cached
+    input) rebuilds with the same float operations; its entry is None,
+    unless that batchnorm's own entry is None or the step is a flatten,
+    whose reshaped output holds the array anyway.
     """
     cur = _check_input(prog.input_shape, np.array(x, dtype=dtype))
-    for run, args, relu, mask, _ in prog.steps:
+    replayable = False
+    for step in prog.steps:
         if cache is not None:
-            cache.append(cur)
-            if run is _run_batchnorm:
+            cache.append(None if replayable and step.run is not _run_flatten
+                         else cur)
+            replayable = step.run is _run_batchnorm and cache[-1] is not None
+            if step.run is _run_batchnorm:
                 cur = cur.copy()
-        cur = run(cur, *args)
-        if relu:
-            np.maximum(cur, 0.0, out=cur)
-        if mask is not None:
-            cur[..., mask:] = 0.0
+        cur = _apply_step(step, cur)
     return cur
 
 
@@ -875,12 +898,28 @@ def save_manifest(g: ModelGraph, out_dir, name="model") -> str:
 
 
 def load_manifest(path) -> ModelGraph:
+    """Model from a manifest written by ``save_manifest``.
+
+    IntegrityError if the manifest lacks ``layers``, ``input_shape`` or
+    ``encoder_end``, holds a malformed value or layer, or a layer of
+    unknown kind, or if a weight file's tensor count is wrong.
+    """
     with open(path) as fh:
         doc = json.load(fh)
+    try:
+        entries = list(doc["layers"])
+        ishape = doc["input_shape"]
+        ishape = (operator.index(ishape) if np.isscalar(ishape)
+                  else tuple(operator.index(v) for v in ishape))
+        encoder_end = operator.index(doc["encoder_end"])
+        transposed = {operator.index(i)
+                      for i in doc.get("transposed_dense", [])}
+    except (KeyError, TypeError, ValueError) as e:
+        raise IntegrityError(f"malformed model manifest: {e!r}") from e
     base = os.path.dirname(path)
     layers = []
     weights = []
-    for entry in doc["layers"]:
+    for entry in entries:
         spec = LayerSpec.from_json(entry)
         if spec.kind not in _PARAM_ORDER and spec.kind != FLATTEN:
             raise IntegrityError(
@@ -899,13 +938,7 @@ def load_manifest(path) -> ModelGraph:
                 f"expected {len(names)}"
             )
         weights.append(dict(zip(names, blobs)))
-    ishape = doc["input_shape"]
-    g = ModelGraph(
-        layers=layers,
-        weights=weights,
-        input_shape=ishape if np.isscalar(ishape) else tuple(ishape),
-        encoder_end=int(doc["encoder_end"]),
-        transposed_dense=set(doc.get("transposed_dense", [])),
-    )
+    g = ModelGraph(layers=layers, weights=weights, input_shape=ishape,
+                   encoder_end=encoder_end, transposed_dense=transposed)
     validate_graph(g)
     return g

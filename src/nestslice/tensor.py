@@ -103,16 +103,6 @@ class Tensor:
     def size(self) -> int:
         return self._data.size
 
-    @property
-    def nrows(self) -> int:
-        self._require_2d()
-        return self.shape[0]
-
-    @property
-    def ncols(self) -> int:
-        self._require_2d()
-        return self.shape[1]
-
     def _require_2d(self):
         if len(self.shape) != 2:
             raise ShapeMismatchError(f"2-d tensor required, got shape {self.shape}")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
+import nestslice.autograd as ag
 import nestslice.netgraph as ng
 from nestslice.autograd import GradStore, backward
 from nestslice.cachesim import bench_report
@@ -158,6 +159,60 @@ def depthwise_input_grad_oracle(d, shape, kd, kh, kw, sh, sw):
             dxp[:, di:di + sh * (ho - 1) + 1:sh,
                 dj:dj + sw * (wo - 1) + 1:sw] += dt
     return dxp[:, ph:ph + h, pw:pw + w]
+
+
+def copying_forward(prog, x, dtype):
+    """Every step's input, each copied before the step runs, and the
+    logits: the program run step by step with nothing shared."""
+    cur = ng._check_input(prog.input_shape, np.array(x, dtype=dtype))
+    inputs = []
+    for run, args, relu, mask, _ in prog.steps:
+        inputs.append(cur.copy())
+        cur = run(cur, *args)
+        if relu:
+            np.maximum(cur, 0.0, out=cur)
+        if mask is not None:
+            cur[..., mask:] = 0.0
+    return inputs, cur
+
+
+def _batchnorm_back_oracle(d, x, mean, var, gamma, beta):
+    """The batchnorm rule with a temporary per product."""
+    inv = 1.0 / np.sqrt(var.astype(d.dtype, copy=False) + ng.BN_EPS)
+    axes = tuple(range(d.ndim - 1))
+    dgamma = (d * ((x - mean) * inv)).sum(axis=axes)
+    return d * (gamma * inv), (None, None, dgamma, d.sum(axis=axes))
+
+
+def backward_oracle(g, batch, slicing=None, loss="ce", bn_stats=None,
+                    dtype=np.float32):
+    """Caching backward (oracle of ``autograd.backward``): keeps every
+    step's input and output until it returns, masks relu gradients with a
+    fresh product and runs ``_batchnorm_back_oracle``; the other rules
+    are the library's."""
+    x, labels = batch
+    prog = ng._build_program(g, slicing, bn_stats)
+    inputs, logits = copying_forward(prog, x, dtype)
+    value, dlogits = ag._loss_and_dlogits(logits, labels, loss)
+    grads = {}
+    d = dlogits.astype(dtype)
+    outputs = inputs[1:] + [logits]
+    layers = list(enumerate(zip(prog.steps, inputs, outputs)))
+    for i, (step, xin, out) in reversed(layers):
+        if step.relu:
+            d = d * (out > 0)
+        rule = (_batchnorm_back_oracle if step.run is ng._run_batchnorm
+                else ag._RULES[step.run])
+        d, dviews = rule(d, xin, *step.args)
+        bufs = {name: np.zeros_like(t.array, dtype=np.float64)
+                for name, t in (g.weights[i] or {}).items()}
+        for view, dv in zip(step.views(bufs), dviews):
+            if dv is not None:
+                view[...] = dv
+        for name, buf in bufs.items():
+            if name not in ("mean", "var"):
+                grads[(i, name)] = buf
+    return value, grads
 
 
 def relu_mask_signature(g, x):

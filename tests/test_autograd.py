@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import nestslice.autograd as ag
 import nestslice.netgraph as ng
-from conftest import fd_gradient_check, random_grad_store
+from conftest import (backward_oracle, copying_forward, fd_gradient_check,
+                      random_grad_store)
 from nestslice.autograd import (Adam, TrainConfig,
                                 accumulate_importance_grads, backward,
                                 sgd_step)
@@ -94,32 +97,33 @@ def test_gradcheck_vs_finite_differences(case, rng):
 def _relu_masks(g, x, dtype):
     """output > 0 of every relu layer, run in ``dtype``."""
     prog = ng._build_program(g)
-    inputs = []
-    logits = ng._execute(prog, x, dtype, inputs)
+    inputs, logits = copying_forward(prog, x, dtype)
     outputs = inputs[1:] + [logits]
     return [out > 0 for step, out in zip(prog.steps, outputs) if step.relu]
 
 
-def _inputs_copying_each(prog, x, dtype):
-    """Every layer's input, each copied before its step runs."""
-    cur = ng._check_input(prog.input_shape, np.array(x, dtype=dtype))
-    inputs = []
-    for run, args, relu, mask, _ in prog.steps:
-        inputs.append(cur.copy())
-        cur = run(cur, *args)
-        if relu:
-            np.maximum(cur, 0.0, out=cur)
-        if mask is not None:
-            cur[..., mask:] = 0.0
-    return inputs, cur
+def stacked_bn_net(rng):
+    """conv, three batchnorms in a row, dense: a batchnorm output feeds a
+    batchnorm whose own input is not kept."""
+    g = one_block_net(rng)
+    layers = g.layers[:2] + [g.layers[1], g.layers[1]] + g.layers[6:]
+    weights = g.weights[:2] + [g.weights[1], g.weights[1]] + g.weights[6:]
+    weights[-1] = {"kernel": Tensor.from_array(
+        rng.standard_normal((6 * 6 * 5, 4)).astype(np.float32)),
+        "bias": weights[-1]["bias"]}
+    return ModelGraph(layers, weights, (6, 6, 2), encoder_end=3)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-@pytest.mark.parametrize("net", ["one_block", "dscnn_masked", "cnn_sliced"])
+@pytest.mark.parametrize("net", ["one_block", "stacked_bn", "dscnn_masked",
+                                 "cnn_sliced"])
 def test_cached_inputs_equal_those_of_a_copying_run(net, dtype, rng):
-    # the cache keeps inputs by reference; no later step may write one
-    if net == "one_block":
-        prog = ng._build_program(one_block_net(rng))
+    # the cache keeps inputs by reference, so no later step may write
+    # one; a batchnorm output is not kept, and replaying its step rebuilds
+    # it exactly, except flatten's input, which is kept
+    if net in ("one_block", "stacked_bn"):
+        g = one_block_net(rng) if net == "one_block" else stacked_bn_net(rng)
+        prog = ng._build_program(g)
         x = rng.standard_normal((4, 6, 6, 2))
     else:
         arch = net.split("_")[0]
@@ -131,11 +135,97 @@ def test_cached_inputs_equal_those_of_a_copying_run(net, dtype, rng):
         x = rng.standard_normal((6, 8, 8, 1))
     got = []
     logits = ng._execute(prog, x, dtype, got)
-    want, want_logits = _inputs_copying_each(prog, x, dtype)
+    want, want_logits = copying_forward(prog, x, dtype)
     assert np.array_equal(logits, want_logits)
     assert len(got) == len(want) == len(prog.steps)
-    for a, b in zip(got, want):
+    runs = [step.run for step in prog.steps]
+    assert ng._run_flatten in runs
+    for i, (a, b) in enumerate(zip(got, want)):
+        replayable = (i > 0 and runs[i - 1] is ng._run_batchnorm
+                      and got[i - 1] is not None)
+        assert (a is None) == (replayable and runs[i] is not ng._run_flatten)
+        if a is None:
+            a = ng._apply_step(prog.steps[i - 1], got[i - 1].copy())
         assert a.dtype == b.dtype and np.array_equal(a, b)
+
+
+def _random_batchnorm(g, rng):
+    """Non-trivial gamma, beta and running statistics in the store."""
+    for i, spec in enumerate(g.layers):
+        if spec.kind == ng.BATCHNORM:
+            p = g.weights[i]
+            u = spec.units
+            p["gamma"].writable_array()[:] = rng.standard_normal(u) + 1
+            p["beta"].writable_array()[:] = rng.standard_normal(u) * 0.3
+            p["mean"].writable_array()[:] = rng.standard_normal(u) * 0.1
+            p["var"].writable_array()[:] = rng.random(u) + 0.5
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["standard", "cache_optimized"])
+@pytest.mark.parametrize("stats", ["store_stats", "bn_stats"])
+@pytest.mark.parametrize("row", ["full", "sliced"])
+@pytest.mark.parametrize("arch,ishape", [("dnn", 24), ("cnn", (10, 10, 1)),
+                                         ("dscnn", (8, 8, 1))])
+def test_backward_equals_caching_oracle(arch, ishape, row, stats, layout,
+                                        dtype):
+    from nestslice.nest import _transpose_dense_store
+    rng = np.random.default_rng(4)
+    g = build_reference(arch, "S", ishape, classes=5, seed=4)
+    _random_batchnorm(g, rng)
+    if layout == "cache_optimized":
+        g = _transpose_dense_store(g)
+    sl = None
+    if row == "sliced":
+        sl = [max(1, g.layers[i].units * 2 // 3)
+              for i in g.sliceable_indices()]
+    bn = None
+    if stats == "bn_stats":
+        bn = {i: (rng.standard_normal(s.units) * 0.2,
+                  rng.random(s.units) + 0.3)
+              for i, s in enumerate(g.layers) if s.kind == ng.BATCHNORM}
+    shape = (9, ishape) if np.isscalar(ishape) else (9,) + ishape
+    batch = (rng.standard_normal(shape), rng.integers(0, 5, 9))
+    _assert_backward_equals_oracle(g, batch, slicing=sl, bn_stats=bn,
+                                   dtype=dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("net", ["one_block", "stacked_bn"])
+def test_small_net_backward_equals_caching_oracle(net, dtype, rng):
+    g = one_block_net(rng) if net == "one_block" else stacked_bn_net(rng)
+    batch = (rng.standard_normal((4, 6, 6, 2)), rng.integers(0, 4, 4))
+    _assert_backward_equals_oracle(g, batch, dtype=dtype)
+
+
+def _assert_backward_equals_oracle(g, batch, **kw):
+    loss, grads = backward(g, batch, **kw)
+    want_loss, want = backward_oracle(g, batch, **kw)
+    assert loss == want_loss
+    assert grads.keys() == want.keys()
+    for key, w in want.items():
+        assert np.array_equal(grads[key], w), key
+
+
+def test_backward_holds_less_than_a_copying_run(rng):
+    # DS-CNN S at the KWS input shape: the forward keeps no batchnorm
+    # output that a replay can rebuild, and the backward drops each input
+    # after its last reader, so its traced peak stays well under what a
+    # run that keeps every layer input holds
+    g = build_reference("dscnn", "S", (49, 10, 1), classes=12, seed=0)
+    x = rng.standard_normal((32, 49, 10, 1))
+    y = rng.integers(0, 12, 32)
+    inputs, _ = copying_forward(ng._build_program(g), x, np.float32)
+    held = sum(a.nbytes for a in inputs)
+    del inputs
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        backward(g, (x, y))
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * held, (peak, held)
 
 
 @pytest.mark.parametrize("layout", ["standard", "cache_optimized"])
@@ -430,7 +520,8 @@ def test_train_config_validation():
 def test_grad_store_shapes_and_reset():
     g = build_reference("cnn", "S", (8, 8, 1), classes=3)
     store = random_grad_store(g)
-    store.check_shapes(g)
+    for (i, name), arr in store.grads.items():
+        assert arr.shape == g.weights[i][name].shape
     assert all(name not in ("mean", "var") for _, name in store.grads)
     store.reset()
     assert store.minibatch_count == 0

@@ -390,13 +390,21 @@ def _empty_plan(bundle):
         json.dump({}, fh)  # an object, but without capacities or points
 
 
-def _unknown_layer_kind(bundle):
-    path = os.path.join(bundle, "model.json")
-    with open(path) as fh:
-        doc = json.load(fh)
-    doc["layers"][0]["kind"] = "bogus"  # a layer with a weights file
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
+def _edit_manifest(key, value=None, layer=None):
+    """Set ``key`` of model.json, or of its layer ``layer``, to ``value``;
+    None deletes the key."""
+    def corrupt(bundle):
+        path = os.path.join(bundle, "model.json")
+        with open(path) as fh:
+            doc = json.load(fh)
+        obj = doc if layer is None else doc["layers"][layer]
+        if value is None:
+            del obj[key]
+        else:
+            obj[key] = value
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+    return corrupt
 
 
 def _bad_blob_order(bundle):
@@ -418,13 +426,28 @@ def _bad_blob_order(bundle):
                                            (_set_bundle_key("bn_layers", 3), 6),
                                            (_bad_blob_order, 6),
                                            (_empty_plan, 6),
-                                           (_unknown_layer_kind, 6)],
+                                           # layer 0 has a weights file
+                                           (_edit_manifest("kind", "bogus",
+                                                           layer=0), 6),
+                                           (_edit_manifest("units", layer=0),
+                                            6),
+                                           (_edit_manifest("kind", layer=0),
+                                            6),
+                                           (_edit_manifest("units", "x",
+                                                           layer=0), 6),
+                                           (_edit_manifest("layers"), 6),
+                                           (_edit_manifest("input_shape"), 6),
+                                           (_edit_manifest("encoder_end"), 6)],
                          ids=["truncated_bn_stats", "n_rows_mismatch",
                               "missing_bn_stats", "bad_bundle_json",
                               "missing_layout_key", "bundle_json_not_object",
                               "non_utf8_json", "n_rows_not_int",
                               "bn_layers_not_list", "unknown_blob_order",
-                              "empty_plan", "unknown_layer_kind"])
+                              "empty_plan", "unknown_layer_kind",
+                              "layer_without_units", "layer_without_kind",
+                              "units_not_int", "manifest_without_layers",
+                              "manifest_without_input_shape",
+                              "manifest_without_encoder_end"])
 def test_corrupt_bundle_exit_code(conv_pipeline, tmp_path, capsys, command,
                                   corrupt, code):
     _, cfg, out = conv_pipeline
