@@ -80,9 +80,11 @@ class LayerSpec:
     @classmethod
     def from_json(cls, d: dict) -> "LayerSpec":
         """Spec from its JSON object; IntegrityError if ``kind`` or
-        ``units`` is missing, ``units`` is not an integer or a value has
-        the wrong type."""
+        ``units`` is missing, ``kind`` is not a string, ``units`` is not
+        an integer or a value has the wrong type."""
         try:
+            if not isinstance(d["kind"], str):
+                raise TypeError(f"kind {d['kind']!r} is not a string")
             return cls(
                 kind=d["kind"],
                 units=operator.index(d["units"]),
@@ -901,8 +903,9 @@ def load_manifest(path) -> ModelGraph:
     """Model from a manifest written by ``save_manifest``.
 
     IntegrityError if the manifest lacks ``layers``, ``input_shape`` or
-    ``encoder_end``, holds a malformed value or layer, or a layer of
-    unknown kind, or if a weight file's tensor count is wrong.
+    ``encoder_end``, holds a malformed value or layer, a layer of unknown
+    kind or a ``weights_file`` that is not a string, or if a weight
+    file's tensor count is wrong.
     """
     with open(path) as fh:
         doc = json.load(fh)
@@ -929,6 +932,10 @@ def load_manifest(path) -> ModelGraph:
         if rel is None:
             weights.append(None)
             continue
+        if not isinstance(rel, str):
+            raise IntegrityError(
+                f"layer {len(layers) - 1} has weights_file {rel!r}, "
+                f"not a file name")
         with open(os.path.join(base, rel), "rb") as fh:
             blobs = read_blobs(fh)
         names = _PARAM_ORDER[spec.kind]

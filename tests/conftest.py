@@ -185,15 +185,17 @@ def _batchnorm_back_oracle(d, x, mean, var, gamma, beta):
 
 
 def backward_oracle(g, batch, slicing=None, loss="ce", bn_stats=None,
-                    dtype=np.float32):
-    """Caching backward (oracle of ``autograd.backward``): keeps every
-    step's input and output until it returns, masks relu gradients with a
-    fresh product and runs ``_batchnorm_back_oracle``; the other rules
-    are the library's."""
+                    dtype=np.float32, n=None):
+    """Caching backward (oracle of one half of ``autograd.backward``, or
+    of a whole unsplit batch): keeps every step's input and output until
+    it returns, masks relu gradients with a fresh product and runs
+    ``_batchnorm_back_oracle``; the other rules are the library's. The
+    loss is normalised by ``n`` samples, by default the batch's own."""
     x, labels = batch
     prog = ng._build_program(g, slicing, bn_stats)
     inputs, logits = copying_forward(prog, x, dtype)
-    value, dlogits = ag._loss_and_dlogits(logits, labels, loss)
+    value, dlogits = ag._loss_and_dlogits(
+        logits, labels, loss, len(logits) if n is None else n)
     grads = {}
     d = dlogits.astype(dtype)
     outputs = inputs[1:] + [logits]

@@ -1,3 +1,5 @@
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -168,7 +170,7 @@ def _random_batchnorm(g, rng):
 @pytest.mark.parametrize("arch,ishape", [("dnn", 24), ("cnn", (10, 10, 1)),
                                          ("dscnn", (8, 8, 1))])
 def test_backward_equals_caching_oracle(arch, ishape, row, stats, layout,
-                                        dtype):
+                                        dtype, monkeypatch):
     from nestslice.nest import _transpose_dense_store
     rng = np.random.default_rng(4)
     g = build_reference(arch, "S", ishape, classes=5, seed=4)
@@ -186,25 +188,106 @@ def test_backward_equals_caching_oracle(arch, ishape, row, stats, layout,
               for i, s in enumerate(g.layers) if s.kind == ng.BATCHNORM}
     shape = (9, ishape) if np.isscalar(ishape) else (9,) + ishape
     batch = (rng.standard_normal(shape), rng.integers(0, 5, 9))
-    _assert_backward_equals_oracle(g, batch, slicing=sl, bn_stats=bn,
-                                   dtype=dtype)
+    _assert_backward_equals_oracle(monkeypatch, g, batch, slicing=sl,
+                                   bn_stats=bn, dtype=dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("n", [1, 4])
 @pytest.mark.parametrize("net", ["one_block", "stacked_bn"])
-def test_small_net_backward_equals_caching_oracle(net, dtype, rng):
+def test_small_net_backward_equals_caching_oracle(net, n, dtype, rng,
+                                                  monkeypatch):
     g = one_block_net(rng) if net == "one_block" else stacked_bn_net(rng)
-    batch = (rng.standard_normal((4, 6, 6, 2)), rng.integers(0, 4, 4))
-    _assert_backward_equals_oracle(g, batch, dtype=dtype)
+    batch = (rng.standard_normal((n, 6, 6, 2)), rng.integers(0, 4, n))
+    _assert_backward_equals_oracle(monkeypatch, g, batch, dtype=dtype)
 
 
-def _assert_backward_equals_oracle(g, batch, **kw):
-    loss, grads = backward(g, batch, **kw)
-    want_loss, want = backward_oracle(g, batch, **kw)
-    assert loss == want_loss
+def _split_oracle(g, batch, **kw):
+    """The oracle on each fixed half of the batch (the first ceil(n/2)
+    samples, then the rest), each normalised by the whole batch, summed
+    first half plus second half; a 1-sample batch runs unsplit."""
+    x, y = batch
+    n = len(x)
+    if n == 1:
+        return backward_oracle(g, batch, **kw)
+    h = (n + 1) // 2
+    loss1, grads1 = backward_oracle(g, (x[:h], y[:h]), n=n, **kw)
+    loss2, grads2 = backward_oracle(g, (x[h:], y[h:]), n=n, **kw)
+    return loss1 + loss2, {key: grads1[key] + grads2[key] for key in grads1}
+
+
+def _assert_backward_equals_oracle(monkeypatch, g, batch, **kw):
+    want_loss, want = _split_oracle(g, batch, **kw)
+    # these batches are small enough to run both halves on the calling
+    # thread; with no MAC floor the second half runs on the worker
+    for min_macs in (ag._WORKER_MIN_MACS, 0):
+        monkeypatch.setattr(ag, "_WORKER_MIN_MACS", min_macs)
+        loss, grads = backward(g, batch, **kw)
+        assert loss == want_loss
+        assert grads.keys() == want.keys()
+        for key, w in want.items():
+            assert np.array_equal(grads[key], w), (min_macs, key)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("arch,ishape", [("dnn", 24), ("cnn", (10, 10, 1)),
+                                         ("dscnn", (8, 8, 1))])
+def test_backward_agrees_with_unsplit_oracle(arch, ishape, dtype):
+    # the halves change only the order of the batch reductions, so the
+    # whole batch's oracle agrees up to rounding, at tolerances fixed by
+    # the dtype (float32 as in test_float32_gradients_agree_with_float64)
+    tol = 1e-4 if dtype == np.float32 else 1e-12
+    rng = np.random.default_rng(6)
+    g = build_reference(arch, "S", ishape, classes=5, seed=6)
+    _random_batchnorm(g, rng)
+    shape = (33, ishape) if np.isscalar(ishape) else (33,) + ishape
+    batch = (rng.standard_normal(shape), rng.integers(0, 5, 33))
+    loss, grads = backward(g, batch, dtype=dtype)
+    want_loss, want = backward_oracle(g, batch, dtype=dtype)
+    assert abs(loss - want_loss) <= tol * abs(want_loss)
     assert grads.keys() == want.keys()
     for key, w in want.items():
-        assert np.array_equal(grads[key], w), key
+        assert np.abs(grads[key] - w).max() <= tol * np.abs(w).max(), key
+
+
+def test_concurrent_backward_calls_equal_serial_ones(rng, monkeypatch):
+    # four callers share one graph, each call with its own worker: a
+    # half may read only the shared row views, never another call's state
+    monkeypatch.setattr(ag, "_WORKER_MIN_MACS", 0)
+    g = build_reference("dscnn", "S", (8, 8, 1), classes=5, seed=2)
+    batches = [(rng.standard_normal((7, 8, 8, 1)), rng.integers(0, 5, 7))
+               for _ in range(4)]
+    rows = [None, [8, 20, 12, 30, 10], [40, 64, 33, 64, 64], [1, 1, 1, 1, 1]]
+
+    def run(k):  # copied at once, so results that share memory differ
+        loss, grads = backward(g, batches[k], slicing=rows[k])
+        return loss, {key: a.copy() for key, a in grads.items()}
+
+    want = [run(k) for k in range(4)]
+    got = [[] for _ in range(4)]
+
+    def call(k):
+        for _ in range(5):
+            got[k].append(run(k))
+
+    threads = [threading.Thread(target=call, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for results, (want_loss, want_grads) in zip(got, want):
+        assert len(results) == 5
+        for loss, grads in results:
+            assert loss == want_loss
+            assert grads.keys() == want_grads.keys()
+            for key, w in want_grads.items():
+                assert np.array_equal(grads[key], w), key
 
 
 def test_backward_holds_less_than_a_copying_run(rng):
@@ -286,8 +369,9 @@ def test_backward_rules_run_in_float32(arch, ishape, rng, monkeypatch):
 def test_loss_of_float32_logits_is_reduced_in_float64(rng):
     logits = (rng.standard_normal((100, 5)) * 4).astype(np.float32)
     y = rng.integers(0, 5, 100)
-    value, dlogits = ag._loss_and_dlogits(logits, y, "ce")
-    want, dwant = ag._loss_and_dlogits(logits.astype(np.float64), y, "ce")
+    value, dlogits = ag._loss_and_dlogits(logits, y, "ce", 100)
+    want, dwant = ag._loss_and_dlogits(logits.astype(np.float64), y, "ce",
+                                       100)
     assert value == want
     np.testing.assert_array_equal(dlogits, dwant)
     assert dlogits.dtype == np.float64
@@ -373,6 +457,14 @@ def test_empty_batch_rejected():
     g = build_reference("dnn", "S", 8, classes=3)
     with pytest.raises(DataError):
         backward(g, (np.zeros((0, 8)), np.zeros(0)))
+
+
+def test_label_count_must_match_batch(rng):
+    # the halves split labels with the inputs, so a count that does not
+    # match is refused rather than paired with the wrong samples
+    g = build_reference("dnn", "S", 8, classes=3)
+    with pytest.raises(ShapeMismatchError, match="3 labels for 4 samples"):
+        backward(g, (rng.standard_normal((4, 8)), np.array([0, 1, 2])))
 
 
 # -- accumulation -----------------------------------------------------------

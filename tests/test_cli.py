@@ -435,6 +435,10 @@ def _bad_blob_order(bundle):
                                             6),
                                            (_edit_manifest("units", "x",
                                                            layer=0), 6),
+                                           (_edit_manifest("kind", [1],
+                                                           layer=0), 6),
+                                           (_edit_manifest("weights_file", 3,
+                                                           layer=0), 6),
                                            (_edit_manifest("layers"), 6),
                                            (_edit_manifest("input_shape"), 6),
                                            (_edit_manifest("encoder_end"), 6)],
@@ -445,7 +449,9 @@ def _bad_blob_order(bundle):
                               "bn_layers_not_list", "unknown_blob_order",
                               "empty_plan", "unknown_layer_kind",
                               "layer_without_units", "layer_without_kind",
-                              "units_not_int", "manifest_without_layers",
+                              "units_not_int", "kind_not_string",
+                              "weights_file_not_string",
+                              "manifest_without_layers",
                               "manifest_without_input_shape",
                               "manifest_without_encoder_end"])
 def test_corrupt_bundle_exit_code(conv_pipeline, tmp_path, capsys, command,
