@@ -7,11 +7,12 @@ with the equal-share baselines, fine-tune all rows jointly, and measure
 switching cost.
 """
 
-import numpy as np
-
+# nestslice before numpy: importing it first gives BLAS one thread (see
+# nestslice/__init__.py), which its two-thread training relies on
 from nestslice import (NestedModel, build_reference, full_macs, plan_macs,
                        plan_baseline, plan_bottom_up, plan_top_down,
                        synth_blobs)
+import numpy as np
 from nestslice.autograd import TrainConfig, accumulate_importance_grads
 from nestslice.finetune import (compute_pi, evaluate_rows, finetune_joint,
                                 train_single)

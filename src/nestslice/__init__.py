@@ -11,6 +11,18 @@ and a bounds lab checks the planner's approximation guarantees
 empirically.
 """
 
+import os
+
+# One BLAS thread unless the environment sets a thread count: the matrices
+# here are small, and autograd.backward already runs each minibatch as two
+# halves on two threads, whose BLAS calls would otherwise contend for the
+# same cores. BLAS reads this when numpy is first imported, so it holds
+# only where this package is imported first (its CLI, and scripts that
+# import it before numpy).
+if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                                     "OMP_NUM_THREADS")):
+    os.environ["OPENBLAS_NUM_THREADS"] = os.environ["MKL_NUM_THREADS"] = "1"
+
 from .autograd import (Adam, GradStore, TrainConfig,
                        accumulate_importance_grads, backward, sgd_step)
 from .bounds import (BoundReport, brute_opt, bu_two_stage, find_split_item,

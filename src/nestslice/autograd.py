@@ -12,13 +12,11 @@ scoring and (b) run (joint) fine-tuning.
 
 Each minibatch runs as two fixed halves, the first ``ceil(n/2)`` samples
 on the calling thread and the rest on one worker thread started per
-call, so training uses two cores (a batch too small to gain from the
-worker runs both halves on the calling thread, with the same results).
-Each half normalises its loss by the whole batch, and the halves'
-float64 gradient sums and losses are added first half plus second half.
-The split is the same on every host, whatever its CPU count, so results
-do not depend on it; they differ from an unsplit reduction only at float
-rounding level.
+call, so training uses two cores. Each half normalises its loss by the
+whole batch, and the halves' float64 gradient sums and losses are added
+first half plus second half. The split is the same on every host,
+whatever its CPU count, so results do not depend on it; they differ from
+an unsplit reduction only at float rounding level.
 
 Precision is split as in mixed-precision training: activations and the
 backward rules run in float32, the precision of the weight store, while
@@ -104,14 +102,6 @@ class GradStore:
         self.minibatch_count = 0
 
 
-# A batch of fewer MACs runs its two halves one after the other on the
-# calling thread: there, starting the worker and handing the interpreter
-# lock back and forth between two threads of short numpy calls cost more
-# than the second core saves. On a 2-vCPU host the worker broke even at
-# 20-40 M MACs (DS-CNN S at 8x8x1: 1.27 M per sample, batch 16-32).
-_WORKER_MIN_MACS = 1 << 25
-
-
 def backward(g: ng.ModelGraph, batch, slicing=None, loss="ce", bn_stats=None,
              dtype=np.float32):
     """Gradients of the mean loss over one minibatch.
@@ -126,18 +116,17 @@ def backward(g: ng.ModelGraph, batch, slicing=None, loss="ce", bn_stats=None,
     The batch of n samples runs as two fixed halves, the first
     ``ceil(n/2)`` samples on the calling thread and the rest on one
     worker thread started for this call; a 1-sample batch runs unsplit.
-    Below ``_WORKER_MIN_MACS`` MACs per batch the calling thread runs
-    both halves in turn, which gives the same bits. Both halves read one
-    row program, built here, and each normalises its loss by the whole n,
-    so every per-sample activation and input gradient is the one an
-    unsplit pass computes. Only the batch reductions change order: the
-    weight gradients and the loss are summed within each half, then first
-    half plus second half. The split never depends on the host's CPU
-    count, so the results do not either; they differ from an unsplit
-    reduction at float rounding level.
+    Both halves read one row program and one checked copy of the inputs,
+    both made here, and each normalises its loss by the whole n, so every
+    per-sample activation and input gradient is the one an unsplit pass
+    computes. Only the batch reductions change order: the weight
+    gradients and the loss are summed within each half, then first half
+    plus second half. The split never depends on the host's CPU count, so
+    the results do not either; they differ from an unsplit reduction at
+    float rounding level.
 
     Within a half, the forward keeps the layer inputs but not the
-    batchnorm outputs (``netgraph._execute``). Walking the steps in
+    batchnorm outputs (``netgraph._run_steps``). Walking the steps in
     reverse, a missing input is rebuilt by replaying the batchnorm step
     before it on a copy of that step's input, which repeats the forward's
     float operations; each input is dropped once the relu mask of the
@@ -147,31 +136,28 @@ def backward(g: ng.ModelGraph, batch, slicing=None, loss="ce", bn_stats=None,
     if len(np.asarray(labels).reshape(-1)) == 0:
         raise DataError("empty minibatch")
     prog = ng._build_program(g, slicing, bn_stats)
-    x = ng._check_input(prog.input_shape, np.asarray(x))
+    x = ng._check_input(prog.input_shape, np.array(x, dtype=dtype))
     n = len(x)
+    labels = np.asarray(labels)
+    if labels.shape[:1] != (n,):  # the halves split labels with the inputs
+        raise ShapeMismatchError(
+            f"labels of shape {labels.shape} for {n} samples")
     args = (g, prog, loss, n, dtype)
     if n == 1:
         return _backward_half(x, labels, *args)
-    labels = np.asarray(labels)
-    if len(labels) != n:
-        raise ShapeMismatchError(f"{len(labels)} labels for {n} samples")
     h = (n + 1) // 2
-    if n * prog.macs < _WORKER_MIN_MACS:
-        value, grads = _backward_half(x[:h], labels[:h], *args)
-        value2, grads2 = _backward_half(x[h:], labels[h:], *args)
-    else:
-        # imported here: concurrent.futures pulls in logging, which the
-        # inference-only users of this module never need
-        from concurrent.futures import ThreadPoolExecutor
+    # imported here: concurrent.futures pulls in logging, which the
+    # inference-only users of this module never need
+    from concurrent.futures import ThreadPoolExecutor
 
-        # the worker calls private helpers only, so no public function
-        # runs on two threads at once
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            second = pool.submit(_backward_half, x[h:], labels[h:], *args)
-            try:
-                value, grads = _backward_half(x[:h], labels[:h], *args)
-            finally:  # read the worker's result (or error) whatever happened
-                value2, grads2 = second.result()
+    # the worker calls private helpers only, so no public function runs on
+    # two threads at once
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        second = pool.submit(_backward_half, x[h:], labels[h:], *args)
+        try:
+            value, grads = _backward_half(x[:h], labels[:h], *args)
+        finally:  # read the worker's result (or error) whatever happened
+            value2, grads2 = second.result()
     value += value2
     for key, buf in grads.items():
         buf += grads2[key]
@@ -179,10 +165,10 @@ def backward(g: ng.ModelGraph, batch, slicing=None, loss="ce", bn_stats=None,
 
 
 def _backward_half(x, labels, g, prog, loss, n, dtype):
-    """Loss share and float64 gradient sums of the samples ``x``, with
-    the loss normalised by the whole batch's ``n``."""
+    """Loss share and float64 gradient sums of the checked ``dtype``
+    samples ``x``, with the loss normalised by the whole batch's ``n``."""
     inputs = []
-    logits = ng._execute(prog, x, dtype, inputs)
+    logits = ng._run_steps(prog, x, inputs)
     value, dlogits = _loss_and_dlogits(logits, labels, loss, n)
     if not np.isfinite(value):
         raise NumericError(f"non-finite loss {value}; logits range "

@@ -768,20 +768,27 @@ def _apply_step(step: _Step, cur):
 
 
 def _execute(prog: _Program, x, dtype=np.float32, cache=None):
-    """Logits of a program on a batch, computed in ``dtype``.
+    """Logits of a program on a batch, computed in ``dtype`` on a checked
+    copy of the input (``_run_steps``)."""
+    return _run_steps(prog, _check_input(prog.input_shape,
+                                         np.array(x, dtype=dtype)), cache)
 
-    Works on its own copy of the input, so activations and masks apply
-    in place. A ``cache`` list receives one entry per step: the step's
-    input, which is what the backward rules read, kept by reference
-    (relu and masks write only a step's fresh output, and batchnorm, the
-    one step that overwrites its input, runs on a copy of it). The input
-    of a step that follows a batchnorm step is a batchnorm output, which
-    one replay of that step (``_apply_step`` on a copy of its cached
-    input) rebuilds with the same float operations; its entry is None,
-    unless that batchnorm's own entry is None or the step is a flatten,
-    whose reshaped output holds the array anyway.
+
+def _run_steps(prog: _Program, cur, cache=None):
+    """Logits of a program on ``cur``, a checked batch of the working
+    dtype that the caller owns.
+
+    Activations and masks apply in place on fresh step outputs. A
+    ``cache`` list receives one entry per step: the step's input, which
+    is what the backward rules read, kept by reference (relu and masks
+    write only a step's fresh output, and batchnorm, the one step that
+    overwrites its input, runs on a copy of it). The input of a step that
+    follows a batchnorm step is a batchnorm output, which one replay of
+    that step (``_apply_step`` on a copy of its cached input) rebuilds
+    with the same float operations; its entry is None, unless that
+    batchnorm's own entry is None or the step is a flatten, whose
+    reshaped output holds the array anyway.
     """
-    cur = _check_input(prog.input_shape, np.array(x, dtype=dtype))
     replayable = False
     for step in prog.steps:
         if cache is not None:

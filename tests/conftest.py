@@ -1,5 +1,8 @@
 """Shared test helpers: independent oracles and small graph builders."""
 
+# nestslice before numpy: importing it first gives BLAS one thread (see
+# nestslice/__init__.py), as in the CLI
+import nestslice  # noqa: F401
 import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view

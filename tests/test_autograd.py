@@ -170,7 +170,7 @@ def _random_batchnorm(g, rng):
 @pytest.mark.parametrize("arch,ishape", [("dnn", 24), ("cnn", (10, 10, 1)),
                                          ("dscnn", (8, 8, 1))])
 def test_backward_equals_caching_oracle(arch, ishape, row, stats, layout,
-                                        dtype, monkeypatch):
+                                        dtype):
     from nestslice.nest import _transpose_dense_store
     rng = np.random.default_rng(4)
     g = build_reference(arch, "S", ishape, classes=5, seed=4)
@@ -188,18 +188,17 @@ def test_backward_equals_caching_oracle(arch, ishape, row, stats, layout,
               for i, s in enumerate(g.layers) if s.kind == ng.BATCHNORM}
     shape = (9, ishape) if np.isscalar(ishape) else (9,) + ishape
     batch = (rng.standard_normal(shape), rng.integers(0, 5, 9))
-    _assert_backward_equals_oracle(monkeypatch, g, batch, slicing=sl,
-                                   bn_stats=bn, dtype=dtype)
+    _assert_backward_equals_oracle(g, batch, slicing=sl, bn_stats=bn,
+                                   dtype=dtype)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 @pytest.mark.parametrize("n", [1, 4])
 @pytest.mark.parametrize("net", ["one_block", "stacked_bn"])
-def test_small_net_backward_equals_caching_oracle(net, n, dtype, rng,
-                                                  monkeypatch):
+def test_small_net_backward_equals_caching_oracle(net, n, dtype, rng):
     g = one_block_net(rng) if net == "one_block" else stacked_bn_net(rng)
     batch = (rng.standard_normal((n, 6, 6, 2)), rng.integers(0, 4, n))
-    _assert_backward_equals_oracle(monkeypatch, g, batch, dtype=dtype)
+    _assert_backward_equals_oracle(g, batch, dtype=dtype)
 
 
 def _split_oracle(g, batch, **kw):
@@ -216,17 +215,13 @@ def _split_oracle(g, batch, **kw):
     return loss1 + loss2, {key: grads1[key] + grads2[key] for key in grads1}
 
 
-def _assert_backward_equals_oracle(monkeypatch, g, batch, **kw):
+def _assert_backward_equals_oracle(g, batch, **kw):
     want_loss, want = _split_oracle(g, batch, **kw)
-    # these batches are small enough to run both halves on the calling
-    # thread; with no MAC floor the second half runs on the worker
-    for min_macs in (ag._WORKER_MIN_MACS, 0):
-        monkeypatch.setattr(ag, "_WORKER_MIN_MACS", min_macs)
-        loss, grads = backward(g, batch, **kw)
-        assert loss == want_loss
-        assert grads.keys() == want.keys()
-        for key, w in want.items():
-            assert np.array_equal(grads[key], w), (min_macs, key)
+    loss, grads = backward(g, batch, **kw)
+    assert loss == want_loss
+    assert grads.keys() == want.keys()
+    for key, w in want.items():
+        assert np.array_equal(grads[key], w), key
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -250,10 +245,9 @@ def test_backward_agrees_with_unsplit_oracle(arch, ishape, dtype):
         assert np.abs(grads[key] - w).max() <= tol * np.abs(w).max(), key
 
 
-def test_concurrent_backward_calls_equal_serial_ones(rng, monkeypatch):
+def test_concurrent_backward_calls_equal_serial_ones(rng):
     # four callers share one graph, each call with its own worker: a
     # half may read only the shared row views, never another call's state
-    monkeypatch.setattr(ag, "_WORKER_MIN_MACS", 0)
     g = build_reference("dscnn", "S", (8, 8, 1), classes=5, seed=2)
     batches = [(rng.standard_normal((7, 8, 8, 1)), rng.integers(0, 5, 7))
                for _ in range(4)]
@@ -463,8 +457,9 @@ def test_label_count_must_match_batch(rng):
     # the halves split labels with the inputs, so a count that does not
     # match is refused rather than paired with the wrong samples
     g = build_reference("dnn", "S", 8, classes=3)
-    with pytest.raises(ShapeMismatchError, match="3 labels for 4 samples"):
-        backward(g, (rng.standard_normal((4, 8)), np.array([0, 1, 2])))
+    for n, labels in [(4, [0, 1, 2]), (1, [0, 1, 2]), (1, 0)]:
+        with pytest.raises(ShapeMismatchError, match=f"for {n} samples"):
+            backward(g, (rng.standard_normal((n, 8)), np.array(labels)))
 
 
 # -- accumulation -----------------------------------------------------------
