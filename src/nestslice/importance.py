@@ -7,12 +7,11 @@ batchnorm layer.
 
 Reordering same-layer units is function-preserving when every adjacent
 weight structure is reindexed consistently: the unit axis of the layer
-itself, attached batchnorm parameters, and the input axis of the next
-compute layer (rows for dense, channel axis for convolutions, grouped
-rows for dense-after-flatten). Depthwise layers are never permuted
-independently: a depthwise filter is bound to its input channel, so they
-inherit the permutation of the preceding layer together with the kernel
-axis of the following pointwise layer.
+itself, of its attached batchnorm, and of the depthwise layer (with its
+batchnorm) bound to its channels, and the input-channel axis of the next
+kernel that reads it (grouped per position for a dense layer after a
+flatten). Which axis each of these is comes from the layer-kind records
+in ``netgraph`` (``_unit_axes``, ``_unit_gathers``).
 """
 
 from __future__ import annotations
@@ -35,38 +34,20 @@ class UnitScore:
     macs: int
 
 
-def pair_score(pairs) -> float:
-    """Sum of |g * w| over (gradient, weight) pairs; the per-unit rule."""
-    return float(sum(abs(g * w) for g, w in pairs))
-
-
 def _layer_unit_scores(g, grads, i):
-    """Vector of per-unit scores for compute layer i."""
-    spec = g.layers[i]
-    w = g.weights[i]
-    gk = grads[(i, "kernel")]
-    gb = grads[(i, "bias")]
-    karr = w["kernel"].array.astype(np.float64)
-    if spec.kind == ng.DENSE:
-        if i in g.transposed_dense:
-            per = np.abs(gk * karr).sum(axis=1)
-        else:
-            per = np.abs(gk * karr).sum(axis=0)
-    elif spec.kind == ng.CONV2D:
-        per = np.abs(gk * karr).sum(axis=(1, 2, 3))
-    elif spec.kind == ng.DEPTHWISE:
-        per = np.abs(gk * karr).sum(axis=(1, 2))
-    elif spec.kind == ng.POINTWISE:
-        per = np.abs(gk * karr).sum(axis=(1, 2, 3))
-    else:
-        raise IntegrityError(f"layer {i} has no unit scores")
-    per = per + np.abs(gb * w["bias"].array.astype(np.float64))
-    bn = g.attached_batchnorm(i)
-    if bn is not None:
-        for nm in ("gamma", "beta"):
-            per = per + np.abs(
-                grads[(bn, nm)] * g.weights[bn][nm].array.astype(np.float64)
-            )
+    """Vector of per-unit scores for compute layer i: |g * w| summed over
+    every axis but the unit axis, for each learnable parameter of the
+    layer and of its attached batchnorm."""
+    per = 0.0
+    for j in (i, g.attached_batchnorm(i)):
+        if j is None:
+            continue
+        for nm, axis in ng._unit_axes(g, j):
+            if (j, nm) not in grads:
+                continue  # running statistics carry no gradients
+            w = g.weights[j][nm].array.astype(np.float64)
+            rest = tuple(a for a in range(w.ndim) if a != axis)
+            per = per + np.abs(grads[(j, nm)] * w).sum(axis=rest)
     return per
 
 
@@ -135,92 +116,25 @@ class Permutation:
 
     maps: dict
 
-    def inverse(self) -> "Permutation":
-        return Permutation({l: np.argsort(p) for l, p in self.maps.items()})
-
-    def is_identity(self) -> bool:
-        return all(np.array_equal(p, np.arange(len(p)))
-                   for p in self.maps.values())
-
 
 def _permutation_ops(g: ng.ModelGraph, perm: Permutation) -> list:
-    """Flat list of reindex operations the permutation performs.
-
-    Each entry is (layer, param, op, payload): op 'take' gathers along an
-    axis, op 'spatial' regroups the channel axis of a dense kernel that
-    follows a flatten. Operations touch independent axes, so their order
-    does not matter; sharing this list lets weight tensors and
-    weight-shaped arrays (gradient sums) be permuted identically.
-    """
-    ops = []
-    for l in sorted(perm.maps):
-        p = np.asarray(perm.maps[l], dtype=np.int64)
-        spec = g.layers[l]
-        if len(p) != spec.units:
+    """The gathers the permutation performs (``netgraph._unit_gathers``);
+    sharing this list lets weight tensors and weight-shaped arrays
+    (gradient sums) be permuted identically."""
+    for l, p in perm.maps.items():
+        if len(p) != g.layers[l].units:
             raise IntegrityError(
                 f"permutation for layer {l} has {len(p)} entries, "
-                f"layer has {spec.units} units"
+                f"layer has {g.layers[l].units} units"
             )
-        if spec.kind == ng.DENSE:
-            axis = 0 if l in g.transposed_dense else 1
-            ops.append((l, "kernel", "take", (axis, p)))
-        else:
-            ops.append((l, "kernel", "take", (0, p)))
-        ops.append((l, "bias", "take", (0, p)))
-        bn = g.attached_batchnorm(l)
-        if bn is not None:
-            for nm in ("gamma", "beta", "mean", "var"):
-                ops.append((bn, nm, "take", (0, p)))
-        # the consumer's input axis
-        nxt = g.next_compute_layer(l)
-        if nxt is None:
-            continue
-        nspec = g.layers[nxt]
-        if nspec.kind == ng.DEPTHWISE:
-            # bound to input channels: same permutation for its filters,
-            # its batchnorm, and the following pointwise kernel axis
-            ops.append((nxt, "kernel", "take", (0, p)))
-            ops.append((nxt, "bias", "take", (0, p)))
-            bn2 = g.attached_batchnorm(nxt)
-            if bn2 is not None:
-                for nm in ("gamma", "beta", "mean", "var"):
-                    ops.append((bn2, nm, "take", (0, p)))
-            after = g.next_compute_layer(nxt)
-            if after is not None:
-                if g.layers[after].kind != ng.POINTWISE:
-                    raise IntegrityError(
-                        "depthwise layer must feed a pointwise layer"
-                    )
-                ops.append((after, "kernel", "take", (3, p)))
-        elif nspec.kind in (ng.CONV2D, ng.POINTWISE):
-            ops.append((nxt, "kernel", "take", (3, p)))
-        elif nspec.kind == ng.DENSE:
-            feed, info = ng.dense_feed_structure(g, nxt)
-            if feed == "spatial":
-                ops.append((nxt, "kernel", "spatial",
-                            (info, p, nxt in g.transposed_dense,
-                             nspec.units)))
-            else:
-                axis = 1 if nxt in g.transposed_dense else 0
-                ops.append((nxt, "kernel", "take", (axis, p)))
-    return ops
-
-
-def _apply_op(arr: np.ndarray, op: str, payload) -> np.ndarray:
-    if op == "take":
-        axis, p = payload
-        return np.take(arr, p, axis=axis)
-    (h, w, cfull), p, transposed, units = payload
-    k = arr.T if transposed else arr
-    k = k.reshape(h * w, cfull, units)[:, p, :].reshape(h * w * cfull, units)
-    return k.T if transposed else k
+    return ng._unit_gathers(g, perm.maps)
 
 
 def apply_permutation(g: ng.ModelGraph, perm: Permutation) -> ng.ModelGraph:
     """Reindex weights so the network function is unchanged."""
     out = g.copy()
-    for l, name, op, payload in _permutation_ops(g, perm):
-        arr = _apply_op(out.weights[l][name].array, op, payload)
+    for l, name, axis, p, n in _permutation_ops(g, perm):
+        arr = ng._gather(out.weights[l][name].array, axis, p, n)
         out.weights[l][name] = Tensor.from_array(arr)
     return out
 
@@ -233,10 +147,10 @@ def permute_grad_store(g_new: ng.ModelGraph, perm: Permutation,
     out = GradStore(g_new)
     for key, arr in grad_store.grads.items():
         out.grads[key] = np.array(arr)
-    for l, name, op, payload in _permutation_ops(g_new, perm):
+    for l, name, axis, p, n in _permutation_ops(g_new, perm):
         if (l, name) not in out.grads:
             continue  # running statistics carry no gradients
-        out.grads[(l, name)] = _apply_op(out.grads[(l, name)], op, payload)
+        out.grads[(l, name)] = ng._gather(out.grads[(l, name)], axis, p, n)
     out.minibatch_count = grad_store.minibatch_count
     return out
 
@@ -276,7 +190,7 @@ def apply_to_scores(g: ng.ModelGraph, perm: Permutation, scores) -> list:
     for l, lst in sorted(by_layer.items()):
         if l in perm.maps:
             p = perm.maps[l]
-        elif g.layers[l].kind == ng.DEPTHWISE:
+        elif ng._kind(g.layers[l]).bound:
             src = g.prev_compute_layer(l)
             p = perm.maps.get(src, np.arange(len(lst)))
         else:

@@ -7,13 +7,20 @@ flatten. Convolutions default to 3x3 kernels, stride 1 and 'same'
 padding; pooling is omitted. The final classifier layer is never
 sliceable.
 
+What a layer kind means lives in one private record per kind
+(``_KINDS``): its parameters in blob order, each parameter's shape, its
+output dims, the unit and input-channel axes of its kernel, and how its
+row-program step runs. Shapes, MACs, parameter counts, weight checks,
+truncation and unit permutations all read these records.
+
 Width bookkeeping is central: every sliceable layer has an *active width*
 (leading units that participate in compute). ``forward`` accepts a width
 vector aligned with ``sliceable_indices``; depthwise and batchnorm layers
-inherit the width of the layer they are bound to. MAC counts come in two
-flavors: per-unit costs at full model widths (knapsack item weights) and
-exact width-aware totals (``plan_macs``), which the instrumented forward
-pass must reproduce multiplication for multiplication.
+inherit the width of the layer they are bound to. One rule prices every
+kind: a unit costs its kernel elements times its output positions
+(``_per_unit_macs``). MAC counts come in two flavors: per-unit costs at
+full model widths (knapsack item weights) and exact width-aware totals
+(``plan_macs``), which the row programs reproduce.
 
 There is one forward path: a row program (``_build_program``) resolves
 the widths, dims and weight views of one row, and ``_execute`` runs it
@@ -26,6 +33,7 @@ float64; float64 activations are for checks only.
 from __future__ import annotations
 
 import json
+import math
 import operator
 import os
 from dataclasses import dataclass, field
@@ -45,8 +53,6 @@ DEPTHWISE = "depthwise"
 POINTWISE = "pointwise"
 BATCHNORM = "batchnorm"
 FLATTEN = "flatten"
-
-COMPUTE_KINDS = (DENSE, CONV2D, DEPTHWISE, POINTWISE)
 
 # Hidden dense widths for the CNN family (the reference description names
 # only the conv widths).
@@ -288,11 +294,11 @@ def validate_graph(g: ModelGraph) -> None:
     for i, spec in enumerate(g.layers):
         if spec.kind == POINTWISE and spec.kernel != (1, 1):
             raise IntegrityError(f"pointwise layer {i} must have 1x1 kernel")
-        if spec.kind == BATCHNORM:
+        if _kind(spec).bound:
             prev = g.prev_compute_layer(i)
             if prev is None or g.layers[prev].units != spec.units:
                 raise IntegrityError(
-                    f"batchnorm layer {i} width must match preceding layer"
+                    f"{spec.kind} layer {i} width must match preceding layer"
                 )
     _check_weight_shapes(g)
 
@@ -308,31 +314,16 @@ def _in_dims_at(g, i, dims):
 
 
 def _check_weight_shapes(g):
+    """IntegrityError unless every parameter has its full-width shape."""
     dims = layer_output_dims(g)
     for i, spec in enumerate(g.layers):
-        params = g.weights[i]
-        if spec.kind == FLATTEN:
-            continue
-        in_dim = _in_dims_at(g, i, dims)
-        if spec.kind == DENSE:
-            fan_in = int(np.prod(in_dim))
-            want = ((spec.units, fan_in) if i in g.transposed_dense
-                    else (fan_in, spec.units))
-            if params["kernel"].shape != want:
+        params = g.weights[i] or {}
+        want = _param_shapes(g, i, _in_dims_at(g, i, dims), spec.units)
+        for nm, shape in want.items():
+            got = params[nm].shape if nm in params else None
+            if got != shape:
                 raise IntegrityError(
-                    f"dense layer {i} kernel shape {params['kernel'].shape} != {want}"
-                )
-        elif spec.kind == CONV2D:
-            kh, kw = spec.kernel
-            if params["kernel"].shape != (spec.units, kh, kw, in_dim[2]):
-                raise IntegrityError(f"conv layer {i} kernel shape mismatch")
-        elif spec.kind == DEPTHWISE:
-            kh, kw = spec.kernel
-            if params["kernel"].shape != (spec.units, kh, kw):
-                raise IntegrityError(f"depthwise layer {i} kernel shape mismatch")
-        elif spec.kind == POINTWISE:
-            if params["kernel"].shape != (spec.units, 1, 1, in_dim[2]):
-                raise IntegrityError(f"pointwise layer {i} kernel shape mismatch")
+                    f"{spec.kind} layer {i} {nm} shape {got} != {shape}")
 
 
 def layer_output_dims(g: ModelGraph, widths=None) -> list:
@@ -340,21 +331,8 @@ def layer_output_dims(g: ModelGraph, widths=None) -> list:
     act = resolve_widths(g, widths)
     dims = []
     cur = _input_dims(g)
-    for i, spec in enumerate(g.layers):
-        u = act[i]
-        if spec.kind == DENSE:
-            cur = (int(u),)
-        elif spec.kind in (CONV2D, DEPTHWISE, POINTWISE):
-            h, w, _ = cur
-            sh, sw = spec.stride
-            # 'same' padding: output spatial size ceil(in / stride)
-            cur = (-(-h // sh), -(-w // sw), int(u))
-        elif spec.kind == BATCHNORM:
-            pass
-        elif spec.kind == FLATTEN:
-            cur = (int(np.prod(cur)),)
-        else:
-            raise ConfigError(f"unknown layer kind {spec.kind}")
+    for spec, u in zip(g.layers, act):
+        cur = _kind(spec).out_dims(spec, cur, int(u))
         dims.append(cur)
     return dims
 
@@ -364,10 +342,10 @@ def resolve_widths(g: ModelGraph, slicing=None) -> np.ndarray:
 
     Depthwise and batchnorm layers inherit the width of the compute layer
     they are bound to; non-sliceable compute layers keep full width.
+    ConfigError for a layer of unknown kind.
     """
-    act = np.array(
-        [l.units if l.kind != FLATTEN else 0 for l in g.layers], dtype=np.int64
-    )
+    act = np.array([l.units if _kind(l).params else 0 for l in g.layers],
+                   dtype=np.int64)
     if slicing is not None:
         sl = [int(v) for v in slicing]
         idx = g.sliceable_indices()
@@ -383,7 +361,7 @@ def resolve_widths(g: ModelGraph, slicing=None) -> np.ndarray:
                 )
             act[i] = wdt
     for i, spec in enumerate(g.layers):
-        if spec.kind in (DEPTHWISE, BATCHNORM):
+        if _kind(spec).bound:
             prev = g.prev_compute_layer(i)
             if prev is not None:
                 act[i] = act[prev]
@@ -394,46 +372,40 @@ def resolve_widths(g: ModelGraph, slicing=None) -> np.ndarray:
 
 
 def unit_macs(g: ModelGraph) -> list:
-    """Per-unit MAC cost of every compute-layer unit at full model widths.
-
-    Dense neuron: fan-in. Conv filter: kh*kw*cin*hout*wout. Depthwise
-    filter: kh*kw*hout*wout. Pointwise filter: cin*hout*wout. Batchnorm
-    contributes zero and produces no entries.
+    """Per-unit MAC cost of every compute-layer unit at full model widths
+    (``_per_unit_macs``). Batchnorm contributes zero and produces no
+    entries.
     """
     dims = layer_output_dims(g)
     out = []
-    for i, spec in enumerate(g.layers):
-        if spec.kind not in COMPUTE_KINDS:
-            continue
+    for i in g.compute_indices():
         per = _per_unit_macs(g, i, _in_dims_at(g, i, dims), dims[i])
-        out.extend(UnitCost(i, u, per) for u in range(spec.units))
+        out.extend(UnitCost(i, u, per) for u in range(g.layers[i].units))
     return out
 
 
 def _per_unit_macs(g, i, in_dim, out_dim):
+    """MACs of one unit of layer i on the given dims: its kernel elements
+    times its output positions, 0 without a kernel.
+
+    Dense neuron: fan-in. Conv filter: kh*kw*cin*hout*wout. Depthwise
+    filter: kh*kw*hout*wout. Pointwise filter: cin*hout*wout. Every MAC
+    count (item weights, riders, the depthwise instance, row programs)
+    derives from this one function.
+    """
     spec = g.layers[i]
-    if spec.kind == DENSE:
-        return int(np.prod(in_dim))
-    kh, kw = spec.kernel if spec.kernel else (1, 1)
-    ho, wo, _ = out_dim
-    if spec.kind == CONV2D:
-        return kh * kw * in_dim[2] * ho * wo
-    if spec.kind == DEPTHWISE:
-        return kh * kw * ho * wo
-    return in_dim[2] * ho * wo  # pointwise
+    kernel = _kind(spec).kernel
+    if kernel is None:
+        return 0
+    return math.prod(kernel(spec, in_dim, 1)) * math.prod(out_dim[:-1])
 
 
 def plan_macs(g: ModelGraph, slicing=None) -> int:
     """Exact per-sample MAC count at the given active widths."""
     act = resolve_widths(g, slicing)
     dims = layer_output_dims(g, slicing)
-    total = 0
-    for i, spec in enumerate(g.layers):
-        if spec.kind not in COMPUTE_KINDS:
-            continue
-        per = _per_unit_macs(g, i, _in_dims_at(g, i, dims), dims[i])
-        total += per * int(act[i])
-    return total
+    return sum(_per_unit_macs(g, i, _in_dims_at(g, i, dims), dims[i]) * int(u)
+               for i, u in enumerate(act))
 
 
 def full_macs(g: ModelGraph) -> int:
@@ -449,23 +421,12 @@ def param_counts(g: ModelGraph, slicing=None, encoder_only=False) -> int:
     act = resolve_widths(g, slicing)
     dims = layer_output_dims(g, slicing)
     total = 0
-    for i, spec in enumerate(g.layers):
+    for i, u in enumerate(act):
         if encoder_only and i > g.encoder_end:
-            continue
-        u = int(act[i])
-        in_dim = _in_dims_at(g, i, dims)
-        if spec.kind == DENSE:
-            total += int(np.prod(in_dim)) * u + u
-        elif spec.kind == CONV2D:
-            kh, kw = spec.kernel
-            total += u * kh * kw * in_dim[2] + u
-        elif spec.kind == DEPTHWISE:
-            kh, kw = spec.kernel
-            total += u * kh * kw + u
-        elif spec.kind == POINTWISE:
-            total += u * in_dim[2] + u
-        elif spec.kind == BATCHNORM:
-            total += 2 * u
+            break
+        per_unit = _param_shapes(g, i, _in_dims_at(g, i, dims), 1)
+        total += int(u) * sum(math.prod(s) for nm, s in per_unit.items()
+                              if nm not in ("mean", "var"))
     return total
 
 
@@ -647,6 +608,194 @@ def _run_flatten(cur):
     return cur.reshape(len(cur), -1)
 
 
+# -- layer kinds ---------------------------------------------------------------
+#
+# One record per kind says what a layer of that kind means. A step builder
+# gives how layer i runs at active width ``u`` on active input dims ``cur``
+# (``pre_flat``: the active dims entering the last flatten): its kernel, the
+# function from the layer's arrays to the views the kernel reads, and its
+# static arguments.
+
+
+def _dense_step(g, i, u, cur, pre_flat, full_dims):
+    units = g.layers[i].units
+    transposed = i in g.transposed_dense
+
+    def logical(a):  # the (fan_in, units) kernel, whatever its storage
+        return a["kernel"].T if transposed else a["kernel"]
+
+    if i > 0 and g.layers[i - 1].kind == FLATTEN and len(pre_flat) == 3:
+        # kernel rows grouped per channel: slice channels in 3-D
+        h, w, c = pre_flat
+        cfull = _in_dims_at(g, i - 1, full_dims)[2]
+
+        def views(a):
+            return (logical(a).reshape(h * w, cfull, units)[:, :c, :u],
+                    a["bias"][:u])
+        return _run_dense_spatial, views, ()
+    n_in = cur[0]
+
+    def views(a):
+        return logical(a)[:n_in, :u], a["bias"][:u]
+    return _run_dense, views, ()
+
+
+def _conv_step(g, i, u, cur, pre_flat, full_dims):
+    spec = g.layers[i]
+    kh, kw = spec.kernel
+    cin = cur[2]
+
+    def views(a):
+        kv = a["kernel"][:u, :, :, :cin]
+        k = (kv.reshape(u, kh * kw).T if cin == 1
+             else kv.reshape(u, kh * kw, cin).transpose(1, 2, 0))
+        return k, a["bias"][:u]
+    return _run_conv, views, (kh, kw) + tuple(spec.stride)
+
+
+def _depthwise_step(g, i, u, cur, pre_flat, full_dims):
+    spec = g.layers[i]
+    cin = cur[2]
+
+    def views(a):
+        return a["kernel"][:cin], a["bias"][:cin]
+    return _run_depthwise, views, tuple(spec.kernel) + tuple(spec.stride)
+
+
+def _pointwise_step(g, i, u, cur, pre_flat, full_dims):
+    cin = cur[2]
+
+    def views(a):
+        return a["kernel"][:u, 0, 0, :cin].T, a["bias"][:u]
+    return _run_pointwise, views, ()
+
+
+def _batchnorm_step(g, i, u, cur, pre_flat, full_dims):
+    cw = cur[-1]
+
+    def views(a):
+        return tuple(a[nm][:cw] for nm in ("mean", "var", "gamma", "beta"))
+    return _run_batchnorm, views, ()
+
+
+def _flatten_step(g, i, u, cur, pre_flat, full_dims):
+    return _run_flatten, lambda a: (), ()
+
+
+def _window_dims(spec, d, u):
+    return _out_hw(d[0], d[1], *spec.kernel, *spec.stride) + (u,)
+
+
+class _Kind(NamedTuple):
+    params: tuple  # names in blob order; all but a kernel are (units,)
+    kernel: Callable | None  # (spec, input dims, units) -> stored kernel shape
+    unit_axis: int | None  # the stored kernel's unit axis
+    in_axis: int | None  # its input-channel axis
+    bound: bool  # a unit is an input channel: the width is the producer's
+    out_dims: Callable  # (spec, input dims, units) -> output dims
+    step: Callable  # the step builder
+
+
+_KB = ("kernel", "bias")
+_KINDS = {
+    DENSE: _Kind(_KB, lambda s, d, u: (math.prod(d), u), 1, 0, False,
+                 lambda s, d, u: (u,), _dense_step),
+    CONV2D: _Kind(_KB, lambda s, d, u: (u, *s.kernel, d[2]), 0, 3, False,
+                  _window_dims, _conv_step),
+    DEPTHWISE: _Kind(_KB, lambda s, d, u: (u, *s.kernel), 0, None, True,
+                     _window_dims, _depthwise_step),
+    POINTWISE: _Kind(_KB, lambda s, d, u: (u, 1, 1, d[2]), 0, 3, False,
+                     lambda s, d, u: (d[0], d[1], u), _pointwise_step),
+    BATCHNORM: _Kind(("gamma", "beta", "mean", "var"), None, None, None, True,
+                     lambda s, d, u: d, _batchnorm_step),
+    FLATTEN: _Kind((), None, None, None, False,
+                   lambda s, d, u: (math.prod(d),), _flatten_step),
+}
+COMPUTE_KINDS = tuple(k for k, kind in _KINDS.items()
+                      if kind.kernel is not None)
+
+
+def _kind(spec) -> _Kind:
+    """The record of a layer's kind; ConfigError for an unknown kind."""
+    try:
+        return _KINDS[spec.kind]
+    except KeyError:
+        raise ConfigError(f"unknown layer kind {spec.kind}") from None
+
+
+def _param_shapes(g, i, in_dims, units) -> dict:
+    """Shape of each of layer i's parameters, in blob order, at ``units``
+    units on input dims ``in_dims``; a transposed dense kernel is stored
+    (units, fan_in)."""
+    spec = g.layers[i]
+    kind = _kind(spec)
+    shapes = {nm: (units,) for nm in kind.params}
+    if kind.kernel is not None:
+        shape = kind.kernel(spec, in_dims, units)
+        shapes["kernel"] = shape[::-1] if i in g.transposed_dense else shape
+    return shapes
+
+
+def _kernel_axes(g, i):
+    """(unit axis, input-channel axis) of layer i's stored kernel."""
+    kind = _kind(g.layers[i])
+    if i in g.transposed_dense:
+        return kind.in_axis, kind.unit_axis
+    return kind.unit_axis, kind.in_axis
+
+
+def _unit_axes(g, i):
+    """(parameter, axis) for each parameter of layer i: the axis that runs
+    over its units."""
+    axis = _kernel_axes(g, i)[0]
+    return [(nm, axis if nm == "kernel" else 0)
+            for nm in _kind(g.layers[i]).params]
+
+
+def _followers(g, l):
+    """The layers bound to the units of layer l (its batchnorm, a depthwise
+    layer and that one's batchnorm), then the next layer that reads them
+    along its kernel's input-channel axis (None at the end)."""
+    bound = []
+    for j in range(l + 1, len(g.layers)):
+        kind = _kind(g.layers[j])
+        if kind.bound:
+            bound.append(j)
+        elif kind.in_axis is not None:
+            return bound, j
+    return bound, None
+
+
+def _unit_gathers(g, keep) -> list:
+    """The gathers that keep the units ``keep[l]`` of each layer l, in that
+    order, as (layer, parameter, axis, index, channels) entries.
+
+    They run along the unit axis of every parameter of l and of the
+    layers bound to it, and along the input-channel axis of the kernel
+    that reads l. Entries touch independent axes, so their order does not
+    matter. Used to permute units and to truncate a model.
+    """
+    ops = []
+    for l in sorted(keep):
+        p = np.asarray(keep[l], dtype=np.int64)
+        n = g.layers[l].units
+        bound, reader = _followers(g, l)
+        for j in [l] + bound:
+            ops.extend((j, nm, axis, p, n) for nm, axis in _unit_axes(g, j))
+        if reader is not None:
+            ops.append((reader, "kernel", _kernel_axes(g, reader)[1], p, n))
+    return ops
+
+
+def _gather(arr, axis, p, n):
+    """``arr`` keeping entries ``p`` of ``axis``, which holds n channels per
+    position, position-major (more than one position only for a dense
+    kernel after a flatten of a spatial map)."""
+    head, tail = arr.shape[:axis], arr.shape[axis + 1:]
+    split = arr.reshape(head + (-1, n) + tail)
+    return np.take(split, p, axis=axis + 1).reshape(head + (-1,) + tail)
+
+
 def _layer_step(g: ModelGraph, i: int, u: int, cur, pre_flat, full_dims):
     """How layer i runs at active width ``u`` on active input dims ``cur``.
 
@@ -654,56 +803,10 @@ def _layer_step(g: ModelGraph, i: int, u: int, cur, pre_flat, full_dims):
     (run, views, static arguments, per-sample MACs, output dims).
     """
     spec = g.layers[i]
-    if spec.kind == DENSE:
-        units = spec.units
-        transposed = i in g.transposed_dense
-
-        def logical(a):  # the (fan_in, units) kernel, whatever its storage
-            return a["kernel"].T if transposed else a["kernel"]
-
-        if i > 0 and g.layers[i - 1].kind == FLATTEN and len(pre_flat) == 3:
-            # kernel rows grouped per channel: slice channels in 3-D
-            h, w, c = pre_flat
-            cfull = _in_dims_at(g, i - 1, full_dims)[2]
-
-            def views(a):
-                return (logical(a).reshape(h * w, cfull, units)[:, :c, :u],
-                        a["bias"][:u])
-            return _run_dense_spatial, views, (), h * w * c * u, (u,)
-        n_in = cur[0]
-
-        def views(a):
-            return logical(a)[:n_in, :u], a["bias"][:u]
-        return _run_dense, views, (), n_in * u, (u,)
-    if spec.kind == BATCHNORM:
-        cw = cur[-1]
-
-        def views(a):
-            return tuple(a[nm][:cw] for nm in ("mean", "var", "gamma", "beta"))
-        return _run_batchnorm, views, (), 0, cur
-    if spec.kind == FLATTEN:
-        return _run_flatten, lambda a: (), (), 0, (int(np.prod(cur)),)
-    h, w, cin = cur
-    if spec.kind == POINTWISE:
-        def views(a):
-            return a["kernel"][:u, 0, 0, :cin].T, a["bias"][:u]
-        return _run_pointwise, views, (), h * w * cin * u, (h, w, u)
-    kh, kw = spec.kernel
-    sh, sw = spec.stride
-    ho, wo = _out_hw(h, w, kh, kw, sh, sw)
-    if spec.kind == DEPTHWISE:
-        def views(a):
-            return a["kernel"][:cin], a["bias"][:cin]
-        return (_run_depthwise, views, (kh, kw, sh, sw),
-                ho * wo * kh * kw * cin, (ho, wo, cin))
-
-    def views(a):  # conv2d
-        kv = a["kernel"][:u, :, :, :cin]
-        k = (kv.reshape(u, kh * kw).T if cin == 1
-             else kv.reshape(u, kh * kw, cin).transpose(1, 2, 0))
-        return k, a["bias"][:u]
-    return (_run_conv, views, (kh, kw, sh, sw), ho * wo * kh * kw * cin * u,
-            (ho, wo, u))
+    kind = _kind(spec)
+    run, views, static = kind.step(g, i, u, cur, pre_flat, full_dims)
+    out = kind.out_dims(spec, cur, u)
+    return run, views, static, _per_unit_macs(g, i, cur, out) * u, out
 
 
 def _build_program(g: ModelGraph, slicing=None, bn_stats=None,
@@ -831,51 +934,24 @@ def forward(g: ModelGraph, x, slicing=None, bn_stats=None, count_macs=False):
 def truncate(g: ModelGraph, slicing) -> ModelGraph:
     """Physically truncated copy of the model at the given widths.
 
-    Test oracle: sliced forward must equal the forward of this copy.
-    Dense kernels are copies of the row program's views.
+    Test oracle: sliced forward must equal the forward of this copy. Each
+    sliceable layer keeps its leading units by the gathers that permute
+    units (``_unit_gathers``).
     """
     act = resolve_widths(g, slicing)
-    act_dims = layer_output_dims(g, slicing)
-    steps = _build_program(g, slicing).steps
+    keep = {l: np.arange(act[l]) for l in g.sliceable_indices()}
     out = g.copy()
-    for i, spec in enumerate(out.layers):
-        u = int(act[i])
-        params = out.weights[i]
-        in_act = _in_dims_at(g, i, act_dims)
-        if spec.kind == DENSE:
-            k, b = steps[i].args
-            params["kernel"] = Tensor.from_array(k.reshape(-1, u))
-            params["bias"] = Tensor.from_array(b)
-            out.transposed_dense.discard(i)
-        elif spec.kind == CONV2D:
-            params["kernel"] = Tensor.from_array(
-                g.weights[i]["kernel"].array[:u, :, :, :in_act[2]])
-            params["bias"] = Tensor.from_array(g.weights[i]["bias"].array[:u])
-        elif spec.kind == DEPTHWISE:
-            params["kernel"] = Tensor.from_array(g.weights[i]["kernel"].array[:u])
-            params["bias"] = Tensor.from_array(g.weights[i]["bias"].array[:u])
-        elif spec.kind == POINTWISE:
-            params["kernel"] = Tensor.from_array(
-                g.weights[i]["kernel"].array[:u, :, :, :in_act[2]])
-            params["bias"] = Tensor.from_array(g.weights[i]["bias"].array[:u])
-        elif spec.kind == BATCHNORM:
-            for nm in ("gamma", "beta", "mean", "var"):
-                params[nm] = Tensor.from_array(g.weights[i][nm].array[:u])
-        if spec.kind in COMPUTE_KINDS + (BATCHNORM,):
-            spec.units = u
+    for l, nm, axis, p, n in _unit_gathers(g, keep):
+        out.weights[l][nm] = Tensor.from_array(
+            _gather(out.weights[l][nm].array, axis, p, n))
+    for spec, u in zip(out.layers, act):
+        if _kind(spec).params:
+            spec.units = int(u)
     validate_graph(out)
     return out
 
 
 # -- manifest ----------------------------------------------------------------
-
-_PARAM_ORDER = {
-    DENSE: ("kernel", "bias"),
-    CONV2D: ("kernel", "bias"),
-    DEPTHWISE: ("kernel", "bias"),
-    POINTWISE: ("kernel", "bias"),
-    BATCHNORM: ("gamma", "beta", "mean", "var"),
-}
 
 
 def save_manifest(g: ModelGraph, out_dir, name="model") -> str:
@@ -887,7 +963,7 @@ def save_manifest(g: ModelGraph, out_dir, name="model") -> str:
         if g.weights[i] is not None:
             rel = f"{name}_layer{i:02d}.bin"
             with open(os.path.join(out_dir, rel), "wb") as fh:
-                for nm in _PARAM_ORDER[spec.kind]:
+                for nm in _kind(spec).params:
                     write_blob(g.weights[i][nm], fh)
             entry["weights_file"] = rel
         else:
@@ -931,7 +1007,7 @@ def load_manifest(path) -> ModelGraph:
     weights = []
     for entry in entries:
         spec = LayerSpec.from_json(entry)
-        if spec.kind not in _PARAM_ORDER and spec.kind != FLATTEN:
+        if spec.kind not in _KINDS:
             raise IntegrityError(
                 f"layer {len(layers)} has unknown kind {spec.kind!r}")
         layers.append(spec)
@@ -945,7 +1021,7 @@ def load_manifest(path) -> ModelGraph:
                 f"not a file name")
         with open(os.path.join(base, rel), "rb") as fh:
             blobs = read_blobs(fh)
-        names = _PARAM_ORDER[spec.kind]
+        names = _kind(spec).params
         if len(blobs) != len(names):
             raise IntegrityError(
                 f"weight file {rel} holds {len(blobs)} tensors, "

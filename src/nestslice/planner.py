@@ -394,31 +394,27 @@ class SlicingPlan:
             return cls.from_json(json.load(fh))
 
 
+def _classifier_share(g: ng.ModelGraph, per_unit: dict) -> int:
+    """MACs the classifier spends per unit of the layer feeding it: its
+    per-unit cost times its units, over its input channels."""
+    cls = g.classifier_index()
+    feeder = g.layers[g.prev_compute_layer(cls)]
+    return per_unit[cls] * g.layers[cls].units // feeder.units
+
+
 def rider_costs(g: ng.ModelGraph) -> dict:
     """Extra MACs a unit of each sliceable layer drags along implicitly.
 
-    A unit in a layer feeding a depthwise layer forces one depthwise
-    filter; a unit in the last encoder layer feeds columns of the
-    classifier. Folding these into item weights makes the knapsack budget
-    bound the full-model MAC count.
+    A unit forces one unit of every layer bound to its channels (a
+    following depthwise filter); a unit in the last encoder layer feeds
+    columns of the classifier. Folding these into item weights makes the
+    knapsack budget bound the full-model MAC count.
     """
     per_unit = {c.layer: c.macs for c in ng.unit_macs(g)}  # equal within layer
-    riders = {}
-    cls_idx = g.classifier_index()
-    for i in g.sliceable_indices():
-        extra = 0
-        nxt = g.next_compute_layer(i)
-        if nxt is not None and g.layers[nxt].kind == ng.DEPTHWISE:
-            extra += per_unit[nxt]
-        riders[i] = extra
+    riders = {i: sum(per_unit.get(j, 0) for j in ng._followers(g, i)[0])
+              for i in g.sliceable_indices()}
     last_enc = [i for i in g.sliceable_indices() if i <= g.encoder_end][-1]
-    cls_spec = g.layers[cls_idx]
-    feed, info = ng.dense_feed_structure(g, cls_idx)
-    if feed == "spatial":
-        h, w, _ = info
-        riders[last_enc] += cls_spec.units * h * w
-    else:
-        riders[last_enc] += cls_spec.units
+    riders[last_enc] += _classifier_share(g, per_unit)
     return riders
 
 
@@ -524,12 +520,9 @@ def plan_baseline(g: ng.ModelGraph, strategy, capacities, seed=0):
         spec = g.layers[li]
         karr = g.weights[li]["kernel"].array.astype(np.float64)
         if strategy == "l1":
-            if spec.kind == ng.DENSE:
-                axis = tuple(a for a in range(karr.ndim)
-                             if a != (0 if li in g.transposed_dense else 1))
-                vals = np.abs(karr).sum(axis=axis)
-            else:
-                vals = np.abs(karr).sum(axis=tuple(range(1, karr.ndim)))
+            unit_axis = ng._kernel_axes(g, li)[0]
+            vals = np.abs(karr).sum(
+                axis=tuple(a for a in range(karr.ndim) if a != unit_axis))
         elif strategy == "random":
             vals = rng.random(spec.units)
         else:
@@ -819,10 +812,7 @@ def build_dw_instance(g: ng.ModelGraph, scores, grad_store) -> DwInstance:
     blocks = []
     cur = conv_idx
     cls_idx = g.classifier_index()
-    cls_spec = g.layers[cls_idx]
-    feed, info = ng.dense_feed_structure(g, cls_idx)
-    cls_per_unit = (cls_spec.units * info[0] * info[1]
-                    if feed == "spatial" else cls_spec.units)
+    cls_per_unit = _classifier_share(g, per_unit)
     while True:
         dw = g.next_compute_layer(cur)
         if dw is None or g.layers[dw].kind != ng.DEPTHWISE:

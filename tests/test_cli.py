@@ -12,6 +12,7 @@ from nestslice import bounds
 from nestslice.cli import _make_parser, build_dataset, load_config, main
 from nestslice.finetune import evaluate_rows
 from nestslice.nest import load_bundle
+from nestslice.tensor import Tensor, read_blobs, write_blob
 
 README = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "README.md")
@@ -414,6 +415,20 @@ def _bad_blob_order(bundle):
         fh.write(struct.pack("<I", 32768))
 
 
+def _shorten_blob(layer, index):
+    """Rewrite layer ``layer``'s weight file with its ``index``-th tensor
+    cut to one element."""
+    def corrupt(bundle):
+        path = os.path.join(bundle, f"model_layer{layer:02d}.bin")
+        with open(path, "rb") as fh:
+            blobs = read_blobs(fh)
+        blobs[index] = Tensor.from_array(blobs[index].array[:1])
+        with open(path, "wb") as fh:
+            for t in blobs:
+                write_blob(t, fh)
+    return corrupt
+
+
 @pytest.mark.parametrize("command", ["eval", "switch-sim"])
 @pytest.mark.parametrize("corrupt, code", [(_truncate_bn_stats, 7),
                                            (_extra_row, 6),
@@ -441,7 +456,11 @@ def _bad_blob_order(bundle):
                                                            layer=0), 6),
                                            (_edit_manifest("layers"), 6),
                                            (_edit_manifest("input_shape"), 6),
-                                           (_edit_manifest("encoder_end"), 6)],
+                                           (_edit_manifest("encoder_end"), 6),
+                                           # conv layer 0: kernel, bias;
+                                           # batchnorm layer 1: gamma first
+                                           (_shorten_blob(0, 1), 6),
+                                           (_shorten_blob(1, 0), 6)],
                          ids=["truncated_bn_stats", "n_rows_mismatch",
                               "missing_bn_stats", "bad_bundle_json",
                               "missing_layout_key", "bundle_json_not_object",
@@ -453,7 +472,8 @@ def _bad_blob_order(bundle):
                               "weights_file_not_string",
                               "manifest_without_layers",
                               "manifest_without_input_shape",
-                              "manifest_without_encoder_end"])
+                              "manifest_without_encoder_end",
+                              "bias_wrong_length", "gamma_wrong_length"])
 def test_corrupt_bundle_exit_code(conv_pipeline, tmp_path, capsys, command,
                                   corrupt, code):
     _, cfg, out = conv_pipeline

@@ -288,7 +288,8 @@ def test_manifest_round_trip(tmp_path, rng):
     x = rng.standard_normal((2, 8, 8, 1))
     np.testing.assert_array_equal(forward(g, x), forward(back, x))
     import json
-    doc = json.loads(open(path).read())
+    with open(path) as fh:
+        doc = json.load(fh)
     for entry in doc["layers"]:
         assert set(entry) >= {"kind", "units", "kernel", "stride",
                               "activation", "sliceable", "weights_file"}

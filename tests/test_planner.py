@@ -366,6 +366,34 @@ def test_rider_costs_cover_classifier_and_depthwise():
     items_total = sum(per_unit[i] * g.layers[i].units + riders[i]
                       * g.layers[i].units for i in sl)
     assert items_total == full_macs(g)
+    g2, scores2, _ = planned_graph("dscnn", (8, 8, 1), seed=1)
+    assert pl.PlanItems.build(g2, scores2).weights.sum() == full_macs(g2)
+
+
+@pytest.mark.parametrize("kind", ng.COMPUTE_KINDS)
+def test_cost_lives_in_one_place(kind, monkeypatch):
+    # tripling one kind's per-unit cost in its one function must reach
+    # every MAC count: row programs, plan_macs, item weights with their
+    # riders, and both planner formulations
+    per_unit = ng._per_unit_macs
+
+    def scaled(g, i, in_dim, out_dim):
+        macs = per_unit(g, i, in_dim, out_dim)
+        return 3 * macs if g.layers[i].kind == kind else macs
+
+    monkeypatch.setattr(ng, "_per_unit_macs", scaled)
+    for arch in ("dscnn", "cnn"):
+        g2, scores2, store2 = planned_graph(arch, (8, 8, 1), seed=3)
+        items = pl.PlanItems.build(g2, scores2)
+        assert items.weights.sum() == full_macs(g2)
+        caps = quarter_caps(g2)
+        plan = (plan_depthwise(g2, scores2, store2, caps) if arch == "dscnn"
+                else plan_bottom_up(g2, scores2, caps))
+        plan.validate(g2)
+        for k in range(plan.n_rows):
+            widths = plan.row_widths(k)
+            assert (ng._build_program(g2, widths).macs
+                    == ng.plan_macs(g2, widths))
 
 
 # -- baselines -----------------------------------------------------------------
