@@ -27,7 +27,7 @@ net = build_reference("dnn", "S", 16, classes=10, seed=SEED)
 # ------------------------------------------------------------- pretrain
 cfg = TrainConfig(batch_size=100, epochs=4,
                   learning_rate_schedule=[(0, 3e-3)])
-log = train_single(net, data, cfg, optimizer="adam", seed=SEED)
+log = train_single(net, data, cfg, seed=SEED)
 print("pretrained validation accuracy:", round(log[-1]["val_accuracy"], 3))
 
 # ------------------------------------------------- score and permute
@@ -55,7 +55,7 @@ pi = compute_pi(model)
 print("\nloss weights pi per row:", np.round(pi, 4))
 tune = TrainConfig(batch_size=100, epochs=8,
                    learning_rate_schedule=[(0, 2e-3)])
-finetune_joint(model, data, tune, optimizer="sgd", seed=SEED)
+finetune_joint(model, data, tune, seed=SEED)
 
 test_x, test_y = data.split("test")
 accs = evaluate_rows(model, test_x, test_y)

@@ -85,10 +85,11 @@ class GradStore:
         for i, params in enumerate(g.weights):
             if params is None:
                 continue
+            stats = ng._kind(g.layers[i]).stats  # not learnable
             for name, t in params.items():
-                if name in ("mean", "var"):
-                    continue  # not learnable
-                self.grads[(i, name)] = np.zeros(t.shape, dtype=np.float64)
+                if name not in stats:
+                    self.grads[(i, name)] = np.zeros(t.shape,
+                                                     dtype=np.float64)
         self.minibatch_count = 0
 
     def add(self, delta: dict) -> None:
@@ -192,8 +193,9 @@ def _backward_half(x, labels, g, prog, loss, n, dtype):
         for view, dv in zip(step.views(bufs), dviews):
             if dv is not None:
                 view[...] = dv
+        stats = ng._kind(g.layers[i]).stats
         for name, buf in bufs.items():
-            if name not in ("mean", "var"):  # running statistics: constants
+            if name not in stats:
                 grads[(i, name)] = buf
     return value, grads
 

@@ -186,7 +186,7 @@ def _stage_train(cfg, state, out_dir):
                            input_shape=_dataset_input_shape(cfg, ds),
                            classes=ds.n_classes, seed=cfg["seed"])
     tc = TrainConfig.from_json(cfg["pretrain"])
-    log = train_single(g, ds, tc, optimizer="adam", seed=cfg["seed"])
+    log = train_single(g, ds, tc, seed=cfg["seed"])
     ng.save_manifest(g, out_dir, name="model")
     with open(os.path.join(out_dir, "train_log.json"), "w") as fh:
         json.dump(log, fh, indent=2)
@@ -231,8 +231,7 @@ def _stage_finetune(cfg, state, out_dir):
     # would change the function the rows learned.
     model = NestedModel(state["graph"], state["plan"], layout=cfg["layout"])
     tc = TrainConfig.from_json(cfg["finetune"])
-    log = finetune_joint(model, state["ds"], tc, optimizer="sgd",
-                         seed=cfg["seed"])
+    log = finetune_joint(model, state["ds"], tc, seed=cfg["seed"])
     with open(os.path.join(out_dir, "finetune_log.csv"), "w",
               newline="") as fh:
         csv.writer(fh).writerows(log.to_csv_rows())

@@ -1,15 +1,18 @@
-"""Joint fine-tuning of all plan rows with a weight-shared loss.
+"""Joint fine-tuning of all plan rows with a weight-shared loss, and the
+pretraining before it, both in one training loop (``_train``).
 
 Every batch evaluates every subnetwork row; the total loss is the sum of
 per-row cross-entropies weighted by pi_n, the fraction of encoder
 weights the row keeps active (the 100% row has pi = 1, raw fractions are
 not re-normalized). Gradients flow through each row's slice into the one
 shared store and are reduced in a fixed row order so runs reproduce
-bit-for-bit under a seed.
+bit-for-bit under a seed. Fine-tuning steps plain SGD, which leaves the
+weights outside every row's slice untouched.
 
-Also provides plain single-model training (used to produce the
-"pre-trained" starting point), evaluation helpers, few-shot fine-tuning,
-and the paired bottom-up-versus-top-down recovery harness.
+Pretraining (``train_single``) runs the same loop on one full-width row
+(the graph's own batchnorm statistics, pi = 1) and steps Adam. Also
+provides evaluation helpers, few-shot fine-tuning, and the paired
+bottom-up-versus-top-down recovery harness.
 """
 
 from __future__ import annotations
@@ -85,42 +88,37 @@ def _restore(g: ng.ModelGraph, snap):
         g.weights[i][name].writable_array().reshape(-1)[...] = data
 
 
-def finetune_joint(model: NestedModel, dataset, cfg: TrainConfig,
-                   optimizer="sgd", seed=0, train_indices=None,
-                   pi_weights=None) -> FinetuneLog:
-    """Fine-tune all plan rows simultaneously.
+def _train(g: ng.ModelGraph, rows, pi, step_fn, dataset, cfg: TrainConfig,
+           seed, train_idx):
+    """The one training loop: seeded epochs over ``train_idx`` of
+    pi-weighted steps on ``rows``, a list of (slicing, bn_stats) pairs.
 
-    Per batch: total loss = sum_n pi_n * CE(row n forward); one optimizer
-    step on the pi-weighted gradient sum. Divergence (non-finite loss)
-    restores the last epoch's weights and raises NumericError.
+    Per batch, each row's ``backward`` runs in row order (a fixed
+    reduction order), and ``step_fn(g, grads, lr)`` applies the
+    pi-weighted gradient sum. A non-finite loss restores the weights of
+    the epoch's start and raises NumericError. Returns the per-batch
+    (step, total loss, row losses) entries and, per epoch, each row's
+    (mean loss, validation accuracy).
     """
-    g = model.graph
-    pi = compute_pi(model) if pi_weights is None else np.asarray(pi_weights)
-    rows = model.plan.n_rows
-    log = FinetuneLog()
-    adam = Adam(g) if optimizer == "adam" else None
     xs, ys = dataset.samples, dataset.labels
-    train_idx = (np.asarray(train_indices)
-                 if train_indices is not None else dataset.splits["train"])
     val_x, val_y = dataset.split("val")
     rng = np.random.default_rng(seed)
-    step = 0
+    batches, epochs = [], []
     bs = min(cfg.batch_size, len(train_idx))
     for epoch in range(cfg.epochs):
         snap = _snapshot(g)
         order = rng.permutation(train_idx)
-        row_losses_sum = np.zeros(rows)
-        n_batches = 0
+        first = len(batches)
         for s in range(0, len(order) - bs + 1, bs):
             sel = order[s:s + bs]
             batch = (xs[sel], ys[sel])
             total = None
             losses = []
-            for k in range(rows):  # fixed order: deterministic reduction
+            for k, (slicing, bn_stats) in enumerate(rows):
                 try:
-                    loss_k, grads_k = backward(
-                        g, batch, slicing=model.plan.row_widths(k),
-                        loss=cfg.loss, bn_stats=model.bn_stats[k])
+                    loss_k, grads_k = backward(g, batch, slicing=slicing,
+                                               loss=cfg.loss,
+                                               bn_stats=bn_stats)
                 except NumericError:
                     _restore(g, snap)
                     raise
@@ -131,31 +129,48 @@ def finetune_joint(model: NestedModel, dataset, cfg: TrainConfig,
                     for key, arr in grads_k.items():
                         total[key] += pi[k] * arr
             total_loss = float(np.dot(pi, losses))
+            step = len(batches)
             if not np.isfinite(total_loss):
                 _restore(g, snap)
                 raise NumericError(
-                    f"joint loss diverged at epoch {epoch} step {step}; "
+                    f"loss diverged at epoch {epoch} step {step}; "
                     "weights restored to last epoch"
                 )
-            lr = cfg.lr_at(step)
-            if adam is not None:
-                adam.step(g, total, lr)
-            else:
-                sgd_step(g, total, lr)
-            log.batches.append((step, total_loss, losses))
-            row_losses_sum += np.array(losses)
-            n_batches += 1
-            step += 1
-        for k in range(rows):
-            acc = evaluate(g, val_x, val_y,
-                           slicing=model.plan.row_widths(k),
-                           bn_stats=model.bn_stats[k])
+            step_fn(g, total, cfg.lr_at(step))
+            batches.append((step, total_loss, losses))
+        mean_loss = np.mean([b[2] for b in batches[first:]], axis=0)
+        epochs.append([
+            (float(loss), evaluate(g, val_x, val_y, slicing=slicing,
+                                   bn_stats=bn_stats))
+            for loss, (slicing, bn_stats) in zip(mean_loss, rows)])
+    return batches, epochs
+
+
+def finetune_joint(model: NestedModel, dataset, cfg: TrainConfig, seed=0,
+                   train_indices=None) -> FinetuneLog:
+    """Fine-tune all plan rows simultaneously.
+
+    Per batch: total loss = sum_n pi_n * CE(row n forward); one SGD step
+    on the pi-weighted gradient sum. Divergence (non-finite loss)
+    restores the last epoch's weights and raises NumericError.
+    """
+    plan = model.plan
+    pi = compute_pi(model)
+    train_idx = (np.asarray(train_indices)
+                 if train_indices is not None else dataset.splits["train"])
+    rows = [(plan.row_widths(k), model.bn_stats[k])
+            for k in range(plan.n_rows)]
+    batches, epochs = _train(model.graph, rows, pi, sgd_step, dataset, cfg,
+                             seed, train_idx)
+    log = FinetuneLog(batches=batches)
+    for epoch, results in enumerate(epochs):
+        for k, (loss, acc) in enumerate(results):
             log.epochs.append({
                 "epoch": epoch,
                 "row": k,
-                "capacity_macs": model.plan.capacities[k],
+                "capacity_macs": plan.capacities[k],
                 "pi": float(pi[k]),
-                "loss": float(row_losses_sum[k] / max(1, n_batches)),
+                "loss": loss,
                 "val_accuracy": acc,
             })
     return log
@@ -179,43 +194,23 @@ def fewshot_indices(dataset, samples_per_class, seed=0) -> np.ndarray:
 
 
 def finetune_fewshot(model: NestedModel, dataset, samples_per_class,
-                     cfg: TrainConfig, optimizer="sgd", seed=0) -> FinetuneLog:
+                     cfg: TrainConfig, seed=0) -> FinetuneLog:
     """Joint fine-tuning restricted to a seeded per-class subsample."""
     idx = fewshot_indices(dataset, samples_per_class, seed)
-    return finetune_joint(model, dataset, cfg, optimizer=optimizer,
-                          seed=seed, train_indices=idx)
+    return finetune_joint(model, dataset, cfg, seed=seed, train_indices=idx)
 
 
 def train_single(g: ng.ModelGraph, dataset, cfg: TrainConfig,
-                 optimizer="adam", seed=0) -> list:
-    """Plain full-width training; the pre-training stand-in."""
-    adam = Adam(g) if optimizer == "adam" else None
-    xs, ys = dataset.samples, dataset.labels
-    train_idx = dataset.splits["train"]
-    val_x, val_y = dataset.split("val")
-    rng = np.random.default_rng(seed)
-    log = []
-    step = 0
-    bs = min(cfg.batch_size, len(train_idx))
-    for epoch in range(cfg.epochs):
-        order = rng.permutation(train_idx)
-        losses = []
-        for s in range(0, len(order) - bs + 1, bs):
-            sel = order[s:s + bs]
-            loss, grads = backward(g, (xs[sel], ys[sel]), loss=cfg.loss)
-            lr = cfg.lr_at(step)
-            if adam is not None:
-                adam.step(g, grads, lr)
-            else:
-                sgd_step(g, grads, lr)
-            losses.append(loss)
-            step += 1
-        log.append({
-            "epoch": epoch,
-            "loss": float(np.mean(losses)) if losses else float("nan"),
-            "val_accuracy": evaluate(g, val_x, val_y),
-        })
-    return log
+                 seed=0) -> list:
+    """Pretraining: the training loop on one full-width row with Adam.
+
+    Returns one {"epoch", "loss", "val_accuracy"} entry per epoch.
+    Divergence restores the last epoch's weights and raises NumericError.
+    """
+    _, epochs = _train(g, [(None, None)], np.ones(1), Adam(g).step, dataset,
+                       cfg, seed, dataset.splits["train"])
+    return [{"epoch": epoch, "loss": loss, "val_accuracy": acc}
+            for epoch, [(loss, acc)] in enumerate(epochs)]
 
 
 def few_shot_bu_td_harness(graph, scores, grad_store, dataset, capacities,

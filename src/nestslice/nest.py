@@ -127,20 +127,6 @@ class NestedModel:
             bn_stats=self.bn_stats[k])
         return (logits, macs) if count_macs else logits
 
-    # -- audits -----------------------------------------------------------
-
-    def assert_shared_store(self) -> None:
-        """Every row reads through the same tensors; no private copies."""
-        ids = {
-            (i, name): id(t)
-            for i, params in enumerate(self.graph.weights) if params
-            for name, t in params.items()
-        }
-        for k in range(self.plan.n_rows):
-            for (i, name), tid in ids.items():
-                if id(self.graph.weights[i][name]) != tid:
-                    raise IntegrityError("weight store was replaced per row")
-
 
 def _bn_layers(g: ng.ModelGraph) -> list:
     return [i for i, l in enumerate(g.layers) if l.kind == ng.BATCHNORM]

@@ -156,12 +156,8 @@ class ModelGraph:
             if entry is None:
                 ws.append(None)
             else:
-                ws.append(
-                    {
-                        k: Tensor(t.shape, np.array(t.flat), t.order)
-                        for k, t in entry.items()
-                    }
-                )
+                ws.append({k: Tensor(t.shape, t.flat)
+                           for k, t in entry.items()})
         return ModelGraph(
             layers=[LayerSpec(**vars(l)) for l in self.layers],
             weights=ws,
@@ -174,34 +170,16 @@ class ModelGraph:
 # -- reference architectures -------------------------------------------------
 
 
-def _he_init(rng, shape, fan_in):
-    return (rng.standard_normal(shape) * np.sqrt(2.0 / max(1, fan_in))).astype(
-        np.float32
-    )
-
-
-def _dense_params(rng, fan_in, units):
-    return {
-        "kernel": Tensor.from_array(_he_init(rng, (fan_in, units), fan_in)),
-        "bias": Tensor.from_array(np.zeros(units, dtype=np.float32)),
-    }
-
-
-def _bn_params(units):
-    return {
-        "gamma": Tensor.from_array(np.ones(units, dtype=np.float32)),
-        "beta": Tensor.from_array(np.zeros(units, dtype=np.float32)),
-        "mean": Tensor.from_array(np.zeros(units, dtype=np.float32)),
-        "var": Tensor.from_array(np.ones(units, dtype=np.float32)),
-    }
-
-
 def build_reference(arch, size, input_shape=None, classes=10, seed=0):
     """Construct one of the reference models with seeded random weights.
 
     arch: 'dnn' | 'cnn' | 'dscnn'; size: 'S' | 'L'. ``input_shape`` is a
     flat length for dnn and (h, w, c) otherwise; defaults are 100 and
-    (10, 10, 1).
+    (10, 10, 1). Every parameter takes its shape from the layer's kind
+    (``_param_shapes``). Kernels are He-initialised in layer order from
+    one seeded generator, with the kernel elements of one unit as the
+    fan-in; biases, batchnorm shifts and means start at 0, batchnorm
+    scales and variances at 1.
     """
     arch = arch.lower()
     size = size.upper()
@@ -211,78 +189,56 @@ def build_reference(arch, size, input_shape=None, classes=10, seed=0):
         raise ConfigError(f"unsupported size {size!r}")
     if arch not in ("dnn", "cnn", "dscnn"):
         raise ConfigError(f"unsupported architecture {arch!r}")
-    rng = np.random.default_rng(seed)
-
-    layers = []
-    weights = []
-
-    def add(spec, params):
-        layers.append(spec)
-        weights.append(params)
-
+    hidden = {"activation": "relu", "sliceable": True}
     if arch == "dnn":
-        if input_shape is None:
-            input_shape = 100
-        if not np.isscalar(input_shape):
-            input_shape = int(np.prod(input_shape))
-        w = DNN_WIDTH[size]
-        add(LayerSpec(DENSE, w, activation="relu", sliceable=True),
-            _dense_params(rng, int(input_shape), w))
-        add(LayerSpec(DENSE, w, activation="relu", sliceable=True),
-            _dense_params(rng, w, w))
-        add(LayerSpec(DENSE, classes, activation="softmax", sliceable=False),
-            _dense_params(rng, w, classes))
-        g = ModelGraph(layers, weights, int(input_shape), encoder_end=1)
-    elif arch == "cnn":
-        if input_shape is None:
-            input_shape = (10, 10, 1)
-        h, w_, c = input_shape
-        w1, w2 = CNN_CONV_WIDTHS[size]
-        add(LayerSpec(CONV2D, w1, kernel=(3, 3), activation="relu", sliceable=True),
-            {"kernel": Tensor.from_array(_he_init(rng, (w1, 3, 3, c), 9 * c)),
-             "bias": Tensor.from_array(np.zeros(w1, dtype=np.float32))})
-        add(LayerSpec(BATCHNORM, w1), _bn_params(w1))
-        add(LayerSpec(CONV2D, w2, kernel=(3, 3), activation="relu", sliceable=True),
-            {"kernel": Tensor.from_array(_he_init(rng, (w2, 3, 3, w1), 9 * w1)),
-             "bias": Tensor.from_array(np.zeros(w2, dtype=np.float32))})
-        add(LayerSpec(BATCHNORM, w2), _bn_params(w2))
-        add(LayerSpec(FLATTEN), None)
-        d1, d2 = CNN_DENSE_WIDTHS[size]
-        flat = h * w_ * w2
-        add(LayerSpec(DENSE, d1, activation="relu", sliceable=True),
-            _dense_params(rng, flat, d1))
-        add(LayerSpec(DENSE, d2, activation="relu", sliceable=True),
-            _dense_params(rng, d1, d2))
-        add(LayerSpec(DENSE, classes, activation="softmax", sliceable=False),
-            _dense_params(rng, d2, classes))
-        g = ModelGraph(layers, weights, tuple(input_shape),
-                       encoder_end=len(layers) - 2)
-    else:  # dscnn
-        if input_shape is None:
-            input_shape = (10, 10, 1)
-        h, w_, c = input_shape
-        width = DSCNN_WIDTH[size]
-        blocks = DSCNN_BLOCKS[size]
-        add(LayerSpec(CONV2D, width, kernel=(3, 3), activation="relu", sliceable=True),
-            {"kernel": Tensor.from_array(_he_init(rng, (width, 3, 3, c), 9 * c)),
-             "bias": Tensor.from_array(np.zeros(width, dtype=np.float32))})
-        add(LayerSpec(BATCHNORM, width), _bn_params(width))
-        for _ in range(blocks):
-            add(LayerSpec(DEPTHWISE, width, kernel=(3, 3), activation="relu"),
-                {"kernel": Tensor.from_array(_he_init(rng, (width, 3, 3), 9)),
-                 "bias": Tensor.from_array(np.zeros(width, dtype=np.float32))})
-            add(LayerSpec(BATCHNORM, width), _bn_params(width))
-            add(LayerSpec(POINTWISE, width, kernel=(1, 1), activation="relu",
-                          sliceable=True),
-                {"kernel": Tensor.from_array(
-                    _he_init(rng, (width, 1, 1, width), width)),
-                 "bias": Tensor.from_array(np.zeros(width, dtype=np.float32))})
-            add(LayerSpec(BATCHNORM, width), _bn_params(width))
-        add(LayerSpec(FLATTEN), None)
-        add(LayerSpec(DENSE, classes, activation="softmax", sliceable=False),
-            _dense_params(rng, h * w_ * width, classes))
-        g = ModelGraph(layers, weights, tuple(input_shape),
-                       encoder_end=len(layers) - 3)
+        input_shape = int(np.prod(100 if input_shape is None else input_shape))
+        layers = [LayerSpec(DENSE, DNN_WIDTH[size], **hidden)
+                  for _ in range(2)]
+    else:
+        input_shape = tuple((10, 10, 1) if input_shape is None
+                            else input_shape)
+        if len(input_shape) != 3:
+            raise ConfigError(f"{arch} input_shape {input_shape} is not "
+                              f"(h, w, c)")
+        layers = []
+    if arch == "cnn":
+        for w in CNN_CONV_WIDTHS[size]:
+            layers += [LayerSpec(CONV2D, w, kernel=(3, 3), **hidden),
+                       LayerSpec(BATCHNORM, w)]
+        layers.append(LayerSpec(FLATTEN))
+        layers += [LayerSpec(DENSE, w, **hidden)
+                   for w in CNN_DENSE_WIDTHS[size]]
+    elif arch == "dscnn":
+        w = DSCNN_WIDTH[size]
+        layers += [LayerSpec(CONV2D, w, kernel=(3, 3), **hidden),
+                   LayerSpec(BATCHNORM, w)]
+        for _ in range(DSCNN_BLOCKS[size]):
+            layers += [LayerSpec(DEPTHWISE, w, kernel=(3, 3),
+                                 activation="relu"),
+                       LayerSpec(BATCHNORM, w),
+                       LayerSpec(POINTWISE, w, kernel=(1, 1), **hidden),
+                       LayerSpec(BATCHNORM, w)]
+        layers.append(LayerSpec(FLATTEN))
+    layers.append(LayerSpec(DENSE, classes, activation="softmax"))
+    # the encoder ends at the last layer before the classifier that is
+    # not a flatten
+    encoder_end = max(i for i, spec in enumerate(layers[:-1])
+                      if spec.kind != FLATTEN)
+    g = ModelGraph(layers, [None] * len(layers), input_shape, encoder_end)
+    rng = np.random.default_rng(seed)
+    dims = layer_output_dims(g)
+    for i, spec in enumerate(layers):
+        in_dims = _in_dims_at(g, i, dims)
+        params = {}
+        for nm, shape in _param_shapes(g, i, in_dims, spec.units).items():
+            if nm == "kernel":  # He: fan-in is one unit's kernel elements
+                fan_in = math.prod(_kind(spec).kernel(spec, in_dims, 1))
+                arr = rng.standard_normal(shape)
+                arr *= np.sqrt(2.0 / max(1, fan_in))
+            else:
+                arr = np.full(shape, 1.0 if nm in ("gamma", "var") else 0.0)
+            params[nm] = Tensor.from_array(arr)
+        g.weights[i] = params or None
     validate_graph(g)
     return g
 
@@ -294,6 +250,13 @@ def validate_graph(g: ModelGraph) -> None:
     for i, spec in enumerate(g.layers):
         if spec.kind == POINTWISE and spec.kernel != (1, 1):
             raise IntegrityError(f"pointwise layer {i} must have 1x1 kernel")
+        if _kind(spec).out_dims is _window_dims:  # reads kernel and stride
+            for name in ("kernel", "stride"):
+                v = getattr(spec, name)
+                if (not isinstance(v, tuple) or len(v) != 2
+                        or not all(isinstance(e, int) and e > 0 for e in v)):
+                    raise IntegrityError(f"{spec.kind} layer {i} {name} {v} "
+                                         f"is not two positive integers")
         if _kind(spec).bound:
             prev = g.prev_compute_layer(i)
             if prev is None or g.layers[prev].units != spec.units:
@@ -425,27 +388,10 @@ def param_counts(g: ModelGraph, slicing=None, encoder_only=False) -> int:
         if encoder_only and i > g.encoder_end:
             break
         per_unit = _param_shapes(g, i, _in_dims_at(g, i, dims), 1)
+        stats = _kind(g.layers[i]).stats
         total += int(u) * sum(math.prod(s) for nm, s in per_unit.items()
-                              if nm not in ("mean", "var"))
+                              if nm not in stats)
     return total
-
-
-# -- forward pass ------------------------------------------------------------
-
-
-def dense_feed_structure(g: ModelGraph, i: int):
-    """How dense layer i receives its input.
-
-    Returns ('spatial', (h, w, c_full)) when it follows a flatten of a
-    spatial map (its kernel rows are grouped per channel), else
-    ('flat', fan_in_full).
-    """
-    dims = layer_output_dims(g)
-    if i > 0 and g.layers[i - 1].kind == FLATTEN:
-        src = dims[i - 2] if i - 2 >= 0 else _input_dims(g)
-        if len(src) == 3:
-            return "spatial", src
-    return "flat", int(np.prod(_in_dims_at(g, i, dims)))
 
 
 # -- row programs: the one forward path, on views of the store ---------------
@@ -694,6 +640,7 @@ class _Kind(NamedTuple):
     bound: bool  # a unit is an input channel: the width is the producer's
     out_dims: Callable  # (spec, input dims, units) -> output dims
     step: Callable  # the step builder
+    stats: tuple = ()  # running statistics: constants, never learned
 
 
 _KB = ("kernel", "bias")
@@ -707,7 +654,7 @@ _KINDS = {
     POINTWISE: _Kind(_KB, lambda s, d, u: (u, 1, 1, d[2]), 0, 3, False,
                      lambda s, d, u: (d[0], d[1], u), _pointwise_step),
     BATCHNORM: _Kind(("gamma", "beta", "mean", "var"), None, None, None, True,
-                     lambda s, d, u: d, _batchnorm_step),
+                     lambda s, d, u: d, _batchnorm_step, ("mean", "var")),
     FLATTEN: _Kind((), None, None, None, False,
                    lambda s, d, u: (math.prod(d),), _flatten_step),
 }

@@ -1,10 +1,9 @@
-"""Dense float32 tensors with explicit storage order and no-copy views.
+"""Dense row-major float32 tensors with no-copy views.
 
 A :class:`Tensor` owns a single flat float32 buffer; ``array`` exposes it
-as an n-d view in the declared storage order without copying. All APIs
-that materialize element data bump a module-wide copy counter, which lets
-tests prove that slicing and subnetwork switching move zero weight
-elements.
+as a row-major n-d view without copying. All APIs that materialize
+element data bump a module-wide copy counter, which lets tests prove
+that slicing and subnetwork switching move zero weight elements.
 
 ``transpose`` materialises the transposed store of the cache-optimized
 layout, in which each neuron's weights are contiguous. Tensors
@@ -15,16 +14,10 @@ from __future__ import annotations
 
 import struct
 import threading
-from enum import IntEnum
 
 import numpy as np
 
 from .errors import IntegrityError, ShapeMismatchError
-
-
-class Order(IntEnum):
-    ROW_MAJOR = 0
-    COL_MAJOR = 1
 
 
 _copy_count = 0
@@ -43,11 +36,11 @@ def _count_copies(n: int) -> None:
 
 
 class Tensor:
-    """Flat float32 storage plus shape and order metadata."""
+    """Flat row-major float32 storage plus its shape."""
 
-    __slots__ = ("shape", "order", "_data")
+    __slots__ = ("shape", "_data")
 
-    def __init__(self, shape, data=None, order=Order.ROW_MAJOR):
+    def __init__(self, shape, data=None):
         shape = tuple(int(s) for s in shape)
         if any(s <= 0 for s in shape):
             raise ShapeMismatchError(f"non-positive extent in shape {shape}")
@@ -62,17 +55,15 @@ class Tensor:
                 )
             buf = np.array(buf, dtype=np.float32, copy=True)
         self.shape = shape
-        self.order = Order(order)
         self._data = buf
 
     # -- construction helpers -------------------------------------------
 
     @classmethod
-    def from_array(cls, arr, order=Order.ROW_MAJOR):
-        """Build from an n-d numpy array, flattening in the given order."""
+    def from_array(cls, arr):
+        """Build from an n-d numpy array, flattened row-major."""
         arr = np.asarray(arr, dtype=np.float32)
-        flat = arr.ravel(order="C" if order == Order.ROW_MAJOR else "F")
-        return cls(arr.shape, flat, order)
+        return cls(arr.shape, arr.ravel())
 
     # -- views ------------------------------------------------------------
 
@@ -85,19 +76,14 @@ class Tensor:
 
     @property
     def array(self) -> np.ndarray:
-        """Read-only n-d view in the declared storage order (no copy)."""
-        v = self._data.reshape(
-            self.shape, order="C" if self.order == Order.ROW_MAJOR else "F"
-        )
-        v = v.view()
+        """Read-only n-d view (no copy)."""
+        v = self._data.reshape(self.shape)
         v.flags.writeable = False
         return v
 
     def writable_array(self) -> np.ndarray:
         """Mutable n-d view; the caller takes exclusive write access."""
-        return self._data.reshape(
-            self.shape, order="C" if self.order == Order.ROW_MAJOR else "F"
-        )
+        return self._data.reshape(self.shape)
 
     @property
     def size(self) -> int:
@@ -110,10 +96,10 @@ class Tensor:
     def copy(self) -> "Tensor":
         """Deep copy; counted by the copy auditor."""
         _count_copies(self.size)
-        return Tensor(self.shape, self._data.copy(), self.order)
+        return Tensor(self.shape, self._data)
 
     def __repr__(self):
-        return f"Tensor(shape={self.shape}, order={self.order.name})"
+        return f"Tensor(shape={self.shape})"
 
 
 def transpose(t: Tensor) -> Tensor:
@@ -125,19 +111,20 @@ def transpose(t: Tensor) -> Tensor:
     t._require_2d()
     m, n = t.shape
     if m == 1 or n == 1:
-        return Tensor((n, m), t._data, t.order)
+        return Tensor((n, m), t._data)
     _count_copies(t.size)
-    return Tensor((n, m), np.ascontiguousarray(t.array.T).ravel(), Order.ROW_MAJOR)
+    return Tensor((n, m), np.ascontiguousarray(t.array.T).ravel())
 
 
 # -- binary blob format ----------------------------------------------------
 #
 # Little-endian throughout: header (ndim: u32, order: u32), then ndim u32
-# extents, then float32 data in the tensor's flat order.
+# extents, then float32 data in row-major order. The order word is always
+# 0 (row-major); a reader rejects any other value.
 
 
 def write_blob(t: Tensor, fh) -> None:
-    fh.write(struct.pack("<II", len(t.shape), int(t.order)))
+    fh.write(struct.pack("<II", len(t.shape), 0))
     fh.write(struct.pack(f"<{len(t.shape)}I", *t.shape))
     fh.write(t._data.astype("<f4").tobytes())
 
@@ -155,12 +142,10 @@ def read_blob(fh) -> Tensor:
     raw = fh.read(4 * size)
     if len(raw) < 4 * size:
         raise ShapeMismatchError("truncated tensor blob data")
-    data = np.frombuffer(raw, dtype="<f4").astype(np.float32)
-    try:
-        order = Order(order)
-    except ValueError:
-        raise IntegrityError(f"tensor blob has unknown order {order}") from None
-    return Tensor(shape, data, order)
+    if order != 0:
+        raise IntegrityError(
+            f"tensor blob has order {order}, not row-major (0)")
+    return Tensor(shape, np.frombuffer(raw, dtype="<f4"))
 
 
 def read_blobs(fh) -> list:

@@ -36,21 +36,22 @@ def _im2col(x, kh, kw, sh, sw):
     return cols, ho, wo
 
 
-def _dense_active_kernel(g, i, act_in, act_units):
+def _dense_active_kernel(g, i, act_in, act_units, spatial=None):
     """Active dense kernel as a float64 (fan_in_active, units_active) copy.
 
-    ``act_in`` is the active channel count when the layer follows a
-    flatten of a spatial map (kernel rows grouped per channel, so a
-    strided subset), else the active flat length.
+    ``spatial`` is the active (h, w, c) map when the layer follows a
+    flatten of one: the kernel rows are grouped per channel, so the
+    active rows are a strided subset. Otherwise ``act_in`` is the active
+    flat length.
     """
     karr = g.weights[i]["kernel"].array.astype(np.float64)
     if i in g.transposed_dense:
         karr = karr.T  # logical (fan_in, units)
-    feed, info = ng.dense_feed_structure(g, i)
-    if feed == "spatial":
-        h, w, cfull = info
-        k = karr.reshape(h * w, cfull, g.layers[i].units)[:, :act_in, :]
-        k = k.reshape(h * w * act_in, g.layers[i].units)
+    units = g.layers[i].units
+    if spatial is not None:
+        h, w, c = spatial
+        k = karr.reshape(h * w, -1, units)[:, :c, :]
+        k = k.reshape(h * w * c, units)
     else:
         k = karr[:act_in, :]
     return k[:, :act_units]
@@ -68,12 +69,13 @@ def reference_forward(g, x, slicing=None, bn_stats=None):
     cur = np.asarray(x, dtype=np.float64)
     macs = 0
     signs = []
+    flattened = None  # the map the last flatten took, if spatial
     for i, spec in enumerate(g.layers):
         u = int(act[i]) if spec.kind != ng.FLATTEN else 0
         if spec.kind == ng.DENSE:
-            feed, _ = ng.dense_feed_structure(g, i)
-            act_in = int(act[i - 2]) if feed == "spatial" else cur.shape[1]
-            k = _dense_active_kernel(g, i, act_in, u)
+            after_flatten = i > 0 and g.layers[i - 1].kind == ng.FLATTEN
+            k = _dense_active_kernel(g, i, cur.shape[1], u,
+                                     flattened if after_flatten else None)
             b = g.weights[i]["bias"].array.astype(np.float64)[:u]
             out = cur @ k + b
             macs += k.shape[0] * u
@@ -120,6 +122,7 @@ def reference_forward(g, x, slicing=None, bn_stats=None):
             xhat = (cur - mean) * inv
             out = gamma * xhat + beta
         else:  # flatten
+            flattened = cur.shape[1:] if cur.ndim == 4 else None
             out = cur.reshape(cur.shape[0], -1)
         if spec.activation == "relu":
             signs.append((i, out > 0))
@@ -218,6 +221,27 @@ def backward_oracle(g, batch, slicing=None, loss="ce", bn_stats=None,
             if name not in ("mean", "var"):
                 grads[(i, name)] = buf
     return value, grads
+
+
+def assert_rows_share_store(model):
+    """Criterion 7's no-copy check: every array operand of every row
+    program of ``model`` is a float32 view of its layer's tensors in the
+    shared store or of that row's batchnorm statistics."""
+    for k, prog in enumerate(model._programs):
+        for i, step in enumerate(prog.steps):
+            stores = [t.flat for t in (model.graph.weights[i] or {}).values()]
+            stores += list(model.bn_stats[k].get(i, ()))
+            for arr in _array_operands(step.args):
+                assert arr.dtype == np.float32, (k, i, arr.dtype)
+                assert any(np.shares_memory(arr, s) for s in stores), (k, i)
+
+
+def _array_operands(args):
+    for a in args:
+        if isinstance(a, tuple):
+            yield from _array_operands(a)
+        elif isinstance(a, np.ndarray):
+            yield a
 
 
 def relu_mask_signature(g, x):

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 import nestslice.netgraph as ng
-from conftest import fd_gradient_check, random_grad_store
+from conftest import (assert_rows_share_store, fd_gradient_check,
+                      random_grad_store)
 from nestslice.autograd import TrainConfig
 from nestslice.bounds import (brute_opt, bu_two_stage, td_two_stage,
                               random_instance, tight_instance_bu,
@@ -227,24 +228,10 @@ def test_criterion_07_adaptation_cost():
             m.activate(k)
             m.infer(x)
         assert copy_counter() == before
-        for k, prog in enumerate(m._programs):
-            for i, step in enumerate(prog.steps):
-                stores = [t.flat for t in (m.graph.weights[i] or {}).values()]
-                stores += list(m.bn_stats[k].get(i, ()))
-                for arr in _array_operands(step[1]):
-                    assert arr.dtype == np.float32
-                    assert any(np.shares_memory(arr, s) for s in stores)
+        assert_rows_share_store(m)
     report(7, "200 switches: 0 weight elements copied, 2 integers each "
               "(+3 layout flags when cache-optimized), width-independent; "
               "inference on every row copies 0 and reads float32 views")
-
-
-def _array_operands(args):
-    for a in args:
-        if isinstance(a, tuple):
-            yield from _array_operands(a)
-        elif isinstance(a, np.ndarray):
-            yield a
 
 
 def test_criterion_08_gradient_correctness():
@@ -321,7 +308,7 @@ def test_criterion_10_nestedness_and_monotone_quality():
     g = build_reference("dnn", "S", 16, classes=10, seed=10)
     cfg = TrainConfig(batch_size=100, epochs=4,
                       learning_rate_schedule=[(0, 3e-3)])
-    train_single(g, data, cfg, optimizer="adam", seed=10)
+    train_single(g, data, cfg, seed=10)
     stream = data.batches("train", 100, seed=10, repeat=True)
     from nestslice.autograd import accumulate_importance_grads
     grads = accumulate_importance_grads(g, stream, n_batches=100)
@@ -333,7 +320,7 @@ def test_criterion_10_nestedness_and_monotone_quality():
     model = NestedModel(g2, plan)
     tune = TrainConfig(batch_size=100, epochs=10,
                        learning_rate_schedule=[(0, 2e-3)])
-    finetune_joint(model, data, tune, optimizer="sgd", seed=10)
+    finetune_joint(model, data, tune, seed=10)
     test_x, test_y = data.split("test")
     accs = evaluate_rows(model, test_x, test_y)  # capacity descending
     asc = accs[::-1]  # 25, 50, 75, 100
@@ -373,7 +360,7 @@ def test_criterion_12_few_shot_harness():
     g = build_reference("dscnn", "S", (4, 4, 1), classes=6, seed=12)
     cfg0 = TrainConfig(batch_size=50, epochs=2,
                        learning_rate_schedule=[(0, 3e-3)])
-    train_single(g, data, cfg0, optimizer="adam", seed=12)
+    train_single(g, data, cfg0, seed=12)
     stream = data.batches("train", 50, seed=12, repeat=True)
     from nestslice.autograd import accumulate_importance_grads
     grads = accumulate_importance_grads(g, stream, n_batches=20)

@@ -56,6 +56,21 @@ def write_config(tmp_path, extra=None):
     return str(path)
 
 
+def _read_json(*parts):
+    with open(os.path.join(*parts)) as fh:
+        return json.load(fh)
+
+
+def _read_bytes(*parts):
+    with open(os.path.join(*parts), "rb") as fh:
+        return fh.read()
+
+
+def _read_csv(*parts):
+    with open(os.path.join(*parts), newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
 @pytest.fixture(scope="module")
 def pipeline_out(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pipe")
@@ -71,12 +86,12 @@ def test_pipeline_produces_all_artifacts(pipeline_out):
     for art in ["model.json", "scores.csv", "plan.json", "finetune_log.csv",
                 "manifest.json", "bundle"]:
         assert os.path.exists(os.path.join(out, art)), art
-    manifest = json.load(open(os.path.join(out, "manifest.json")))
+    manifest = _read_json(out, "manifest.json")
     assert "config_hash" in manifest
     stages = [s["stage"] for s in manifest["stages"]]
     assert stages == ["dataset", "train", "score", "plan", "finetune",
                       "bundle"]
-    plan = json.load(open(os.path.join(out, "plan.json")))
+    plan = _read_json(out, "plan.json")
     assert len(plan["points"]) == 4
 
 
@@ -84,13 +99,13 @@ def test_pipeline_plan_reproducible(pipeline_out, tmp_path):
     tmp, cfg, out = pipeline_out
     out2 = str(tmp_path / "out2")
     assert main(["--config", cfg, "--out", out2, "pipeline"]) == 0
-    a = open(os.path.join(out, "plan.json"), "rb").read()
-    b = open(os.path.join(out2, "plan.json"), "rb").read()
+    a = _read_bytes(out, "plan.json")
+    b = _read_bytes(out2, "plan.json")
     assert a == b  # byte-identical plan under same seed and config
     # the fine-tuned bundle reproduces byte for byte as well
     for fn in sorted(os.listdir(os.path.join(out, "bundle"))):
-        x = open(os.path.join(out, "bundle", fn), "rb").read()
-        y = open(os.path.join(out2, "bundle", fn), "rb").read()
+        x = _read_bytes(out, "bundle", fn)
+        y = _read_bytes(out2, "bundle", fn)
         assert x == y, fn
 
 
@@ -101,7 +116,7 @@ def test_single_capacity_bundle_is_plain_model(tmp_path):
                                                [[0, 0.001]]}})
     out = str(tmp_path / "out")
     assert main(["--config", cfg, "--out", out, "pipeline"]) == 0
-    plan = json.load(open(os.path.join(out, "plan.json")))
+    plan = _read_json(out, "plan.json")
     assert plan["points"] == [[144, 144]]
 
 
@@ -111,7 +126,7 @@ def test_eval_outputs_per_row_accuracy(pipeline_out, tmp_path):
     rc = main(["--config", cfg, "--out", ev, "eval", "--bundle",
                os.path.join(out, "bundle")])
     assert rc == 0
-    rows = list(csv.DictReader(open(os.path.join(ev, "eval.csv"))))
+    rows = _read_csv(ev, "eval.csv")
     assert len(rows) == 4
     assert set(rows[0]) == {"row", "capacity_pct", "capacity_macs", "macs",
                             "params", "accuracy"}
@@ -138,7 +153,7 @@ def test_untrained_model_chance_accuracy(tmp_path):
     ev = str(tmp_path / "ev")
     assert main(["--config", cfg, "--out", ev, "eval", "--bundle",
                  os.path.join(out, "bundle")]) == 0
-    rows = list(csv.DictReader(open(os.path.join(ev, "eval.csv"))))
+    rows = _read_csv(ev, "eval.csv")
     acc = float(rows[0]["accuracy"])
     assert 0.05 <= acc <= 0.15  # ten classes, random weights
 
@@ -152,7 +167,7 @@ def test_switch_sim(pipeline_out, tmp_path):
                "--bundle", os.path.join(out, "bundle"),
                "--schedule", str(spath)])
     assert rc == 0
-    log = json.load(open(os.path.join(tmp_path, "switch_log.json")))
+    log = _read_json(tmp_path, "switch_log.json")
     assert len(log["events"]) == 200
     assert log["total_weights_copied"] == 0
     assert all(e["integers_updated"] == 2 for e in log["events"])
@@ -182,7 +197,7 @@ def test_switch_sim_empty_schedule(pipeline_out, tmp_path):
                "--bundle", os.path.join(out, "bundle"),
                "--schedule", str(spath)])
     assert rc == 0
-    log = json.load(open(os.path.join(tmp_path, "switch_log.json")))
+    log = _read_json(tmp_path, "switch_log.json")
     assert log["events"] == []
 
 
@@ -192,7 +207,7 @@ def test_eval_and_switch_sim_leave_bundle_unchanged(pipeline_out,
     bundle = os.path.join(out, "bundle")
 
     def contents():
-        return {fn: open(os.path.join(bundle, fn), "rb").read()
+        return {fn: _read_bytes(bundle, fn)
                 for fn in sorted(os.listdir(bundle))}
 
     before = contents()
@@ -211,7 +226,7 @@ def test_bench_cache_command(tmp_path):
     out = str(tmp_path / "bench")
     rc = main(["--out", out, "bench-cache"])
     assert rc == 0
-    rows = list(csv.DictReader(open(os.path.join(out, "cache_report.csv"))))
+    rows = _read_csv(out, "cache_report.csv")
     assert rows and set(rows[0]) >= {"mode", "hit_rate", "cost"}
 
 
@@ -219,7 +234,7 @@ def test_verify_bounds_command(tmp_path):
     out = str(tmp_path / "bounds")
     rc = main(["--out", out, "verify-bounds", "--instances", "50"])
     assert rc == 0
-    reports = json.load(open(os.path.join(out, "bounds_report.json")))
+    reports = _read_json(out, "bounds_report.json")
     assert len(reports) >= 100  # bu + td per instance plus tight cases
     assert all(r["passed"] for r in reports)
 
@@ -250,7 +265,7 @@ def test_plan_command_baselines(tmp_path):
     rc = main(["--config", cfg, "--out", out, "plan", "--heuristic",
                "random"])
     assert rc == 0
-    plan = json.load(open(os.path.join(out, "plan.json")))
+    plan = _read_json(out, "plan.json")
     assert plan["heuristic"] == "random"
 
 
@@ -391,15 +406,18 @@ def _empty_plan(bundle):
         json.dump({}, fh)  # an object, but without capacities or points
 
 
-def _edit_manifest(key, value=None, layer=None):
-    """Set ``key`` of model.json, or of its layer ``layer``, to ``value``;
-    None deletes the key."""
+_DELETE = object()
+
+
+def _edit_manifest(key, value=_DELETE, layer=None):
+    """Set ``key`` of model.json, or of its layer ``layer``, to ``value``
+    (None writes null); without a value, delete the key."""
     def corrupt(bundle):
         path = os.path.join(bundle, "model.json")
         with open(path) as fh:
             doc = json.load(fh)
         obj = doc if layer is None else doc["layers"][layer]
-        if value is None:
+        if value is _DELETE:
             del obj[key]
         else:
             obj[key] = value
@@ -408,11 +426,13 @@ def _edit_manifest(key, value=None, layer=None):
     return corrupt
 
 
-def _bad_blob_order(bundle):
-    path = os.path.join(bundle, "bn_stats.bin")
-    with open(path, "r+b") as fh:
-        fh.seek(4)  # the first blob's order word
-        fh.write(struct.pack("<I", 32768))
+def _blob_order(order):
+    def corrupt(bundle):
+        path = os.path.join(bundle, "bn_stats.bin")
+        with open(path, "r+b") as fh:
+            fh.seek(4)  # the first blob's order word
+            fh.write(struct.pack("<I", order))
+    return corrupt
 
 
 def _shorten_blob(layer, index):
@@ -439,7 +459,8 @@ def _shorten_blob(layer, index):
                                            (_non_utf8_plan, 6),
                                            (_set_bundle_key("n_rows", "x"), 6),
                                            (_set_bundle_key("bn_layers", 3), 6),
-                                           (_bad_blob_order, 6),
+                                           (_blob_order(32768), 6),
+                                           (_blob_order(1), 6),
                                            (_empty_plan, 6),
                                            # layer 0 has a weights file
                                            (_edit_manifest("kind", "bogus",
@@ -457,6 +478,11 @@ def _shorten_blob(layer, index):
                                            (_edit_manifest("layers"), 6),
                                            (_edit_manifest("input_shape"), 6),
                                            (_edit_manifest("encoder_end"), 6),
+                                           # conv layers 0 and 2
+                                           (_edit_manifest("kernel", None,
+                                                           layer=0), 6),
+                                           (_edit_manifest("stride", [0, 0],
+                                                           layer=2), 6),
                                            # conv layer 0: kernel, bias;
                                            # batchnorm layer 1: gamma first
                                            (_shorten_blob(0, 1), 6),
@@ -466,6 +492,7 @@ def _shorten_blob(layer, index):
                               "missing_layout_key", "bundle_json_not_object",
                               "non_utf8_json", "n_rows_not_int",
                               "bn_layers_not_list", "unknown_blob_order",
+                              "column_major_blob",
                               "empty_plan", "unknown_layer_kind",
                               "layer_without_units", "layer_without_kind",
                               "units_not_int", "kind_not_string",
@@ -473,6 +500,7 @@ def _shorten_blob(layer, index):
                               "manifest_without_layers",
                               "manifest_without_input_shape",
                               "manifest_without_encoder_end",
+                              "conv_kernel_null", "conv_stride_zero",
                               "bias_wrong_length", "gamma_wrong_length"])
 def test_corrupt_bundle_exit_code(conv_pipeline, tmp_path, capsys, command,
                                   corrupt, code):

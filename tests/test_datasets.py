@@ -143,7 +143,7 @@ def test_default_separation_full_model_beats_quarter_slice():
     g = build_reference("dnn", "S", 16, classes=10, seed=11)
     tc = TrainConfig(batch_size=50, epochs=4,
                      learning_rate_schedule=[(0, 3e-3)])
-    train_single(g, ds, tc, optimizer="adam", seed=11)
+    train_single(g, ds, tc, seed=11)
     grads = accumulate_importance_grads(
         g, ds.batches("train", 50, seed=11, repeat=True), n_batches=20)
     scores = score_units(g, grads)

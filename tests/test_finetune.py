@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import nestslice.netgraph as ng
-from conftest import random_grad_store
-from nestslice.autograd import TrainConfig, backward
+from conftest import assert_rows_share_store, random_grad_store
+from nestslice.autograd import TrainConfig, backward, sgd_step
 from nestslice.datasets import synth_blobs
 from nestslice.errors import DataError, NumericError
 from nestslice.finetune import (compute_pi, evaluate_rows,
@@ -23,7 +23,7 @@ def small_setup(seed=1, caps=(1.0, 0.75, 0.5, 0.25), dims=12, classes=5):
     g = build_reference("dnn", "S", dims, classes=classes, seed=seed)
     tc = TrainConfig(batch_size=32, epochs=3,
                      learning_rate_schedule=[(0, 3e-3)])
-    train_single(g, data, tc, optimizer="adam", seed=seed)
+    train_single(g, data, tc, seed=seed)
     store = random_grad_store(g, seed=seed)
     scores = score_units(g, store)
     g2, perm = permute_descending(g, scores)
@@ -94,16 +94,23 @@ def test_single_row_reduces_to_plain_finetuning():
     m, data, _, _ = small_setup(caps=(1.0,))
     tc = TrainConfig(batch_size=32, epochs=1,
                      learning_rate_schedule=[(0, 1e-3)])
-    g_copy = m.graph.copy()
+    g = m.graph.copy()
     log = finetune_joint(m, data, tc, seed=0)
-    # same steps as direct single-model SGD training from the same state
-    m2 = NestedModel(g_copy, m.plan)
-    log2 = finetune_joint(m2, data, tc, seed=0, pi_weights=[1.0])
+    # the same steps as plain SGD over the same seeded batch order
+    order = np.random.default_rng(0).permutation(data.splits["train"])
+    losses = []
+    for s in range(0, len(order) - 32 + 1, 32):
+        sel = order[s:s + 32]
+        loss, grads = backward(g, (data.samples[sel], data.labels[sel]),
+                               slicing=m.plan.row_widths(0))
+        sgd_step(g, grads, 1e-3)
+        losses.append(loss)
     for i, params in enumerate(m.graph.weights):
         for name, t in params.items():
-            np.testing.assert_array_equal(
-                t.flat, m2.graph.weights[i][name].flat)
+            np.testing.assert_array_equal(t.flat, g.weights[i][name].flat)
+    assert [b[2] for b in log.batches] == [[v] for v in losses]
     assert len(log.epochs) == 1
+    assert log.epochs[0]["loss"] == pytest.approx(np.mean(losses))
 
 
 def test_joint_gradient_is_pi_weighted_sum():
@@ -127,7 +134,6 @@ def test_joint_gradient_is_pi_weighted_sum():
                      learning_rate_schedule=[(0, 0.1)])
     sub = synth_blobs(classes=5, per_class=8, dims=12, seed=99)
     sub.samples[...] = 0  # not used; we drive batches manually below
-    from nestslice.autograd import sgd_step
     sgd_step(m.graph, manual, lr=0.1)
     after = {(i, n): np.array(t.flat)
              for i, p in enumerate(m.graph.weights)
@@ -169,7 +175,7 @@ def test_weight_sharing_preserved_after_finetune():
     tc = TrainConfig(batch_size=32, epochs=2,
                      learning_rate_schedule=[(0, 1e-3)])
     finetune_joint(m, data, tc, seed=0)
-    m.assert_shared_store()
+    assert_rows_share_store(m)
 
 
 def test_finetune_cache_optimized_layout_matches_standard():
@@ -193,19 +199,24 @@ def test_finetune_cache_optimized_layout_matches_standard():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_restores_checkpoint_and_raises():
+@pytest.mark.parametrize("stage", ["finetune", "pretrain"])
+def test_divergence_restores_checkpoint_and_raises(stage):
     m, data, _, _ = small_setup(seed=5)
+    g = (m.graph if stage == "finetune"
+         else build_reference("dnn", "S", 12, classes=5, seed=5))
     snapshot = {(i, n): np.array(t.flat)
-                for i, p in enumerate(m.graph.weights)
+                for i, p in enumerate(g.weights)
                 for n, t in p.items()}
     tc = TrainConfig(batch_size=32, epochs=1,
                      learning_rate_schedule=[(0, 1e30)])
     with pytest.raises(NumericError):
-        finetune_joint(m, data, tc, seed=0)
+        if stage == "finetune":
+            finetune_joint(m, data, tc, seed=0)
+        else:
+            train_single(g, data, tc, seed=0)
     for key, data_before in snapshot.items():
         i, n = key
-        np.testing.assert_array_equal(
-            m.graph.weights[i][n].flat, data_before)
+        np.testing.assert_array_equal(g.weights[i][n].flat, data_before)
 
 
 def test_finetune_log_schema():
@@ -274,7 +285,7 @@ def test_bu_td_harness_deterministic():
     g = build_reference("dnn", "S", 10, classes=4, seed=10)
     tc0 = TrainConfig(batch_size=32, epochs=2,
                       learning_rate_schedule=[(0, 3e-3)])
-    train_single(g, data, tc0, optimizer="adam", seed=0)
+    train_single(g, data, tc0, seed=0)
     store = random_grad_store(g, seed=10)
     scores = score_units(g, store)
     g2, perm = permute_descending(g, scores)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import nestslice.netgraph as ng
-from conftest import random_grad_store, reference_forward
+from conftest import (assert_rows_share_store, random_grad_store,
+                      reference_forward)
 from nestslice.errors import ExtentError, IntegrityError
 from nestslice.finetune import evaluate_rows
 from nestslice.importance import (apply_to_scores, permute_descending,
@@ -183,7 +184,17 @@ def test_cache_optimized_flags_and_switch_cost():
 
 
 def test_weight_sharing_audit(dnn_model):
-    dnn_model.assert_shared_store()
+    assert_rows_share_store(dnn_model)
+    # the check catches a row program that holds a private weight copy
+    prog = dnn_model._programs[1]
+    step = prog.steps[0]
+    prog.steps[0] = step._replace(args=tuple(
+        np.array(a) if isinstance(a, np.ndarray) else a for a in step.args))
+    try:
+        with pytest.raises(AssertionError):
+            assert_rows_share_store(dnn_model)
+    finally:
+        prog.steps[0] = step
     # rows view the same buffers: writing through one row's weights is
     # visible at every other row
     w = dnn_model.graph.weights[0]["kernel"]
@@ -209,11 +220,11 @@ def test_bundle_round_trip_byte_identical(tmp_path, rng):
     d2 = save_bundle(m2, os.path.join(tmp_path, "b2"))
 
     def digest(d):
-        return {
-            fn: hashlib.sha256(
-                open(os.path.join(d, fn), "rb").read()).hexdigest()
-            for fn in sorted(os.listdir(d))
-        }
+        out = {}
+        for fn in sorted(os.listdir(d)):
+            with open(os.path.join(d, fn), "rb") as fh:
+                out[fn] = hashlib.sha256(fh.read()).hexdigest()
+        return out
 
     assert digest(d1) == digest(d2)
     x = rng.standard_normal((3, 8, 8, 1))

@@ -61,6 +61,9 @@ def test_unsupported_combo():
         build_reference("dnn", "XL")
     with pytest.raises(ConfigError):
         build_reference("dnn", "S", classes=1)
+    for arch, shape in [("cnn", (10, 10)), ("dscnn", (10, 10, 1, 1))]:
+        with pytest.raises(ConfigError):
+            build_reference(arch, "S", shape)
 
 
 def test_unit_macs_dense_fan_in():

@@ -5,22 +5,18 @@ import pytest
 
 import nestslice.tensor as tz
 from nestslice.errors import ShapeMismatchError
-from nestslice.tensor import Order, Tensor, copy_counter, transpose
+from nestslice.tensor import Tensor, copy_counter, transpose
 
 
 def t2(arr):
     return Tensor.from_array(np.asarray(arr, dtype=np.float32))
 
 
-def test_storage_orders():
+def test_row_major_storage():
     a = np.arange(6, dtype=np.float32).reshape(2, 3)
     row = Tensor.from_array(a)
-    col = Tensor.from_array(a, order=Order.COL_MAJOR)
     np.testing.assert_array_equal(row.array, a)
-    np.testing.assert_array_equal(col.array, a)
-    # flat index i*ncols + j (row-major), j*nrows + i (col-major)
-    assert row.flat[1 * 3 + 2] == a[1, 2]
-    assert col.flat[2 * 2 + 1] == a[1, 2]
+    assert row.flat[1 * 3 + 2] == a[1, 2]  # flat index i*ncols + j
 
 
 def test_data_length_must_match_shape():
@@ -54,14 +50,14 @@ def test_array_view_is_readonly():
 
 
 def test_blob_round_trip(rng):
-    for shape, order in [((3, 4), Order.ROW_MAJOR), ((2, 2), Order.COL_MAJOR),
-                         ((5,), Order.ROW_MAJOR), ((2, 3, 2, 1), Order.ROW_MAJOR)]:
-        t = Tensor(shape, rng.standard_normal(int(np.prod(shape))), order)
+    for shape in [(3, 4), (5,), (2, 3, 2, 1)]:
+        t = Tensor(shape, rng.standard_normal(int(np.prod(shape))))
         buf = io.BytesIO()
         tz.write_blob(t, buf)
+        assert buf.getvalue()[4:8] == bytes(4)  # order word: row-major
         buf.seek(0)
         back = tz.read_blob(buf)
-        assert back.shape == t.shape and back.order == t.order
+        assert back.shape == t.shape
         np.testing.assert_array_equal(back.flat, t.flat)
 
 
