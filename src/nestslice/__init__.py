@@ -49,6 +49,6 @@ from .planner import (DwBlock, DwInstance, DwSolution, KnapsackInstance,
                       plan_baseline, plan_bottom_up, plan_depthwise,
                       plan_top_down, solve_depthwise, solve_exact,
                       solve_iterative)
-from .tensor import Tensor, copy_counter, transpose
+from .tensor import copy_counter, transpose
 
 __version__ = "0.1.0"

@@ -86,9 +86,9 @@ class GradStore:
             if params is None:
                 continue
             stats = ng._kind(g.layers[i]).stats  # not learnable
-            for name, t in params.items():
+            for name, a in params.items():
                 if name not in stats:
-                    self.grads[(i, name)] = np.zeros(t.shape,
+                    self.grads[(i, name)] = np.zeros(a.shape,
                                                      dtype=np.float64)
         self.minibatch_count = 0
 
@@ -188,8 +188,8 @@ def _backward_half(x, labels, g, prog, loss, n, dtype):
         d, dviews = _RULES[step.run](d, xin, *step.args)
         # the step's view mapping, applied to zero buffers of the store's
         # shapes, puts each active gradient where its weight lives
-        bufs = {name: np.zeros_like(t.array, dtype=np.float64)
-                for name, t in (g.weights[i] or {}).items()}
+        bufs = {name: np.zeros(a.shape)
+                for name, a in (g.weights[i] or {}).items()}
         for view, dv in zip(step.views(bufs), dviews):
             if dv is not None:
                 view[...] = dv
@@ -333,8 +333,7 @@ def sgd_step(g: ng.ModelGraph, grads: dict, lr: float) -> None:
     if lr <= 0:
         raise ShapeMismatchError("learning rate must be positive")
     for (i, name), grad in grads.items():
-        arr = g.weights[i][name].writable_array()
-        arr -= (lr * grad).astype(np.float32)
+        g.weights[i][name] -= (lr * grad).astype(np.float32)
 
 
 class Adam:
@@ -359,8 +358,8 @@ class Adam:
             mhat = self.m[key] / (1 - b1 ** self.t)
             vhat = self.v[key] / (1 - b2 ** self.t)
             i, name = key
-            arr = g.weights[i][name].writable_array()
-            arr -= (lr * mhat / (np.sqrt(vhat) + self.eps)).astype(np.float32)
+            step = lr * mhat / (np.sqrt(vhat) + self.eps)
+            g.weights[i][name] -= step.astype(np.float32)
 
 
 @dataclass

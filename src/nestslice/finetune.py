@@ -26,6 +26,7 @@ from .autograd import Adam, TrainConfig, backward, sgd_step
 from .errors import DataError, NumericError
 from .nest import NestedModel
 from .planner import make_plan
+from .tensor import store
 
 
 def compute_pi(model: NestedModel) -> np.ndarray:
@@ -77,15 +78,15 @@ class FinetuneLog:
 
 def _snapshot(g: ng.ModelGraph):
     return {
-        (i, name): np.array(t.flat)
+        (i, name): store(a)
         for i, params in enumerate(g.weights) if params
-        for name, t in params.items()
+        for name, a in params.items()
     }
 
 
 def _restore(g: ng.ModelGraph, snap):
     for (i, name), data in snap.items():
-        g.weights[i][name].writable_array().reshape(-1)[...] = data
+        g.weights[i][name][...] = data
 
 
 def _train(g: ng.ModelGraph, rows, pi, step_fn, dataset, cfg: TrainConfig,

@@ -23,7 +23,6 @@ import numpy as np
 
 from . import netgraph as ng
 from .errors import IntegrityError
-from .tensor import Tensor
 
 
 @dataclass
@@ -45,7 +44,7 @@ def _layer_unit_scores(g, grads, i):
         for nm, axis in ng._unit_axes(g, j):
             if (j, nm) not in grads:
                 continue  # running statistics carry no gradients
-            w = g.weights[j][nm].array.astype(np.float64)
+            w = g.weights[j][nm].astype(np.float64)
             rest = tuple(a for a in range(w.ndim) if a != axis)
             per = per + np.abs(grads[(j, nm)] * w).sum(axis=rest)
     return per
@@ -82,7 +81,7 @@ def pointwise_kernel_scores(g: ng.ModelGraph, grad_store, layer: int):
     if spec.kind != ng.POINTWISE:
         raise IntegrityError(f"layer {layer} is not pointwise")
     gk = grad_store.grads[(layer, "kernel")][:, 0, 0, :]
-    karr = g.weights[layer]["kernel"].array.astype(np.float64)[:, 0, 0, :]
+    karr = g.weights[layer]["kernel"].astype(np.float64)[:, 0, 0, :]
     return np.abs(gk * karr)
 
 
@@ -132,11 +131,7 @@ def _permutation_ops(g: ng.ModelGraph, perm: Permutation) -> list:
 
 def apply_permutation(g: ng.ModelGraph, perm: Permutation) -> ng.ModelGraph:
     """Reindex weights so the network function is unchanged."""
-    out = g.copy()
-    for l, name, axis, p, n in _permutation_ops(g, perm):
-        arr = ng._gather(out.weights[l][name].array, axis, p, n)
-        out.weights[l][name] = Tensor.from_array(arr)
-    return out
+    return ng._gathered_copy(g, _permutation_ops(g, perm))
 
 
 def permute_grad_store(g_new: ng.ModelGraph, perm: Permutation,

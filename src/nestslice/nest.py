@@ -4,12 +4,14 @@ One permuted graph plus a slicing plan describes every subnetwork: the
 active weights of a smaller row are a leading slice of the larger row's,
 so no weights are ever duplicated. Switching the active subnetwork
 rewrites one integer width register per sliceable layer (plus a flag bit
-per cache-optimized layer) and copies zero weight elements; the module
-asserts the latter through the tensor copy counter.
+per cache-optimized layer) and copies zero weight elements. ``activate``
+asserts the latter through ``tensor.copy_counter``, which counts every
+element ``tensor.store`` makes, the one path that makes weights.
 
 Batchnorm running statistics are the one width-dependent quantity, so
 they are kept per plan row (learnable scale/shift stay shared and
-sliced). Training treats them as constants.
+sliced); by default each row starts from a ``store`` copy of the graph's
+own. Training treats them as constants.
 
 Each plan row is resolved once, at construction, into a row program:
 float32 read-only views of the shared store and of the row's batchnorm
@@ -37,7 +39,6 @@ from . import netgraph as ng
 from . import tensor as tz
 from .errors import ConfigError, ExtentError, IntegrityError
 from .planner import SlicingPlan
-from .tensor import Tensor
 
 STANDARD = "standard"
 CACHE_OPTIMIZED = "cache_optimized"
@@ -71,8 +72,8 @@ class NestedModel:
         bn_layers = _bn_layers(graph)
         if bn_stats is None:
             bn_stats = [
-                {i: (np.array(graph.weights[i]["mean"].flat),
-                     np.array(graph.weights[i]["var"].flat))
+                {i: (tz.store(graph.weights[i]["mean"]),
+                     tz.store(graph.weights[i]["var"]))
                  for i in bn_layers}
                 for _ in range(plan.n_rows)
             ]
@@ -176,8 +177,7 @@ def _transpose_dense_store(g: ng.ModelGraph) -> ng.ModelGraph:
     for i, spec in enumerate(out.layers):
         if spec.kind != ng.DENSE or i in out.transposed_dense:
             continue
-        k = out.weights[i]["kernel"]
-        out.weights[i]["kernel"] = tz.transpose(k)
+        out.weights[i]["kernel"] = tz.transpose(out.weights[i]["kernel"])
         out.transposed_dense.add(i)
     ng.validate_graph(out)
     return out
@@ -196,8 +196,8 @@ def save_bundle(model: NestedModel, out_dir) -> str:
         for k in range(model.plan.n_rows):
             for i in bn_layers:
                 mean, var = model.bn_stats[k][i]
-                tz.write_blob(Tensor.from_array(mean.astype(np.float32)), fh)
-                tz.write_blob(Tensor.from_array(var.astype(np.float32)), fh)
+                tz.write_blob(mean, fh)
+                tz.write_blob(var, fh)
     meta = {
         "layout": model.layout,
         "active": model.active,
@@ -257,8 +257,8 @@ def load_bundle(bundle_dir) -> NestedModel:
         raise IntegrityError(
             f"bn_stats.bin holds {len(blobs)} blobs, want {n_rows} rows x "
             f"{len(bn_layers)} layers x 2")
-    flat = iter(np.array(t.flat) for t in blobs)
-    bn_stats = [{i: (next(flat), next(flat)) for i in bn_layers}
+    stats = iter(blobs)
+    bn_stats = [{i: (next(stats), next(stats)) for i in bn_layers}
                 for _ in range(n_rows)]
     model = NestedModel(graph, plan, layout, bn_stats=bn_stats)
     model.activate(active)

@@ -36,14 +36,14 @@ import json
 import math
 import operator
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, ExtentError, IntegrityError, ShapeMismatchError
-from .tensor import Tensor, read_blobs, write_blob
+from .tensor import read_blobs, store, write_blob
 
 BN_EPS = 1e-3
 
@@ -113,7 +113,7 @@ class UnitCost:
 @dataclass
 class ModelGraph:
     layers: list
-    weights: list  # per layer: dict name -> Tensor, or None
+    weights: list  # per layer: dict name -> float32 array, or None
     input_shape: tuple | int
     encoder_end: int
     # Dense layers whose kernel is stored transposed (units x fan_in) for
@@ -156,8 +156,7 @@ class ModelGraph:
             if entry is None:
                 ws.append(None)
             else:
-                ws.append({k: Tensor(t.shape, t.flat)
-                           for k, t in entry.items()})
+                ws.append({k: store(a) for k, a in entry.items()})
         return ModelGraph(
             layers=[LayerSpec(**vars(l)) for l in self.layers],
             weights=ws,
@@ -237,7 +236,7 @@ def build_reference(arch, size, input_shape=None, classes=10, seed=0):
                 arr *= np.sqrt(2.0 / max(1, fan_in))
             else:
                 arr = np.full(shape, 1.0 if nm in ("gamma", "var") else 0.0)
-            params[nm] = Tensor.from_array(arr)
+            params[nm] = store(arr)
         g.weights[i] = params or None
     validate_graph(g)
     return g
@@ -277,13 +276,20 @@ def _in_dims_at(g, i, dims):
 
 
 def _check_weight_shapes(g):
-    """IntegrityError unless every parameter has its full-width shape."""
+    """IntegrityError unless every parameter is a C-contiguous float32
+    array of its full-width shape."""
     dims = layer_output_dims(g)
     for i, spec in enumerate(g.layers):
         params = g.weights[i] or {}
         want = _param_shapes(g, i, _in_dims_at(g, i, dims), spec.units)
         for nm, shape in want.items():
-            got = params[nm].shape if nm in params else None
+            a = params.get(nm)
+            if a is not None and not (isinstance(a, np.ndarray)
+                                      and a.dtype == np.float32
+                                      and a.flags.c_contiguous):
+                raise IntegrityError(f"{spec.kind} layer {i} {nm} is not a "
+                                     f"C-contiguous float32 array")
+            got = None if a is None else a.shape
             if got != shape:
                 raise IntegrityError(
                     f"{spec.kind} layer {i} {nm} shape {got} != {shape}")
@@ -743,6 +749,15 @@ def _gather(arr, axis, p, n):
     return np.take(split, p, axis=axis + 1).reshape(head + (-1,) + tail)
 
 
+def _gathered_copy(g: ModelGraph, ops) -> ModelGraph:
+    """A copy of g with the gathers ``ops`` (``_unit_gathers`` entries)
+    applied; ``store`` makes each parameter once, after its gathers."""
+    ws = [None if e is None else dict(e) for e in g.weights]
+    for l, nm, axis, p, n in ops:
+        ws[l][nm] = _gather(ws[l][nm], axis, p, n)
+    return replace(g, weights=ws).copy()
+
+
 def _layer_step(g: ModelGraph, i: int, u: int, cur, pre_flat, full_dims):
     """How layer i runs at active width ``u`` on active input dims ``cur``.
 
@@ -774,10 +789,13 @@ def _build_program(g: ModelGraph, slicing=None, bn_stats=None,
             pre_flat = cur
         run, views, static, step_macs, cur = _layer_step(
             g, i, int(width[i]), cur, pre_flat, full_dims)
-        arrays = {nm: t.array for nm, t in (g.weights[i] or {}).items()}
+        arrays = dict(g.weights[i] or {})
         if bn_stats is not None and i in bn_stats:
             arrays["mean"], arrays["var"] = (
                 np.asarray(s, dtype=np.float32) for s in bn_stats[i])
+        arrays = {nm: a.view() for nm, a in arrays.items()}
+        for a in arrays.values():  # a program never writes the store
+            a.flags.writeable = False
         mask = None
         if masked and spec.kind != FLATTEN and act[i] < cur[-1]:
             mask = int(act[i])
@@ -887,10 +905,7 @@ def truncate(g: ModelGraph, slicing) -> ModelGraph:
     """
     act = resolve_widths(g, slicing)
     keep = {l: np.arange(act[l]) for l in g.sliceable_indices()}
-    out = g.copy()
-    for l, nm, axis, p, n in _unit_gathers(g, keep):
-        out.weights[l][nm] = Tensor.from_array(
-            _gather(out.weights[l][nm].array, axis, p, n))
+    out = _gathered_copy(g, _unit_gathers(g, keep))
     for spec, u in zip(out.layers, act):
         if _kind(spec).params:
             spec.units = int(u)

@@ -518,7 +518,7 @@ def plan_baseline(g: ng.ModelGraph, strategy, capacities, seed=0):
     scores = []
     for li in g.sliceable_indices():
         spec = g.layers[li]
-        karr = g.weights[li]["kernel"].array.astype(np.float64)
+        karr = g.weights[li]["kernel"].astype(np.float64)
         if strategy == "l1":
             unit_axis = ng._kernel_axes(g, li)[0]
             vals = np.abs(karr).sum(
@@ -824,13 +824,13 @@ def build_dw_instance(g: ng.ModelGraph, scores, grad_store) -> DwInstance:
         kmat = pointwise_kernel_scores(g, grad_store, pw)
         extras = np.zeros(g.layers[pw].units)
         gb = grad_store.grads[(pw, "bias")]
-        extras += np.abs(gb * g.weights[pw]["bias"].array.astype(np.float64))
+        extras += np.abs(gb * g.weights[pw]["bias"].astype(np.float64))
         bn = g.attached_batchnorm(pw)
         if bn is not None:
             for nm in ("gamma", "beta"):
                 extras += np.abs(
                     grad_store.grads[(bn, nm)]
-                    * g.weights[bn][nm].array.astype(np.float64)
+                    * g.weights[bn][nm].astype(np.float64)
                 )
         kmat = kmat.copy()
         kmat[:, 0] += extras

@@ -1,12 +1,13 @@
-"""Dense row-major float32 tensors with no-copy views.
+"""Weight storage: the one counted copy, transposes and the blob format.
 
-A :class:`Tensor` owns a single flat float32 buffer; ``array`` exposes it
-as a row-major n-d view without copying. All APIs that materialize
-element data bump a module-wide copy counter, which lets tests prove
-that slicing and subnetwork switching move zero weight elements.
+Every weight and batchnorm statistic of a model is a C-contiguous float32
+numpy array that the model owns. :func:`store` is the one way to make
+such an array: it writes a new one and adds its element count to a
+module-wide copy counter, which lets tests prove that slicing and
+subnetwork switching move zero weight elements.
 
 ``transpose`` materialises the transposed store of the cache-optimized
-layout, in which each neuron's weights are contiguous. Tensors
+layout, in which each neuron's weights are contiguous. Weight arrays
 serialise to a little-endian binary blob format.
 """
 
@@ -25,95 +26,40 @@ _copy_lock = threading.Lock()
 
 
 def copy_counter() -> int:
-    """Total number of elements copied by tensor APIs so far."""
+    """Total number of weight elements ``store`` has written so far."""
     return _copy_count
 
 
-def _count_copies(n: int) -> None:
+def store(data) -> np.ndarray:
+    """A new C-contiguous float32 array holding ``data``; its elements
+    count in ``copy_counter``."""
     global _copy_count
+    out = np.array(data, dtype=np.float32, order="C")
     with _copy_lock:
-        _copy_count += int(n)
+        _copy_count += out.size
+    return out
 
 
 class Tensor:
-    """Flat row-major float32 storage plus its shape."""
+    """Only a name for :func:`store`, kept for callers of
+    ``Tensor.from_array``. Weights are plain arrays."""
 
-    __slots__ = ("shape", "_data")
-
-    def __init__(self, shape, data=None):
-        shape = tuple(int(s) for s in shape)
-        if any(s <= 0 for s in shape):
-            raise ShapeMismatchError(f"non-positive extent in shape {shape}")
-        size = int(np.prod(shape))
-        if data is None:
-            buf = np.zeros(size, dtype=np.float32)
-        else:
-            buf = np.asarray(data, dtype=np.float32).reshape(-1)
-            if buf.size != size:
-                raise ShapeMismatchError(
-                    f"data length {buf.size} != product of shape {shape}"
-                )
-            buf = np.array(buf, dtype=np.float32, copy=True)
-        self.shape = shape
-        self._data = buf
-
-    # -- construction helpers -------------------------------------------
-
-    @classmethod
-    def from_array(cls, arr):
-        """Build from an n-d numpy array, flattened row-major."""
-        arr = np.asarray(arr, dtype=np.float32)
-        return cls(arr.shape, arr.ravel())
-
-    # -- views ------------------------------------------------------------
-
-    @property
-    def flat(self) -> np.ndarray:
-        """Read-only view of the flat buffer."""
-        v = self._data.view()
-        v.flags.writeable = False
-        return v
-
-    @property
-    def array(self) -> np.ndarray:
-        """Read-only n-d view (no copy)."""
-        v = self._data.reshape(self.shape)
-        v.flags.writeable = False
-        return v
-
-    def writable_array(self) -> np.ndarray:
-        """Mutable n-d view; the caller takes exclusive write access."""
-        return self._data.reshape(self.shape)
-
-    @property
-    def size(self) -> int:
-        return self._data.size
-
-    def _require_2d(self):
-        if len(self.shape) != 2:
-            raise ShapeMismatchError(f"2-d tensor required, got shape {self.shape}")
-
-    def copy(self) -> "Tensor":
-        """Deep copy; counted by the copy auditor."""
-        _count_copies(self.size)
-        return Tensor(self.shape, self._data)
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape})"
+    from_array = staticmethod(store)
 
 
-def transpose(t: Tensor) -> Tensor:
-    """Materialize the transpose as a row-major tensor.
+def transpose(a: np.ndarray) -> np.ndarray:
+    """The transpose of a 2-d array, row-major.
 
-    For vectors (one extent equal to 1) the flat storage is unchanged and
-    no elements are copied; only the shape metadata flips.
+    A vector's (one extent equal to 1) is a view of ``a``: its elements
+    keep their order, only the shape flips, and nothing is copied. A
+    matrix's is a new array from ``store``.
     """
-    t._require_2d()
-    m, n = t.shape
+    if a.ndim != 2:
+        raise ShapeMismatchError(f"2-d array required, got shape {a.shape}")
+    m, n = a.shape
     if m == 1 or n == 1:
-        return Tensor((n, m), t._data)
-    _count_copies(t.size)
-    return Tensor((n, m), np.ascontiguousarray(t.array.T).ravel())
+        return a.reshape(n, m)
+    return store(a.T)
 
 
 # -- binary blob format ----------------------------------------------------
@@ -123,13 +69,18 @@ def transpose(t: Tensor) -> Tensor:
 # 0 (row-major); a reader rejects any other value.
 
 
-def write_blob(t: Tensor, fh) -> None:
-    fh.write(struct.pack("<II", len(t.shape), 0))
-    fh.write(struct.pack(f"<{len(t.shape)}I", *t.shape))
-    fh.write(t._data.astype("<f4").tobytes())
+def write_blob(a: np.ndarray, fh) -> None:
+    fh.write(struct.pack("<II", a.ndim, 0))
+    fh.write(struct.pack(f"<{a.ndim}I", *a.shape))
+    fh.write(np.asarray(a, dtype="<f4").tobytes())
 
 
-def read_blob(fh) -> Tensor:
+def read_blob(fh) -> np.ndarray:
+    """The next blob as a new array from ``store``.
+
+    ShapeMismatchError for a truncated blob or an extent of 0;
+    IntegrityError for an order word other than 0.
+    """
     head = fh.read(8)
     if len(head) < 8:
         raise ShapeMismatchError("truncated tensor blob header")
@@ -145,7 +96,9 @@ def read_blob(fh) -> Tensor:
     if order != 0:
         raise IntegrityError(
             f"tensor blob has order {order}, not row-major (0)")
-    return Tensor(shape, np.frombuffer(raw, dtype="<f4"))
+    if 0 in shape:
+        raise ShapeMismatchError(f"zero extent in shape {shape}")
+    return store(np.frombuffer(raw, dtype="<f4").reshape(shape))
 
 
 def read_blobs(fh) -> list:

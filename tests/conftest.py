@@ -44,7 +44,7 @@ def _dense_active_kernel(g, i, act_in, act_units, spatial=None):
     active rows are a strided subset. Otherwise ``act_in`` is the active
     flat length.
     """
-    karr = g.weights[i]["kernel"].array.astype(np.float64)
+    karr = g.weights[i]["kernel"].astype(np.float64)
     if i in g.transposed_dense:
         karr = karr.T  # logical (fan_in, units)
     units = g.layers[i].units
@@ -76,7 +76,7 @@ def reference_forward(g, x, slicing=None, bn_stats=None):
             after_flatten = i > 0 and g.layers[i - 1].kind == ng.FLATTEN
             k = _dense_active_kernel(g, i, cur.shape[1], u,
                                      flattened if after_flatten else None)
-            b = g.weights[i]["bias"].array.astype(np.float64)[:u]
+            b = g.weights[i]["bias"].astype(np.float64)[:u]
             out = cur @ k + b
             macs += k.shape[0] * u
         elif spec.kind == ng.CONV2D:
@@ -84,9 +84,9 @@ def reference_forward(g, x, slicing=None, bn_stats=None):
             sh, sw = spec.stride
             cols, ho, wo = _im2col(cur, kh, kw, sh, sw)
             cin = cur.shape[3]
-            k2 = g.weights[i]["kernel"].array.astype(np.float64)[
+            k2 = g.weights[i]["kernel"].astype(np.float64)[
                 :u, :, :, :cin].reshape(u, kh * kw * cin)
-            b = g.weights[i]["bias"].array.astype(np.float64)[:u]
+            b = g.weights[i]["bias"].astype(np.float64)[:u]
             out = cols @ k2.T + b
             macs += ho * wo * kh * kw * cin * u
         elif spec.kind == ng.DEPTHWISE:
@@ -97,14 +97,14 @@ def reference_forward(g, x, slicing=None, bn_stats=None):
                               (kw // 2, kw // 2), (0, 0)))
             win = sliding_window_view(xp, (kh, kw), axis=(1, 2))[:, ::sh, ::sw]
             ho, wo = win.shape[1:3]
-            kd = g.weights[i]["kernel"].array.astype(np.float64)[:cin]
-            b = g.weights[i]["bias"].array.astype(np.float64)[:cin]
+            kd = g.weights[i]["kernel"].astype(np.float64)[:cin]
+            b = g.weights[i]["bias"].astype(np.float64)[:cin]
             out = np.einsum("nhwckl,ckl->nhwc", win, kd) + b
             macs += ho * wo * kh * kw * cin
         elif spec.kind == ng.POINTWISE:
             cin = cur.shape[3]
-            kp = g.weights[i]["kernel"].array.astype(np.float64)[:u, 0, 0, :cin]
-            b = g.weights[i]["bias"].array.astype(np.float64)[:u]
+            kp = g.weights[i]["kernel"].astype(np.float64)[:u, 0, 0, :cin]
+            b = g.weights[i]["bias"].astype(np.float64)[:u]
             out = cur @ kp.T + b
             ho, wo = cur.shape[1:3]
             macs += ho * wo * cin * u
@@ -114,10 +114,10 @@ def reference_forward(g, x, slicing=None, bn_stats=None):
                 mean = np.asarray(bn_stats[i][0], dtype=np.float64)[:cw]
                 var = np.asarray(bn_stats[i][1], dtype=np.float64)[:cw]
             else:
-                mean = g.weights[i]["mean"].array.astype(np.float64)[:cw]
-                var = g.weights[i]["var"].array.astype(np.float64)[:cw]
-            gamma = g.weights[i]["gamma"].array.astype(np.float64)[:cw]
-            beta = g.weights[i]["beta"].array.astype(np.float64)[:cw]
+                mean = g.weights[i]["mean"].astype(np.float64)[:cw]
+                var = g.weights[i]["var"].astype(np.float64)[:cw]
+            gamma = g.weights[i]["gamma"].astype(np.float64)[:cw]
+            beta = g.weights[i]["beta"].astype(np.float64)[:cw]
             inv = 1.0 / np.sqrt(var + ng.BN_EPS)
             xhat = (cur - mean) * inv
             out = gamma * xhat + beta
@@ -212,8 +212,8 @@ def backward_oracle(g, batch, slicing=None, loss="ce", bn_stats=None,
         rule = (_batchnorm_back_oracle if step.run is ng._run_batchnorm
                 else ag._RULES[step.run])
         d, dviews = rule(d, xin, *step.args)
-        bufs = {name: np.zeros_like(t.array, dtype=np.float64)
-                for name, t in (g.weights[i] or {}).items()}
+        bufs = {name: np.zeros(a.shape)
+                for name, a in (g.weights[i] or {}).items()}
         for view, dv in zip(step.views(bufs), dviews):
             if dv is not None:
                 view[...] = dv
@@ -225,11 +225,11 @@ def backward_oracle(g, batch, slicing=None, loss="ce", bn_stats=None,
 
 def assert_rows_share_store(model):
     """Criterion 7's no-copy check: every array operand of every row
-    program of ``model`` is a float32 view of its layer's tensors in the
+    program of ``model`` is a float32 view of its layer's arrays in the
     shared store or of that row's batchnorm statistics."""
     for k, prog in enumerate(model._programs):
         for i, step in enumerate(prog.steps):
-            stores = [t.flat for t in (model.graph.weights[i] or {}).values()]
+            stores = list((model.graph.weights[i] or {}).values())
             stores += list(model.bn_stats[k].get(i, ()))
             for arr in _array_operands(step.args):
                 assert arr.dtype == np.float32, (k, i, arr.dtype)
@@ -290,7 +290,7 @@ def fd_gradient_check(g, x, y, n_checks=5, h=2.0 ** -10, seed=11,
         return (lp - lm) / (hp - hm)
 
     for (i, name), garr in grads.items():
-        flat = g.weights[i][name].writable_array().reshape(-1)
+        flat = g.weights[i][name].reshape(-1)
         gflat = garr.reshape(-1)
         rng = np.random.default_rng(seed)
         checked = tries = 0

@@ -14,14 +14,14 @@ from nestslice.autograd import (Adam, TrainConfig,
                                 sgd_step)
 from nestslice.errors import DataError, NumericError, ShapeMismatchError
 from nestslice.netgraph import LayerSpec, ModelGraph, build_reference
-from nestslice.tensor import Tensor
+from nestslice.tensor import store
 
 
 def scalar_net(w0=3.0):
     layers = [LayerSpec("dense", 1, activation="none")]
     weights = [{
-        "kernel": Tensor.from_array(np.array([[w0]], dtype=np.float32)),
-        "bias": Tensor.from_array(np.zeros(1, dtype=np.float32)),
+        "kernel": store(np.array([[w0]], dtype=np.float32)),
+        "bias": store(np.zeros(1, dtype=np.float32)),
     }]
     return ModelGraph(layers, weights, 1, encoder_end=0)
 
@@ -35,10 +35,10 @@ def test_scalar_chain_rule():
     assert grads[(0, "kernel")][0, 0] == pytest.approx(3.0)
     # matches a finite difference
     h = 1e-3
-    g.weights[0]["kernel"].writable_array()[0, 0] = 3.0 + h
+    g.weights[0]["kernel"][0, 0] = 3.0 + h
     lp, _ = backward(g, (np.array([[1.0]]), np.array([[0.0]])),
                      loss="half_sse")
-    g.weights[0]["kernel"].writable_array()[0, 0] = 3.0 - h
+    g.weights[0]["kernel"][0, 0] = 3.0 - h
     lm, _ = backward(g, (np.array([[1.0]]), np.array([[0.0]])),
                      loss="half_sse")
     # float32 weight storage quantizes the +-h points
@@ -50,13 +50,13 @@ def one_block_net(rng, relu=True):
     act = "relu" if relu else "none"
 
     def t(shape):
-        return Tensor.from_array(rng.standard_normal(shape).astype(np.float32))
+        return store(rng.standard_normal(shape).astype(np.float32))
 
     def bn(u):
         return {"gamma": t(u), "beta": t(u),
-                "mean": Tensor.from_array(
+                "mean": store(
                     (rng.standard_normal(u) * 0.1).astype(np.float32)),
-                "var": Tensor.from_array(
+                "var": store(
                     (np.abs(rng.standard_normal(u)) + 1).astype(np.float32))}
 
     layers = [
@@ -110,7 +110,7 @@ def stacked_bn_net(rng):
     g = one_block_net(rng)
     layers = g.layers[:2] + [g.layers[1], g.layers[1]] + g.layers[6:]
     weights = g.weights[:2] + [g.weights[1], g.weights[1]] + g.weights[6:]
-    weights[-1] = {"kernel": Tensor.from_array(
+    weights[-1] = {"kernel": store(
         rng.standard_normal((6 * 6 * 5, 4)).astype(np.float32)),
         "bias": weights[-1]["bias"]}
     return ModelGraph(layers, weights, (6, 6, 2), encoder_end=3)
@@ -157,10 +157,10 @@ def _random_batchnorm(g, rng):
         if spec.kind == ng.BATCHNORM:
             p = g.weights[i]
             u = spec.units
-            p["gamma"].writable_array()[:] = rng.standard_normal(u) + 1
-            p["beta"].writable_array()[:] = rng.standard_normal(u) * 0.3
-            p["mean"].writable_array()[:] = rng.standard_normal(u) * 0.1
-            p["var"].writable_array()[:] = rng.random(u) + 0.5
+            p["gamma"][:] = rng.standard_normal(u) + 1
+            p["beta"][:] = rng.standard_normal(u) * 0.3
+            p["mean"][:] = rng.standard_normal(u) * 0.1
+            p["var"][:] = rng.random(u) + 0.5
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -442,7 +442,7 @@ def test_gradient_locality_under_slicing(rng):
 
 def test_nan_loss_raises_numeric_error(rng):
     g = build_reference("dnn", "S", 8, classes=3)
-    g.weights[0]["kernel"].writable_array()[0, 0] = np.float32("nan")
+    g.weights[0]["kernel"][0, 0] = np.float32("nan")
     with pytest.raises(NumericError, match="loss"):
         backward(g, (rng.standard_normal((2, 8)), np.array([0, 1])))
 
@@ -514,12 +514,12 @@ def test_accumulate_exhausted_stream_names_count(rng):
 
 def test_sgd_zero_gradient_no_change():
     g = build_reference("dnn", "S", 8, classes=3, seed=1)
-    before = {k: np.array(t.flat) for i, p in enumerate(g.weights)
+    before = {k: np.array(t) for i, p in enumerate(g.weights)
               for k, t in [((i, n), t) for n, t in p.items()]}
     zero = {(i, n): np.zeros(t.shape) for i, p in enumerate(g.weights)
             for n, t in p.items() if n not in ("mean", "var")}
     sgd_step(g, zero, lr=0.5)
-    after = {k: np.array(t.flat) for i, p in enumerate(g.weights)
+    after = {k: np.array(t) for i, p in enumerate(g.weights)
              for k, t in [((i, n), t) for n, t in p.items()]}
     for key in before:
         np.testing.assert_array_equal(before[key], after[key])
@@ -537,21 +537,21 @@ def test_sgd_quadratic_descent_trace():
         sgd_step(g, grads, lr=lr)
         w, b = w - lr * s, b - lr * s
         s = w + b
-        assert g.weights[0]["kernel"].array[0, 0] == pytest.approx(w, rel=1e-5)
-        assert g.weights[0]["bias"].array[0] == pytest.approx(b, rel=1e-5)
+        assert g.weights[0]["kernel"][0, 0] == pytest.approx(w, rel=1e-5)
+        assert g.weights[0]["bias"][0] == pytest.approx(b, rel=1e-5)
 
 
 def test_sliced_sgd_leaves_inactive_weights_bit_identical(rng):
     g = build_reference("dnn", "S", 10, classes=3, seed=2)
     sl = [40, 60]
-    before0 = np.array(g.weights[0]["kernel"].array)
-    before1 = np.array(g.weights[1]["kernel"].array)
+    before0 = np.array(g.weights[0]["kernel"])
+    before1 = np.array(g.weights[1]["kernel"])
     x = rng.standard_normal((5, 10))
     y = rng.integers(0, 3, 5)
     _, grads = backward(g, (x, y), slicing=sl)
     sgd_step(g, grads, lr=0.1)
-    after0 = g.weights[0]["kernel"].array
-    after1 = g.weights[1]["kernel"].array
+    after0 = g.weights[0]["kernel"]
+    after1 = g.weights[1]["kernel"]
     np.testing.assert_array_equal(after0[:, 40:], before0[:, 40:])
     np.testing.assert_array_equal(after1[40:, :], before1[40:, :])
     np.testing.assert_array_equal(after1[:, 60:], before1[:, 60:])

@@ -11,7 +11,7 @@ from nestslice.cachesim import (CacheConfig, RP2040_CACHE, TraceStats,
                                 bench_report, simulate, trace_matmul,
                                 write_report_csv)
 from nestslice.errors import ConfigError
-from nestslice.tensor import Tensor, transpose
+from nestslice.tensor import transpose
 
 REFERENCE = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "perfbench", "reference.json")
@@ -61,15 +61,15 @@ def simulate_direct_mapped(trace, cfg: CacheConfig) -> TraceStats:
     return TraceStats(accesses=n, hits=hits)
 
 
-def matmul_basic_traced(x: Tensor, w: Tensor):
+def matmul_basic_traced(x, w):
     """Loop for x.T @ w over a row-major store, recording flat weight reads.
 
     x is (m x b), w (m x n): out[i, j] = sum_k x[k, i] * w[k, j].
     """
     m, b = x.shape
     n = w.shape[1]
-    xa = x.array.astype(np.float64)
-    wf = w.flat.astype(np.float64)
+    xa = x.astype(np.float64)
+    wf = w.reshape(-1).astype(np.float64)
     out = np.zeros((b, n))
     reads = []
     for i in range(b):
@@ -79,16 +79,16 @@ def matmul_basic_traced(x: Tensor, w: Tensor):
                 reads.append(k * n + j)
                 acc += xa[k, i] * wf[k * n + j]
             out[i, j] = acc
-    return Tensor.from_array(out), np.asarray(reads, dtype=np.int64)
+    return out, np.asarray(reads, dtype=np.int64)
 
 
-def matmul_optimized_traced(x: Tensor, wt: Tensor):
+def matmul_optimized_traced(x, wt):
     """The same product from the transposed store wt (n x m), each row one
     neuron's weights, recording flat weight reads."""
     m, b = x.shape
     n = wt.shape[0]
-    xa = x.array.astype(np.float64)
-    wf = wt.flat.astype(np.float64)
+    xa = x.astype(np.float64)
+    wf = wt.reshape(-1).astype(np.float64)
     out = np.zeros((b, n))
     reads = []
     for j in range(n):
@@ -98,7 +98,7 @@ def matmul_optimized_traced(x: Tensor, wt: Tensor):
                 reads.append(j * m + k)
                 acc += wf[j * m + k] * xa[k, i]
             out[i, j] = acc
-    return Tensor.from_array(out), np.asarray(reads, dtype=np.int64)
+    return out, np.asarray(reads, dtype=np.int64)
 
 
 def test_cache_config_validation():
@@ -154,8 +154,8 @@ def test_traces_match_instrumented_matmuls(rng):
     # instrumented reference loops read the same elements in the same
     # order as the synthetic traces
     m, n, b = 5, 4, 3
-    x = Tensor.from_array(rng.standard_normal((m, b)).astype(np.float32))
-    w = Tensor.from_array(rng.standard_normal((m, n)).astype(np.float32))
+    x = rng.standard_normal((m, b)).astype(np.float32)
+    w = rng.standard_normal((m, n)).astype(np.float32)
     _, reads = matmul_basic_traced(x, w)
     tr = trace_matmul("basic", m, n, b, 1.0, elem_bytes=4)
     np.testing.assert_array_equal(reads, tr // 4)

@@ -12,7 +12,7 @@ from nestslice import bounds
 from nestslice.cli import _make_parser, build_dataset, load_config, main
 from nestslice.finetune import evaluate_rows
 from nestslice.nest import load_bundle
-from nestslice.tensor import Tensor, read_blobs, write_blob
+from nestslice.tensor import read_blobs, store, write_blob
 
 README = os.path.join(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))), "README.md")
@@ -442,7 +442,7 @@ def _shorten_blob(layer, index):
         path = os.path.join(bundle, f"model_layer{layer:02d}.bin")
         with open(path, "rb") as fh:
             blobs = read_blobs(fh)
-        blobs[index] = Tensor.from_array(blobs[index].array[:1])
+        blobs[index] = store(blobs[index][:1])
         with open(path, "wb") as fh:
             for t in blobs:
                 write_blob(t, fh)

@@ -41,7 +41,7 @@ def test_idx_big_endian_dimensions(tmp_path):
     ip, lp = tmp_path / "i.idx", tmp_path / "l.idx"
     write_idx_images(ip, images)
     write_idx_labels(lp, np.zeros(2, dtype=np.uint8))
-    raw = open(ip, "rb").read()
+    raw = ip.read_bytes()
     assert raw[8:12] == bytes([0, 0, 0, 28])
     ds = load_idx(ip, lp)
     assert ds.samples.shape[1] == 28
@@ -61,7 +61,7 @@ def test_idx_magic_mismatch(tmp_path, idx_pair):
 
 def test_idx_truncation(tmp_path, idx_pair):
     ip, lp, _, _ = idx_pair
-    raw = open(ip, "rb").read()
+    raw = ip.read_bytes()
     bad = tmp_path / "trunc.idx"
     bad.write_bytes(raw[:-5])
     with pytest.raises(DataError, match="truncated"):

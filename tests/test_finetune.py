@@ -107,7 +107,7 @@ def test_single_row_reduces_to_plain_finetuning():
         losses.append(loss)
     for i, params in enumerate(m.graph.weights):
         for name, t in params.items():
-            np.testing.assert_array_equal(t.flat, g.weights[i][name].flat)
+            np.testing.assert_array_equal(t, g.weights[i][name])
     assert [b[2] for b in log.batches] == [[v] for v in losses]
     assert len(log.epochs) == 1
     assert log.epochs[0]["loss"] == pytest.approx(np.mean(losses))
@@ -127,7 +127,7 @@ def test_joint_gradient_is_pi_weighted_sum():
             for key, arr in grads.items():
                 manual[key] += pi[k] * arr
     # replicate one joint step and compare the applied delta
-    before = {(i, n): np.array(t.flat)
+    before = {(i, n): np.array(t)
               for i, p in enumerate(m.graph.weights)
               for n, t in p.items()}
     tc = TrainConfig(batch_size=16, epochs=1,
@@ -135,13 +135,12 @@ def test_joint_gradient_is_pi_weighted_sum():
     sub = synth_blobs(classes=5, per_class=8, dims=12, seed=99)
     sub.samples[...] = 0  # not used; we drive batches manually below
     sgd_step(m.graph, manual, lr=0.1)
-    after = {(i, n): np.array(t.flat)
+    after = {(i, n): np.array(t)
              for i, p in enumerate(m.graph.weights)
              for n, t in p.items()}
     for key in before:
         i, n = key
-        expect = before[key] - (0.1 * manual[key].reshape(-1)).astype(
-            np.float32)
+        expect = before[key] - (0.1 * manual[key]).astype(np.float32)
         np.testing.assert_allclose(after[key], expect, atol=1e-7)
 
 
@@ -194,8 +193,8 @@ def test_finetune_cache_optimized_layout_matches_standard():
     assert a == b
     for i in (0, 1, 2):
         np.testing.assert_allclose(
-            m_opt.graph.weights[i]["kernel"].array,
-            m_std.graph.weights[i]["kernel"].array.T, atol=1e-6)
+            m_opt.graph.weights[i]["kernel"],
+            m_std.graph.weights[i]["kernel"].T, atol=1e-6)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -204,7 +203,7 @@ def test_divergence_restores_checkpoint_and_raises(stage):
     m, data, _, _ = small_setup(seed=5)
     g = (m.graph if stage == "finetune"
          else build_reference("dnn", "S", 12, classes=5, seed=5))
-    snapshot = {(i, n): np.array(t.flat)
+    snapshot = {(i, n): np.array(t)
                 for i, p in enumerate(g.weights)
                 for n, t in p.items()}
     tc = TrainConfig(batch_size=32, epochs=1,
@@ -216,7 +215,7 @@ def test_divergence_restores_checkpoint_and_raises(stage):
             train_single(g, data, tc, seed=0)
     for key, data_before in snapshot.items():
         i, n = key
-        np.testing.assert_array_equal(g.weights[i][n].flat, data_before)
+        np.testing.assert_array_equal(g.weights[i][n], data_before)
 
 
 def test_finetune_log_schema():
@@ -265,7 +264,7 @@ def test_fewshot_full_dataset_reduces_to_joint():
     for i, params in enumerate(m.graph.weights):
         for name, t in params.items():
             np.testing.assert_array_equal(
-                t.flat, m2.graph.weights[i][name].flat)
+                t, m2.graph.weights[i][name])
 
 
 def test_fewshot_seed_reproducible():

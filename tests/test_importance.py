@@ -30,7 +30,7 @@ def test_scores_match_elementwise_oracle(rng):
     # attached batchnorm scale/shift
     for li in g.encoder_indices():
         spec = g.layers[li]
-        karr = g.weights[li]["kernel"].array.astype(np.float64)
+        karr = g.weights[li]["kernel"].astype(np.float64)
         gk = store.grads[(li, "kernel")]
         for u in [0, spec.units // 2, spec.units - 1]:
             if spec.kind == ng.DENSE:
@@ -39,12 +39,12 @@ def test_scores_match_elementwise_oracle(rng):
             else:
                 total = float(np.abs(gk[u] * karr[u]).sum())
             total += abs(store.grads[(li, "bias")][u]
-                         * float(g.weights[li]["bias"].array[u]))
+                         * float(g.weights[li]["bias"][u]))
             bn = g.attached_batchnorm(li)
             if bn is not None:
                 for nm in ("gamma", "beta"):
                     total += abs(store.grads[(bn, nm)][u]
-                                 * float(g.weights[bn][nm].array[u]))
+                                 * float(g.weights[bn][nm][u]))
             assert by[(li, u)].importance == pytest.approx(total, rel=1e-12)
 
 
@@ -67,10 +67,10 @@ def test_fig1_style_swap_preserves_function(rng):
     p[0], p[-1] = p[-1], p[0]
     perm = Permutation({0: p})
     g2 = apply_permutation(g, perm)
-    np.testing.assert_array_equal(g2.weights[0]["kernel"].array[:, 0],
-                                  g.weights[0]["kernel"].array[:, -1])
-    np.testing.assert_array_equal(g2.weights[1]["kernel"].array[0, :],
-                                  g.weights[1]["kernel"].array[-1, :])
+    np.testing.assert_array_equal(g2.weights[0]["kernel"][:, 0],
+                                  g.weights[0]["kernel"][:, -1])
+    np.testing.assert_array_equal(g2.weights[1]["kernel"][0, :],
+                                  g.weights[1]["kernel"][-1, :])
     x = rng.standard_normal((100, 12))
     assert np.abs(forward(g, x) - forward(g2, x)).max() < 1e-6
 
@@ -133,7 +133,7 @@ def test_inverse_restores_bit_identical_weights():
         if params is None:
             continue
         for name, t in params.items():
-            np.testing.assert_array_equal(t.flat, g3.weights[i][name].flat)
+            np.testing.assert_array_equal(t, g3.weights[i][name])
 
 
 def test_depthwise_follows_preceding_layer():
@@ -143,12 +143,12 @@ def test_depthwise_follows_preceding_layer():
     conv = g.sliceable_indices()[0]
     dw = g.next_compute_layer(conv)
     p = perm.maps[conv]
-    np.testing.assert_array_equal(g2.weights[dw]["kernel"].array,
-                                  g.weights[dw]["kernel"].array[p])
+    np.testing.assert_array_equal(g2.weights[dw]["kernel"],
+                                  g.weights[dw]["kernel"][p])
     pw = g.next_compute_layer(dw)
     np.testing.assert_array_equal(
-        g2.weights[pw]["kernel"].array[:, 0, 0, :],
-        g.weights[pw]["kernel"].array[:, 0, 0, :][:, p][
+        g2.weights[pw]["kernel"][:, 0, 0, :],
+        g.weights[pw]["kernel"][:, 0, 0, :][:, p][
             perm.maps[pw], :])
 
 

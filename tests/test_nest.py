@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 import nestslice.netgraph as ng
-from conftest import (assert_rows_share_store, random_grad_store,
-                      reference_forward)
+from conftest import (_array_operands, assert_rows_share_store,
+                      random_grad_store, reference_forward)
 from nestslice.errors import ExtentError, IntegrityError
 from nestslice.finetune import evaluate_rows
 from nestslice.importance import (apply_to_scores, permute_descending,
@@ -14,7 +14,7 @@ from nestslice.importance import (apply_to_scores, permute_descending,
 from nestslice.nest import (CACHE_OPTIMIZED, STANDARD, NestedModel,
                             load_bundle, save_bundle)
 from nestslice.netgraph import build_reference, forward, full_macs, plan_macs
-from nestslice.planner import plan_bottom_up
+from nestslice.planner import SlicingPlan, plan_bottom_up
 from nestslice.tensor import copy_counter, read_blobs, write_blob
 
 
@@ -49,6 +49,18 @@ def test_activate_same_row_no_copies(dnn_model):
     st = dnn_model.activate(0)
     assert st.weights_copied == 0
     assert copy_counter() == before
+
+
+def test_activate_fails_when_it_copies_weights(monkeypatch):
+    model = build_model()
+    row_widths = SlicingPlan.row_widths
+
+    def copying(plan, k):
+        model.graph.copy()
+        return row_widths(plan, k)
+    monkeypatch.setattr(SlicingPlan, "row_widths", copying)
+    with pytest.raises(IntegrityError, match="activate copied"):
+        model.activate(1)
 
 
 def test_activate_out_of_range(dnn_model):
@@ -98,12 +110,12 @@ def test_toy_two_of_four_slicing_hand_computed(rng):
     # dense chain with the first hidden layer sliced to 2 of 4 units
     from nestslice.netgraph import LayerSpec, ModelGraph
     from nestslice.planner import SlicingPlan
-    from nestslice.tensor import Tensor
+    from nestslice.tensor import store
     w1 = rng.standard_normal((3, 4)).astype(np.float32)
     w2 = rng.standard_normal((4, 4)).astype(np.float32)
     w3 = rng.standard_normal((4, 2)).astype(np.float32)
-    mk = lambda a: {"kernel": Tensor.from_array(a),
-                    "bias": Tensor.from_array(
+    mk = lambda a: {"kernel": store(a),
+                    "bias": store(
                         np.zeros(a.shape[1], np.float32))}
     g = ModelGraph(
         [LayerSpec("dense", 4, activation="none", sliceable=True),
@@ -195,15 +207,22 @@ def test_weight_sharing_audit(dnn_model):
             assert_rows_share_store(dnn_model)
     finally:
         prog.steps[0] = step
-    # rows view the same buffers: writing through one row's weights is
-    # visible at every other row
+    # rows hold read-only views of the same buffers: no program can write
+    # the store or its statistics, and an in-place write to the store
+    # shows in every row
+    for m in (dnn_model, build_model("dscnn", (8, 8, 1))):
+        for prog in m._programs:
+            for arr in _array_operands([s.args for s in prog.steps]):
+                assert not arr.flags.writeable
     w = dnn_model.graph.weights[0]["kernel"]
-    old = w.array[0, 0]
+    old = w[0, 0]
     bumped = np.float32(old + np.float32(1.0))
-    w.writable_array()[0, 0] = bumped
-    dnn_model.activate(dnn_model.plan.n_rows - 1)
-    assert dnn_model.graph.weights[0]["kernel"].array[0, 0] == bumped
-    w.writable_array()[0, 0] = old
+    w[0, 0] = bumped
+    try:
+        for prog in dnn_model._programs:
+            assert prog.steps[0].args[0][0, 0] == bumped
+    finally:
+        w[0, 0] = old
 
 
 def test_bundle_round_trip_byte_identical(tmp_path, rng):

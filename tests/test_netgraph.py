@@ -7,11 +7,12 @@ import nestslice.autograd as ag
 import nestslice.netgraph as ng
 from conftest import (depthwise_input_grad_oracle, depthwise_oracle,
                       reference_forward)
-from nestslice.errors import ConfigError, ExtentError
+from nestslice.errors import ConfigError, ExtentError, IntegrityError
+from nestslice.importance import Permutation, apply_permutation
 from nestslice.netgraph import (build_reference, forward, full_macs,
                                 load_manifest, plan_macs, save_manifest,
                                 truncate, unit_macs)
-from nestslice.tensor import Tensor, transpose
+from nestslice.tensor import copy_counter, store, transpose
 
 
 def widths_of(g):
@@ -110,7 +111,7 @@ def test_all_zero_weights_zero_logits(rng):
     for params in g.weights:
         if params:
             for t in params.values():
-                t.writable_array()[...] = 0.0
+                t[...] = 0.0
     out = forward(g, rng.standard_normal((3, 10)))
     np.testing.assert_array_equal(out, np.zeros((3, 4)))
 
@@ -126,12 +127,12 @@ def test_toy_sliced_forward_matches_hand_computation(rng):
     w2 = rng.standard_normal((4, 4)).astype(np.float32)
     w3 = rng.standard_normal((4, 2)).astype(np.float32)
     weights = [
-        {"kernel": Tensor.from_array(w1),
-         "bias": Tensor.from_array(np.zeros(4, np.float32))},
-        {"kernel": Tensor.from_array(w2),
-         "bias": Tensor.from_array(np.zeros(4, np.float32))},
-        {"kernel": Tensor.from_array(w3),
-         "bias": Tensor.from_array(np.zeros(2, np.float32))},
+        {"kernel": store(w1),
+         "bias": store(np.zeros(4, np.float32))},
+        {"kernel": store(w2),
+         "bias": store(np.zeros(4, np.float32))},
+        {"kernel": store(w3),
+         "bias": store(np.zeros(2, np.float32))},
     ]
     g = ng.ModelGraph(layers, weights, 3, encoder_end=1)
     x = rng.standard_normal((5, 3))
@@ -190,7 +191,7 @@ def test_float64_program_matches_reference_forward(arch, transposed, rng):
         u = g.layers[i].units
         for name, lo, hi in (("gamma", 0.5, 1.5), ("beta", -0.5, 0.5),
                              ("mean", -0.3, 0.3), ("var", 0.5, 2.0)):
-            g.weights[i][name] = Tensor.from_array(rng.uniform(lo, hi, u))
+            g.weights[i][name] = store(rng.uniform(lo, hi, u))
     if transposed:  # the cache-optimized dense store
         for i, spec in enumerate(g.layers):
             if spec.kind == ng.DENSE:
@@ -256,7 +257,7 @@ def test_depthwise_reads_in_place_weight_updates(rng):
     x = rng.standard_normal((3, 8, 8, 1))
     before = ng.run_forward(g, x, program=prog)[0]
     i = next(i for i, l in enumerate(g.layers) if l.kind == ng.DEPTHWISE)
-    g.weights[i]["kernel"].writable_array()[:, 1, 2] += 0.5
+    g.weights[i]["kernel"][:, 1, 2] += 0.5
     after = ng.run_forward(g, x, program=prog)[0]
     assert not np.array_equal(before, after)
     assert np.array_equal(after, ng.run_forward(g, x)[0])
@@ -276,11 +277,11 @@ def test_slicing_local_scope(rng):
     sl = [100, 144]
     t = truncate(g, sl)
     np.testing.assert_array_equal(
-        t.weights[0]["kernel"].array, g.weights[0]["kernel"].array[:, :100])
+        t.weights[0]["kernel"], g.weights[0]["kernel"][:, :100])
     np.testing.assert_array_equal(
-        t.weights[1]["kernel"].array, g.weights[1]["kernel"].array[:100, :])
+        t.weights[1]["kernel"], g.weights[1]["kernel"][:100, :])
     np.testing.assert_array_equal(
-        t.weights[2]["kernel"].array, g.weights[2]["kernel"].array)
+        t.weights[2]["kernel"], g.weights[2]["kernel"])
 
 
 def test_manifest_round_trip(tmp_path, rng):
@@ -296,3 +297,37 @@ def test_manifest_round_trip(tmp_path, rng):
     for entry in doc["layers"]:
         assert set(entry) >= {"kind", "units", "kernel", "stride",
                               "activation", "sliceable", "weights_file"}
+
+
+def test_weight_copies_are_counted(tmp_path):
+    # dnn S on 16 inputs, 5 classes: dense 16x144, 144x144, 144x5
+    g = build_reference("dnn", "S", 16, classes=5, seed=2)
+    n = sum(a.size for p in g.weights if p for a in p.values())
+    before = copy_counter()
+    c = g.copy()
+    assert copy_counter() - before == n
+    assert not any(np.shares_memory(c.weights[i][nm], a)
+                   for i, p in enumerate(g.weights) for nm, a in p.items())
+    path = save_manifest(g, tmp_path)
+    before = copy_counter()
+    load_manifest(path)
+    assert copy_counter() - before == n
+    # truncation and permutation make each parameter of the result once
+    before = copy_counter()
+    truncate(g, [40, 12])
+    assert copy_counter() - before == 16 * 40 + 40 + 40 * 12 + 12 + 12 * 5 + 5
+    perm = Permutation({0: np.arange(144)[::-1], 1: np.arange(144)[::-1]})
+    before = copy_counter()
+    apply_permutation(g, perm)
+    assert copy_counter() - before == n
+
+
+@pytest.mark.parametrize("bad", [
+    lambda k: k.astype(np.float64),
+    lambda k: np.repeat(k, 2, axis=1)[:, ::2],
+], ids=["float64", "strided"])
+def test_validate_rejects_kernel_not_float32_c_array(bad):
+    g = build_reference("dnn", "S", 16, classes=5, seed=2)
+    g.weights[0]["kernel"] = bad(g.weights[0]["kernel"])
+    with pytest.raises(IntegrityError, match="C-contiguous float32"):
+        ng.validate_graph(g)

@@ -402,12 +402,12 @@ def test_cost_lives_in_one_place(kind, monkeypatch):
 def test_equal_share_half_capacity():
     # 2 hidden layers of width 4: 50% capacity keeps 2 units per layer
     from nestslice.netgraph import LayerSpec, ModelGraph
-    from nestslice.tensor import Tensor
+    from nestslice.tensor import store
     rng = np.random.default_rng(0)
     mk = lambda fi, u: {
-        "kernel": Tensor.from_array(
+        "kernel": store(
             rng.standard_normal((fi, u)).astype(np.float32)),
-        "bias": Tensor.from_array(np.zeros(u, dtype=np.float32)),
+        "bias": store(np.zeros(u, dtype=np.float32)),
     }
     layers = [LayerSpec("dense", 4, activation="relu", sliceable=True),
               LayerSpec("dense", 4, activation="relu", sliceable=True),
@@ -421,18 +421,18 @@ def test_equal_share_half_capacity():
 def test_l1_ordering():
     # norms (3, 1, 2) keep order unit0, unit2, unit1
     from nestslice.netgraph import LayerSpec, ModelGraph
-    from nestslice.tensor import Tensor
+    from nestslice.tensor import store
     k1 = np.array([[3.0, -1.0, 2.0]], dtype=np.float32)
     k2 = np.ones((3, 2), dtype=np.float32)
     layers = [LayerSpec("dense", 3, activation="relu", sliceable=True),
               LayerSpec("dense", 2, activation="softmax")]
-    weights = [{"kernel": Tensor.from_array(k1),
-                "bias": Tensor.from_array(np.zeros(3, np.float32))},
-               {"kernel": Tensor.from_array(k2),
-                "bias": Tensor.from_array(np.zeros(2, np.float32))}]
+    weights = [{"kernel": store(k1),
+                "bias": store(np.zeros(3, np.float32))},
+               {"kernel": store(k2),
+                "bias": store(np.zeros(2, np.float32))}]
     g = ModelGraph(layers, weights, 1, encoder_end=0)
     g2, _ = plan_baseline(g, "l1", [full_macs(g)])
-    np.testing.assert_allclose(g2.weights[0]["kernel"].array,
+    np.testing.assert_allclose(g2.weights[0]["kernel"],
                                [[3.0, 2.0, -1.0]])
 
 
@@ -442,11 +442,11 @@ def test_random_baseline_reproducible():
     g_a, plan_a = plan_baseline(g, "random", caps, seed=42)
     g_b, plan_b = plan_baseline(g, "random", caps, seed=42)
     assert np.array_equal(plan_a.points, plan_b.points)
-    np.testing.assert_array_equal(g_a.weights[0]["kernel"].array,
-                                  g_b.weights[0]["kernel"].array)
+    np.testing.assert_array_equal(g_a.weights[0]["kernel"],
+                                  g_b.weights[0]["kernel"])
     g_c, _ = plan_baseline(g, "random", caps, seed=43)
-    assert not np.array_equal(g_a.weights[0]["kernel"].array,
-                              g_c.weights[0]["kernel"].array)
+    assert not np.array_equal(g_a.weights[0]["kernel"],
+                              g_c.weights[0]["kernel"])
 
 
 def test_baseline_nested():
