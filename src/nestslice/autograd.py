@@ -4,9 +4,10 @@ This is not a general tape autodiff. ``backward`` runs the same row
 program as inference (``netgraph._build_program``), keeping each layer's
 input except the batchnorm outputs: walking the steps in reverse, it
 rebuilds one of those by replaying its batchnorm step, and drops each
-kept input once the last rule that reads it has run. Each kernel of the
-program has a hand-written backward rule, and the program's per-layer
-view mapping puts the weight gradients back into full-shape arrays.
+kept input once the last rule that reads it has run. Each step carries
+its kernel's hand-written backward rule (they live beside the kernels in
+``netgraph``), and the program's per-layer view mapping puts the weight
+gradients back into full-shape arrays.
 That is enough to (a) accumulate the gradient sums used for importance
 scoring and (b) run (joint) fine-tuning.
 
@@ -36,7 +37,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from . import netgraph as ng
 from .errors import DataError, NumericError, ShapeMismatchError
@@ -185,7 +185,7 @@ def _backward_half(x, labels, g, prog, loss, n, dtype):
         xin = inputs.pop()
         if xin is None:  # a batchnorm output
             xin = ng._apply_step(prog.steps[i - 1], inputs[-1].copy())
-        d, dviews = _RULES[step.run](d, xin, *step.args)
+        d, dviews = step.back(d, xin, *step.args)
         # the step's view mapping, applied to zero buffers of the store's
         # shapes, puts each active gradient where its weight lives
         bufs = {name: np.zeros(a.shape)
@@ -198,113 +198,6 @@ def _backward_half(x, labels, g, prog, loss, n, dtype):
             if name not in stats:
                 grads[(i, name)] = buf
     return value, grads
-
-
-# Backward rules, one per kernel of the row program. Each takes the output
-# gradient, the layer's input and the kernel's arguments, and returns the
-# input gradient and the gradients of the weight views (None for views
-# that are constants).
-
-
-def _dense_back(d, x, k, b):
-    return d @ k.T, (x.T @ d, d.sum(axis=0))
-
-
-def _dense_spatial_back(d, x, k3, b):
-    p, c, _ = k3.shape
-    x3 = x.reshape(len(x), p, c).transpose(1, 0, 2)  # (p, N, c)
-    dx3 = np.matmul(d, k3.transpose(0, 2, 1))
-    return (dx3.transpose(1, 0, 2).reshape(x.shape),
-            (np.matmul(x3.transpose(0, 2, 1), d), d.sum(axis=0)))
-
-
-def _windows(x, kh, kw, sh, sw):
-    """(N, Ho, Wo, C, kh, kw) windows of the padded input, as the forward."""
-    return sliding_window_view(ng._pad(x, kh, kw), (kh, kw),
-                               axis=(1, 2))[:, ::sh, ::sw]
-
-
-def _taps_to_input(taps, shape, dtype, kh, kw, sh, sw):
-    """Sum per-tap gradients (N, Ho, Wo, C) onto an (N, H, W, C) input."""
-    n, h, w, c = shape
-    ph, pw = kh // 2, kw // 2
-    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=dtype)
-    for t, dt in enumerate(taps):
-        a, b = divmod(t, kw)
-        ho, wo = dt.shape[1:3]
-        dxp[:, a:a + sh * (ho - 1) + 1:sh, b:b + sw * (wo - 1) + 1:sw] += dt
-    return dxp[:, ph:ph + h, pw:pw + w]
-
-
-def _conv_back(d, x, k, b, kh, kw, sh, sw):
-    n, _, _, cin = x.shape
-    _, ho, wo, u = d.shape
-    win = _windows(x, kh, kw, sh, sw)
-    d2 = d.reshape(-1, u)
-    if k.ndim == 2:  # one input channel: (kh*kw, u)
-        dk = win.reshape(-1, kh * kw).T @ d2
-        dcols = k @ d2.T
-    else:
-        cols = win.transpose(4, 5, 0, 1, 2, 3).reshape(kh * kw, -1, cin)
-        dk = np.matmul(cols.transpose(0, 2, 1), d2)
-        dcols = np.matmul(d2, k.transpose(0, 2, 1))
-    taps = dcols.reshape(kh * kw, n, ho, wo, cin)
-    return (_taps_to_input(taps, x.shape, d.dtype, kh, kw, sh, sw),
-            (dk, d2.sum(axis=0)))
-
-
-def _depthwise_back(d, x, kd, b, kh, kw, sh, sw):
-    """The input gradient adds each tap's product into the padded
-    gradient, block by block as the forward runs, in the forward's tap
-    order; the reductions (kernel and bias sums) keep their own order."""
-    n, h, w, c = x.shape
-    _, ho, wo, _ = d.shape
-    dk = np.einsum("nhwc,nhwckl->ckl", d, _windows(x, kh, kw, sh, sw))
-    rows = ng._tap_rows(kd, wo, d.dtype)
-    ph, pw = kh // 2, kw // 2
-    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=d.dtype)
-    for blk in ng._batch_blocks(n, ho * wo * c):
-        db = d[blk]
-        for di in range(kh):
-            for dj in range(kw):
-                dxp[blk, di:di + sh * (ho - 1) + 1:sh,
-                    dj:dj + sw * (wo - 1) + 1:sw] += db * rows[di, dj]
-    return dxp[:, ph:ph + h, pw:pw + w], (dk, d.sum(axis=(0, 1, 2)))
-
-
-def _pointwise_back(d, x, k, b):
-    d2 = d.reshape(-1, d.shape[-1])
-    x2 = x.reshape(-1, x.shape[-1])
-    return (d2 @ k.T).reshape(x.shape), (x2.T @ d2, d2.sum(axis=0))
-
-
-def _batchnorm_back(d, x, mean, var, gamma, beta):
-    """One full-size temporary: it holds d * (x - mean) * inv for the
-    gamma sum, then the input gradient."""
-    inv = 1.0 / np.sqrt(var.astype(d.dtype, copy=False) + ng.BN_EPS)
-    axes = tuple(range(d.ndim - 1))
-    t = x - mean
-    t *= inv
-    t *= d
-    dgamma = t.sum(axis=axes)
-    dbeta = d.sum(axis=axes)
-    np.multiply(d, gamma * inv, out=t)
-    return t, (None, None, dgamma, dbeta)
-
-
-def _flatten_back(d, x):
-    return d.reshape(x.shape), ()
-
-
-_RULES = {
-    ng._run_dense: _dense_back,
-    ng._run_dense_spatial: _dense_spatial_back,
-    ng._run_conv: _conv_back,
-    ng._run_depthwise: _depthwise_back,
-    ng._run_pointwise: _pointwise_back,
-    ng._run_batchnorm: _batchnorm_back,
-    ng._run_flatten: _flatten_back,
-}
 
 
 def accumulate_importance_grads(g: ng.ModelGraph, stream,

@@ -32,12 +32,12 @@ class Dataset:
         idx = self.splits[name]
         return self.samples[idx], self.labels[idx]
 
-    def batches(self, name, batch_size, seed=0, shuffle=True, repeat=False):
-        """Yield (x, y) minibatches from one split."""
+    def batches(self, name, batch_size, seed=0, repeat=False):
+        """Yield shuffled (x, y) minibatches from one split."""
         idx = self.splits[name]
         rng = np.random.default_rng(seed)
         while True:
-            order = rng.permutation(idx) if shuffle else idx
+            order = rng.permutation(idx)
             for s in range(0, len(order) - batch_size + 1, batch_size):
                 sel = order[s:s + batch_size]
                 yield self.samples[sel], self.labels[sel]

@@ -42,14 +42,17 @@ def compute_pi(model: NestedModel) -> np.ndarray:
     return np.array(out)
 
 
-def evaluate(g: ng.ModelGraph, x, y, slicing=None, bn_stats=None,
-             batch_size=512) -> float:
-    """Classification accuracy on (x, y)."""
+_EVAL_BATCH = 512
+
+
+def evaluate(g: ng.ModelGraph, x, y, slicing=None, bn_stats=None) -> float:
+    """Classification accuracy on (x, y): one row program, run on chunks
+    of ``_EVAL_BATCH`` samples."""
+    prog = ng._build_program(g, slicing, bn_stats)
     hits = 0
-    for s in range(0, len(x), batch_size):
-        logits = ng.forward(g, x[s:s + batch_size], slicing=slicing,
-                            bn_stats=bn_stats)
-        hits += int((logits.argmax(axis=1) == y[s:s + batch_size]).sum())
+    for s in range(0, len(x), _EVAL_BATCH):
+        logits, _ = ng.run_forward(g, x[s:s + _EVAL_BATCH], program=prog)
+        hits += int((logits.argmax(axis=1) == y[s:s + _EVAL_BATCH]).sum())
     return hits / len(x)
 
 

@@ -2,11 +2,12 @@
 
 One permuted graph plus a slicing plan describes every subnetwork: the
 active weights of a smaller row are a leading slice of the larger row's,
-so no weights are ever duplicated. Switching the active subnetwork
-rewrites one integer width register per sliceable layer (plus a flag bit
-per cache-optimized layer) and copies zero weight elements. ``activate``
-asserts the latter through ``tensor.copy_counter``, which counts every
-element ``tensor.store`` makes, the one path that makes weights.
+so no weights are ever duplicated. A row is configured by one integer
+width per sliceable layer (plus a flag bit per cache-optimized layer),
+and switching the active subnetwork copies zero weight elements.
+``activate`` asserts the latter through ``tensor.copy_counter``, which
+counts every element ``tensor.store`` makes, the one path that makes
+weights.
 
 Batchnorm running statistics are the one width-dependent quantity, so
 they are kept per plan row (learnable scale/shift stay shared and
@@ -86,7 +87,6 @@ class NestedModel:
             for k in range(plan.n_rows)
         ]
         self.active = 0
-        self.width_registers = plan.row_widths(0)
 
     # -- switching -------------------------------------------------------
 
@@ -98,11 +98,8 @@ class NestedModel:
             )
         copies_before = tz.copy_counter()
         t0 = time.perf_counter()
-        widths = self.plan.row_widths(k)
-        for j in range(len(self.width_registers)):
-            self.width_registers[j] = widths[j]
+        integers = len(self.plan.row_widths(k))
         self.active = k  # infer runs program k from here on
-        integers = len(widths)
         if self.layout == CACHE_OPTIMIZED:
             integers += len(self.graph.transposed_dense)  # flag bits
         elapsed = time.perf_counter() - t0

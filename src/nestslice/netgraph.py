@@ -23,11 +23,12 @@ full model widths (knapsack item weights) and exact width-aware totals
 (``plan_macs``), which the row programs reproduce.
 
 There is one forward path: a row program (``_build_program``) resolves
-the widths, dims and weight views of one row, and ``_execute`` runs it
+the widths, dims and weight views of one row, and ``_run_steps`` runs it
 in float32, for inference and, for autograd, keeping each layer's input
 except the batchnorm outputs, which the backward rebuilds by replaying
-their batchnorm step. Autograd reduces the loss and sums gradients in
-float64; float64 activations are for checks only.
+their batchnorm step. Each step carries its kernel and the kernel's
+backward rule, written next to it here. Autograd reduces the loss and
+sums gradients in float64; float64 activations are for checks only.
 """
 
 from __future__ import annotations
@@ -417,6 +418,7 @@ def param_counts(g: ModelGraph, slicing=None, encoder_only=False) -> int:
 
 class _Step(NamedTuple):
     run: Callable  # run(cur, *args) computes the layer
+    back: Callable  # back(d, x, *args): its backward rule
     args: tuple  # the layer's weight views, then static arguments
     relu: bool
     mask: int | None  # zero features past this width (binary-mask rows)
@@ -428,6 +430,12 @@ class _Program:
     steps: list  # one _Step per layer, in layer order
     macs: int  # exact per-sample multiply count
     input_shape: tuple | int
+
+
+# Each kernel is followed by its backward rule. A rule takes the output
+# gradient, the layer's input and the kernel's arguments, and returns the
+# input gradient and the gradients of the weight views (None for views
+# that are constants).
 
 
 def _pad(cur, kh, kw):
@@ -444,6 +452,12 @@ def _out_hw(h, w, kh, kw, sh, sw):
             (w + 2 * (kw // 2) - kw) // sw + 1)
 
 
+def _windows(x, kh, kw, sh, sw):
+    """(N, Ho, Wo, C, kh, kw) windows of the padded input."""
+    return sliding_window_view(_pad(x, kh, kw), (kh, kw),
+                               axis=(1, 2))[:, ::sh, ::sw]
+
+
 def _contract(a, w):
     """sum_t a[t] @ w[t] for a (T, M, c) and a strided view w (T, c, u).
 
@@ -453,10 +467,18 @@ def _contract(a, w):
     return np.matmul(a, w).sum(axis=0)
 
 
-def _run_dense(cur, k, b):
-    out = cur @ k
+def _run_matmul(cur, k, b):
+    """Dense or pointwise: one matmul over the last axis. On a 2-D input
+    both reshapes are views."""
+    out = cur.reshape(-1, k.shape[0]) @ k
     out += b
-    return out
+    return out.reshape(cur.shape[:-1] + k.shape[1:])
+
+
+def _matmul_back(d, x, k, b):
+    d2 = d.reshape(-1, d.shape[-1])
+    x2 = x.reshape(-1, x.shape[-1])
+    return (d2 @ k.T).reshape(x.shape), (x2.T @ d2, d2.sum(axis=0))
 
 
 def _run_dense_spatial(cur, k3, b):
@@ -464,6 +486,14 @@ def _run_dense_spatial(cur, k3, b):
     out = _contract(cur.reshape(len(cur), p, c).transpose(1, 0, 2), k3)
     out += b
     return out
+
+
+def _dense_spatial_back(d, x, k3, b):
+    p, c, _ = k3.shape
+    x3 = x.reshape(len(x), p, c).transpose(1, 0, 2)  # (p, N, c)
+    dx3 = np.matmul(d, k3.transpose(0, 2, 1))
+    return (dx3.transpose(1, 0, 2).reshape(x.shape),
+            (np.matmul(x3.transpose(0, 2, 1), d), d.sum(axis=0)))
 
 
 def _run_conv(cur, k, b, kh, kw, sh, sw):
@@ -475,8 +505,7 @@ def _run_conv(cur, k, b, kh, kw, sh, sw):
     """
     n, h, w, cin = cur.shape
     ho, wo = _out_hw(h, w, kh, kw, sh, sw)
-    win = sliding_window_view(_pad(cur, kh, kw), (kh, kw),
-                              axis=(1, 2))[:, ::sh, ::sw]  # N,Ho,Wo,C,kh,kw
+    win = _windows(cur, kh, kw, sh, sw)
     if k.ndim == 2:
         out = win.reshape(n * ho * wo, kh * kw) @ k
     else:
@@ -484,6 +513,35 @@ def _run_conv(cur, k, b, kh, kw, sh, sw):
         out = _contract(cols, k)
     out += b
     return out.reshape(n, ho, wo, -1)
+
+
+def _taps_to_input(taps, shape, dtype, kh, kw, sh, sw):
+    """Sum per-tap gradients (N, Ho, Wo, C) onto an (N, H, W, C) input."""
+    n, h, w, c = shape
+    ph, pw = kh // 2, kw // 2
+    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=dtype)
+    for t, dt in enumerate(taps):
+        a, b = divmod(t, kw)
+        ho, wo = dt.shape[1:3]
+        dxp[:, a:a + sh * (ho - 1) + 1:sh, b:b + sw * (wo - 1) + 1:sw] += dt
+    return dxp[:, ph:ph + h, pw:pw + w]
+
+
+def _conv_back(d, x, k, b, kh, kw, sh, sw):
+    n, _, _, cin = x.shape
+    _, ho, wo, u = d.shape
+    win = _windows(x, kh, kw, sh, sw)
+    d2 = d.reshape(-1, u)
+    if k.ndim == 2:  # one input channel: (kh*kw, u)
+        dk = win.reshape(-1, kh * kw).T @ d2
+        dcols = k @ d2.T
+    else:
+        cols = win.transpose(4, 5, 0, 1, 2, 3).reshape(kh * kw, -1, cin)
+        dk = np.matmul(cols.transpose(0, 2, 1), d2)
+        dcols = np.matmul(d2, k.transpose(0, 2, 1))
+    taps = dcols.reshape(kh * kw, n, ho, wo, cin)
+    return (_taps_to_input(taps, x.shape, d.dtype, kh, kw, sh, sw),
+            (dk, d2.sum(axis=0)))
 
 
 # A batch block holds at most this many activations (256 KiB of float32),
@@ -542,11 +600,23 @@ def _run_depthwise(cur, kd, b, kh, kw, sh, sw):
     return out
 
 
-def _run_pointwise(cur, k, b):
-    n, h, w, cin = cur.shape
-    out = cur.reshape(-1, cin) @ k
-    out += b
-    return out.reshape(n, h, w, -1)
+def _depthwise_back(d, x, kd, b, kh, kw, sh, sw):
+    """The input gradient adds each tap's product into the padded
+    gradient, block by block as the forward runs, in the forward's tap
+    order; the reductions (kernel and bias sums) keep their own order."""
+    n, h, w, c = x.shape
+    _, ho, wo, _ = d.shape
+    dk = np.einsum("nhwc,nhwckl->ckl", d, _windows(x, kh, kw, sh, sw))
+    rows = _tap_rows(kd, wo, d.dtype)
+    ph, pw = kh // 2, kw // 2
+    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=d.dtype)
+    for blk in _batch_blocks(n, ho * wo * c):
+        db = d[blk]
+        for di in range(kh):
+            for dj in range(kw):
+                dxp[blk, di:di + sh * (ho - 1) + 1:sh,
+                    dj:dj + sw * (wo - 1) + 1:sw] += db * rows[di, dj]
+    return dxp[:, ph:ph + h, pw:pw + w], (dk, d.sum(axis=(0, 1, 2)))
 
 
 def _run_batchnorm(cur, mean, var, gamma, beta):
@@ -556,8 +626,26 @@ def _run_batchnorm(cur, mean, var, gamma, beta):
     return cur
 
 
+def _batchnorm_back(d, x, mean, var, gamma, beta):
+    """One full-size temporary: it holds d * (x - mean) * inv for the
+    gamma sum, then the input gradient."""
+    inv = 1.0 / np.sqrt(var.astype(d.dtype, copy=False) + BN_EPS)
+    axes = tuple(range(d.ndim - 1))
+    t = x - mean
+    t *= inv
+    t *= d
+    dgamma = t.sum(axis=axes)
+    dbeta = d.sum(axis=axes)
+    np.multiply(d, gamma * inv, out=t)
+    return t, (None, None, dgamma, dbeta)
+
+
 def _run_flatten(cur):
     return cur.reshape(len(cur), -1)
+
+
+def _flatten_back(d, x):
+    return d.reshape(x.shape), ()
 
 
 # -- layer kinds ---------------------------------------------------------------
@@ -565,8 +653,8 @@ def _run_flatten(cur):
 # One record per kind says what a layer of that kind means. A step builder
 # gives how layer i runs at active width ``u`` on active input dims ``cur``
 # (``pre_flat``: the active dims entering the last flatten): its kernel, the
-# function from the layer's arrays to the views the kernel reads, and its
-# static arguments.
+# kernel's backward rule, the function from the layer's arrays to the views
+# the kernel reads, and its static arguments.
 
 
 def _dense_step(g, i, u, cur, pre_flat, full_dims):
@@ -584,12 +672,12 @@ def _dense_step(g, i, u, cur, pre_flat, full_dims):
         def views(a):
             return (logical(a).reshape(h * w, cfull, units)[:, :c, :u],
                     a["bias"][:u])
-        return _run_dense_spatial, views, ()
+        return _run_dense_spatial, _dense_spatial_back, views, ()
     n_in = cur[0]
 
     def views(a):
         return logical(a)[:n_in, :u], a["bias"][:u]
-    return _run_dense, views, ()
+    return _run_matmul, _matmul_back, views, ()
 
 
 def _conv_step(g, i, u, cur, pre_flat, full_dims):
@@ -602,7 +690,7 @@ def _conv_step(g, i, u, cur, pre_flat, full_dims):
         k = (kv.reshape(u, kh * kw).T if cin == 1
              else kv.reshape(u, kh * kw, cin).transpose(1, 2, 0))
         return k, a["bias"][:u]
-    return _run_conv, views, (kh, kw) + tuple(spec.stride)
+    return _run_conv, _conv_back, views, (kh, kw) + tuple(spec.stride)
 
 
 def _depthwise_step(g, i, u, cur, pre_flat, full_dims):
@@ -611,7 +699,8 @@ def _depthwise_step(g, i, u, cur, pre_flat, full_dims):
 
     def views(a):
         return a["kernel"][:cin], a["bias"][:cin]
-    return _run_depthwise, views, tuple(spec.kernel) + tuple(spec.stride)
+    return (_run_depthwise, _depthwise_back, views,
+            tuple(spec.kernel) + tuple(spec.stride))
 
 
 def _pointwise_step(g, i, u, cur, pre_flat, full_dims):
@@ -619,7 +708,7 @@ def _pointwise_step(g, i, u, cur, pre_flat, full_dims):
 
     def views(a):
         return a["kernel"][:u, 0, 0, :cin].T, a["bias"][:u]
-    return _run_pointwise, views, ()
+    return _run_matmul, _matmul_back, views, ()
 
 
 def _batchnorm_step(g, i, u, cur, pre_flat, full_dims):
@@ -627,11 +716,11 @@ def _batchnorm_step(g, i, u, cur, pre_flat, full_dims):
 
     def views(a):
         return tuple(a[nm][:cw] for nm in ("mean", "var", "gamma", "beta"))
-    return _run_batchnorm, views, ()
+    return _run_batchnorm, _batchnorm_back, views, ()
 
 
 def _flatten_step(g, i, u, cur, pre_flat, full_dims):
-    return _run_flatten, lambda a: (), ()
+    return _run_flatten, _flatten_back, lambda a: (), ()
 
 
 def _window_dims(spec, d, u):
@@ -762,13 +851,13 @@ def _layer_step(g: ModelGraph, i: int, u: int, cur, pre_flat, full_dims):
     """How layer i runs at active width ``u`` on active input dims ``cur``.
 
     ``pre_flat`` is the active dims entering the last flatten. Returns
-    (run, views, static arguments, per-sample MACs, output dims).
+    (run, back, views, static arguments, per-sample MACs, output dims).
     """
     spec = g.layers[i]
     kind = _kind(spec)
-    run, views, static = kind.step(g, i, u, cur, pre_flat, full_dims)
+    run, back, views, static = kind.step(g, i, u, cur, pre_flat, full_dims)
     out = kind.out_dims(spec, cur, u)
-    return run, views, static, _per_unit_macs(g, i, cur, out) * u, out
+    return run, back, views, static, _per_unit_macs(g, i, cur, out) * u, out
 
 
 def _build_program(g: ModelGraph, slicing=None, bn_stats=None,
@@ -787,7 +876,7 @@ def _build_program(g: ModelGraph, slicing=None, bn_stats=None,
     for i, spec in enumerate(g.layers):
         if spec.kind == FLATTEN:
             pre_flat = cur
-        run, views, static, step_macs, cur = _layer_step(
+        run, back, views, static, step_macs, cur = _layer_step(
             g, i, int(width[i]), cur, pre_flat, full_dims)
         arrays = dict(g.weights[i] or {})
         if bn_stats is not None and i in bn_stats:
@@ -799,7 +888,7 @@ def _build_program(g: ModelGraph, slicing=None, bn_stats=None,
         mask = None
         if masked and spec.kind != FLATTEN and act[i] < cur[-1]:
             mask = int(act[i])
-        steps.append(_Step(run, views(arrays) + static,
+        steps.append(_Step(run, back, views(arrays) + static,
                            spec.activation == "relu", mask, views))
         macs += step_macs
     return _Program(steps, macs, g.input_shape)
@@ -826,20 +915,13 @@ def _check_input(input_shape, x):
 
 def _apply_step(step: _Step, cur):
     """Run one step on ``cur``, then its relu, then its mask."""
-    run, args, relu, mask, _ = step
+    run, _, args, relu, mask, _ = step
     cur = run(cur, *args)
     if relu:
         np.maximum(cur, 0.0, out=cur)
     if mask is not None:
         cur[..., mask:] = 0.0
     return cur
-
-
-def _execute(prog: _Program, x, dtype=np.float32, cache=None):
-    """Logits of a program on a batch, computed in ``dtype`` on a checked
-    copy of the input (``_run_steps``)."""
-    return _run_steps(prog, _check_input(prog.input_shape,
-                                         np.array(x, dtype=dtype)), cache)
 
 
 def _run_steps(prog: _Program, cur, cache=None):
@@ -885,7 +967,8 @@ def run_forward(g: ModelGraph, x, slicing=None, bn_stats=None,
     """
     if program is None:
         program = _build_program(g, slicing, bn_stats, mask_widths)
-    return _execute(program, x), program.macs
+    x = _check_input(program.input_shape, np.array(x, dtype=np.float32))
+    return _run_steps(program, x), program.macs
 
 
 def forward(g: ModelGraph, x, slicing=None, bn_stats=None, count_macs=False):

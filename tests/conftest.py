@@ -153,7 +153,7 @@ def depthwise_oracle(cur, kd, b, kh, kw, sh, sw):
 
 def depthwise_input_grad_oracle(d, shape, kd, kh, kw, sh, sw):
     """Unblocked depthwise input gradient (oracle of the input gradient of
-    ``autograd._depthwise_back``): every tap's whole (N, Ho, Wo, C)
+    ``netgraph._depthwise_back``): every tap's whole (N, Ho, Wo, C)
     product, summed in tap order onto a zeroed padded input."""
     n, h, w, c = shape
     _, ho, wo, _ = d.shape
@@ -172,7 +172,7 @@ def copying_forward(prog, x, dtype):
     logits: the program run step by step with nothing shared."""
     cur = ng._check_input(prog.input_shape, np.array(x, dtype=dtype))
     inputs = []
-    for run, args, relu, mask, _ in prog.steps:
+    for run, _, args, relu, mask, _ in prog.steps:
         inputs.append(cur.copy())
         cur = run(cur, *args)
         if relu:
@@ -209,8 +209,8 @@ def backward_oracle(g, batch, slicing=None, loss="ce", bn_stats=None,
     for i, (step, xin, out) in reversed(layers):
         if step.relu:
             d = d * (out > 0)
-        rule = (_batchnorm_back_oracle if step.run is ng._run_batchnorm
-                else ag._RULES[step.run])
+        rule = (_batchnorm_back_oracle if step.back is ng._batchnorm_back
+                else step.back)
         d, dviews = rule(d, xin, *step.args)
         bufs = {name: np.zeros(a.shape)
                 for name, a in (g.weights[i] or {}).items()}

@@ -136,7 +136,8 @@ def test_cached_inputs_equal_those_of_a_copying_run(net, dtype, rng):
             "masked") else ng._build_program(g, slicing=widths))
         x = rng.standard_normal((6, 8, 8, 1))
     got = []
-    logits = ng._execute(prog, x, dtype, got)
+    logits = ng._run_steps(prog, ng._check_input(
+        prog.input_shape, np.array(x, dtype=dtype)), got)
     want, want_logits = copying_forward(prog, x, dtype)
     assert np.array_equal(logits, want_logits)
     assert len(got) == len(want) == len(prog.steps)
@@ -334,30 +335,38 @@ def test_float32_gradients_agree_with_float64(arch, ishape, layout):
 
 
 @pytest.mark.parametrize("arch,ishape", [("cnn", (10, 10, 1)),
-                                         ("dscnn", (8, 8, 1))])
+                                         ("dscnn", (8, 8, 1)),
+                                         ("dnn", (64,))])
 def test_backward_rules_run_in_float32(arch, ishape, rng, monkeypatch):
     # an upcast anywhere in the chain would silently bring back float64
-    # passes; every rule must see and return float32 arrays
+    # passes; every rule must see and return float32 arrays. Each step's
+    # rule is wrapped where the step is built, so the test also sees that
+    # every step ran its own rule once per half of the batch
     seen = {}
+    layer_step = ng._layer_step
 
-    def checked(rule):
-        def run(d, x, *args):
+    def checked(i, rule):
+        def back(d, x, *args):
             dx, dviews = rule(d, x, *args)
-            seen.setdefault(rule.__name__, []).append(
+            seen.setdefault(i, []).append(
                 (d.dtype, x.dtype, dx.dtype,
                  *(dv.dtype for dv in dviews if dv is not None)))
             return dx, dviews
-        return run
+        return back
 
-    for kernel, rule in list(ag._RULES.items()):
-        monkeypatch.setitem(ag._RULES, kernel, checked(rule))
+    def wrapped(g, i, *rest):
+        run, back, *more = layer_step(g, i, *rest)
+        return (run, checked(i, back), *more)
+
+    monkeypatch.setattr(ng, "_layer_step", wrapped)
     g = build_reference(arch, "S", ishape, classes=5, seed=1)
     x = rng.standard_normal((8,) + ishape)
     backward(g, (x, rng.integers(0, 5, 8)))
-    assert seen
-    for name, calls in seen.items():
+    assert sorted(seen) == list(range(len(g.layers)))
+    for i, calls in seen.items():
+        assert len(calls) == 2, (i, len(calls))  # two halves of 4 samples
         for dtypes in calls:
-            assert all(dt == np.float32 for dt in dtypes), (name, dtypes)
+            assert all(dt == np.float32 for dt in dtypes), (i, dtypes)
 
 
 def test_loss_of_float32_logits_is_reduced_in_float64(rng):

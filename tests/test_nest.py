@@ -36,11 +36,15 @@ def dnn_model():
     return build_model()
 
 
-def test_activate_updates_one_integer_per_sliceable_layer(dnn_model):
+def test_activate_updates_one_integer_per_sliceable_layer(dnn_model, rng):
     st = dnn_model.activate(1)
     assert st.integers_updated == 2  # two sliceable dense layers
     assert st.weights_copied == 0
-    assert dnn_model.width_registers == dnn_model.plan.row_widths(1)
+    x = rng.standard_normal((6, 16))
+    want = forward(dnn_model.graph, x, slicing=dnn_model.plan.row_widths(1),
+                   bn_stats=dnn_model.bn_stats[1])
+    assert np.array_equal(dnn_model.infer(x), want)
+    assert not np.array_equal(dnn_model.infer(x), forward(dnn_model.graph, x))
 
 
 def test_activate_same_row_no_copies(dnn_model):

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import nestslice.autograd as ag
 import nestslice.netgraph as ng
 from conftest import (depthwise_input_grad_oracle, depthwise_oracle,
                       reference_forward)
@@ -210,7 +209,9 @@ def test_float64_program_matches_reference_forward(arch, transposed, rng):
                      .astype(np.float32)) for i in bn_layers}
         cases.append((sl, stats))
     for sl, stats in cases:
-        got = ng._execute(ng._build_program(g, sl, stats), x, np.float64)
+        prog = ng._build_program(g, sl, stats)
+        got = ng._run_steps(prog, ng._check_input(
+            prog.input_shape, np.array(x, dtype=np.float64)))
         want, _, _ = reference_forward(g, x, slicing=sl, bn_stats=stats)
         assert got.dtype == np.float64
         assert np.abs(got - want).max() < 1e-12
@@ -243,7 +244,7 @@ def test_blocked_depthwise_matches_tap_loop_oracle(batch, width, hw, stride,
     assert out.dtype == want.dtype == dtype
     assert np.array_equal(out, want)
     d = rng.standard_normal((n, ho, wo, wide)).astype(dtype)[..., :width]
-    dx, _ = ag._depthwise_back(d, x, kd, b, kh, kw, sh, sw)
+    dx, _ = ng._depthwise_back(d, x, kd, b, kh, kw, sh, sw)
     want = depthwise_input_grad_oracle(d, x.shape, kd, kh, kw, sh, sw)
     assert dx.dtype == want.dtype == dtype
     assert np.array_equal(dx, want)
