@@ -12,7 +12,7 @@ import numpy as np
 
 from nestslice import (NestedModel, copy_counter, forward, full_macs,
                        plan_macs)
-from nestslice.importance import Permutation, apply_permutation
+from nestslice.importance import apply_permutation
 from nestslice.netgraph import LayerSpec, ModelGraph
 from nestslice.planner import SlicingPlan
 
@@ -60,7 +60,7 @@ print("MACs full -> sliced:", full_macs(net), "->", plan_macs(net, [2, 4]))
 # swap the first and last units of hidden layer 1: columns 0 and 3 of W1,
 # rows 0 and 3 of W2. The function is unchanged on every input.
 p = np.array([3, 1, 2, 0])
-permuted = apply_permutation(net, Permutation({0: p}))
+permuted = apply_permutation(net, {0: p})
 delta = np.abs(forward(net, x) - forward(permuted, x)).max()
 print("\nmax |output difference| after the swap:", float(delta))
 

@@ -37,13 +37,13 @@ from .errors import (ConfigError, DataError, ExtentError,
 from .finetune import (compute_pi, evaluate, evaluate_rows,
                        few_shot_bu_td_harness, finetune_fewshot,
                        finetune_joint, train_single)
-from .importance import (Permutation, UnitScore, apply_permutation,
-                         apply_to_scores, permute_descending, score_units)
+from .importance import (apply_permutation, apply_to_scores,
+                         permute_descending, score_units)
 from .nest import (CACHE_OPTIMIZED, STANDARD, NestedModel, SwitchStats,
                    load_bundle, save_bundle)
-from .netgraph import (LayerSpec, ModelGraph, UnitCost, build_reference,
-                       forward, full_macs, load_manifest, plan_macs,
-                       save_manifest, truncate, unit_macs)
+from .netgraph import (LayerSpec, ModelGraph, build_reference, forward,
+                       full_macs, load_manifest, plan_macs, save_manifest,
+                       truncate, unit_macs)
 from .planner import (DwBlock, DwInstance, DwSolution, KnapsackInstance,
                       KnapsackSolution, SlicingPlan, make_plan,
                       plan_baseline, plan_bottom_up, plan_depthwise,

@@ -202,7 +202,7 @@ def _stage_score(cfg, state, out_dir):
     state["grads"] = accumulate_importance_grads(
         g, stream, n_batches=cfg["importance_batches"])
     state["scores"] = score_units(g, state["grads"])
-    export_scores_csv(state["scores"], os.path.join(out_dir, "scores.csv"))
+    export_scores_csv(g, state["scores"], os.path.join(out_dir, "scores.csv"))
     return {"artifact": "scores.csv"}
 
 
@@ -302,6 +302,7 @@ def cmd_eval(bundle_dir, cfg, out_dir) -> int:
             "capacity_pct": round(100.0 * model.plan.capacities[k] / full, 2),
             "capacity_macs": model.plan.capacities[k],
             "macs": macs,
+            "macs_pct": round(100.0 * macs / full, 2),
             "params": ng.param_counts(model.graph, widths),
             "accuracy": accs[k],
         })
@@ -311,9 +312,9 @@ def cmd_eval(bundle_dir, cfg, out_dir) -> int:
         wr.writeheader()
         wr.writerows(rows)
     for r in rows:
-        print(f"row {r['row']}: {r['capacity_pct']:6.2f}% MACs "
-              f"({r['macs']}), params {r['params']}, "
-              f"accuracy {r['accuracy']:.4f}")
+        print(f"row {r['row']}: budget {r['capacity_pct']:6.2f}%, "
+              f"MACs {r['macs_pct']:6.2f}% ({r['macs']}), "
+              f"params {r['params']}, accuracy {r['accuracy']:.4f}")
     return 0
 
 

@@ -47,7 +47,9 @@ _EVAL_BATCH = 512
 
 def evaluate(g: ng.ModelGraph, x, y, slicing=None, bn_stats=None) -> float:
     """Classification accuracy on (x, y): one row program, run on chunks
-    of ``_EVAL_BATCH`` samples."""
+    of ``_EVAL_BATCH`` samples. DataError on an empty set."""
+    if len(x) == 0:
+        raise DataError("empty evaluation set")
     prog = ng._build_program(g, slicing, bn_stats)
     hits = 0
     for s in range(0, len(x), _EVAL_BATCH):

@@ -1,5 +1,11 @@
 """Per-unit importance scores and the descending-importance permutation.
 
+Both are per-layer arrays. Scores are ``{layer: float64 array}``, one
+entry per unit. A permutation is ``{layer: order}`` over the sliceable
+layers, with ``order[new_position] = old_index``; applying it gathers
+weights with each order array, and layers without an entry keep their
+order.
+
 A unit's score is the grouped sum, over the weights that vanish with the
 unit, of |accumulated gradient x weight value|. The weight set of a unit
 covers its fan-in weights, its bias, and the scale/shift of an attached
@@ -17,20 +23,11 @@ in ``netgraph`` (``_unit_axes``, ``_unit_gathers``).
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import netgraph as ng
 from .errors import IntegrityError
-
-
-@dataclass
-class UnitScore:
-    layer: int
-    unit: int
-    importance: float
-    macs: int
 
 
 def _layer_unit_scores(g, grads, i):
@@ -50,8 +47,9 @@ def _layer_unit_scores(g, grads, i):
     return per
 
 
-def score_units(g: ng.ModelGraph, grad_store) -> list:
-    """One UnitScore per encoder compute unit (including depthwise filters).
+def score_units(g: ng.ModelGraph, grad_store) -> dict:
+    """``{layer: per-unit scores}`` for every encoder compute layer
+    (including depthwise layers), in ``encoder_indices`` order.
 
     Depthwise filters are not independently sliceable but their scores are
     needed by the depthwise planner formulation.
@@ -62,16 +60,11 @@ def score_units(g: ng.ModelGraph, grad_store) -> list:
             raise IntegrityError(
                 f"gradient/weight shape mismatch at layer {i} {name}"
             )
-    costs = {(c.layer, c.unit): c.macs for c in ng.unit_macs(g)}
-    out = []
+    out = {}
     for i in g.encoder_indices():
-        per = _layer_unit_scores(g, grads, i)
-        if not np.all(np.isfinite(per)):
+        out[i] = _layer_unit_scores(g, grads, i)
+        if not np.all(np.isfinite(out[i])):
             raise IntegrityError(f"non-finite importance in layer {i}")
-        out.extend(
-            UnitScore(i, u, float(per[u]), costs[(i, u)])
-            for u in range(g.layers[i].units)
-        )
     return out
 
 
@@ -85,57 +78,39 @@ def pointwise_kernel_scores(g: ng.ModelGraph, grad_store, layer: int):
     return np.abs(gk * karr)
 
 
-def scores_by_layer(scores) -> dict:
-    by = {}
-    for s in scores:
-        by.setdefault(s.layer, []).append(s)
-    for lst in by.values():
-        lst.sort(key=lambda s: s.unit)
-    return by
-
-
-def export_scores_csv(scores, path) -> None:
+def export_scores_csv(g: ng.ModelGraph, scores, path) -> None:
+    """One row per unit: layer, unit, importance and the unit's MACs."""
+    macs = ng.unit_macs(g)
     with open(path, "w", newline="") as fh:
         wr = csv.writer(fh)
         wr.writerow(["layer", "unit", "importance", "macs"])
-        for s in scores:
-            wr.writerow([s.layer, s.unit, repr(s.importance), s.macs])
+        for l, vals in scores.items():
+            for u, v in enumerate(vals):
+                wr.writerow([l, u, repr(float(v)), macs[l]])
 
 
 # -- permutation -------------------------------------------------------------
 
 
-@dataclass
-class Permutation:
-    """Per-layer unit reordering; identity on non-sliceable layers.
-
-    ``maps[layer][new_position] = old_index``; applying the permutation
-    gathers weights with this order array.
-    """
-
-    maps: dict
-
-
-def _permutation_ops(g: ng.ModelGraph, perm: Permutation) -> list:
+def _permutation_ops(g: ng.ModelGraph, perm: dict) -> list:
     """The gathers the permutation performs (``netgraph._unit_gathers``);
     sharing this list lets weight tensors and weight-shaped arrays
     (gradient sums) be permuted identically."""
-    for l, p in perm.maps.items():
+    for l, p in perm.items():
         if len(p) != g.layers[l].units:
             raise IntegrityError(
                 f"permutation for layer {l} has {len(p)} entries, "
                 f"layer has {g.layers[l].units} units"
             )
-    return ng._unit_gathers(g, perm.maps)
+    return ng._unit_gathers(g, perm)
 
 
-def apply_permutation(g: ng.ModelGraph, perm: Permutation) -> ng.ModelGraph:
+def apply_permutation(g: ng.ModelGraph, perm: dict) -> ng.ModelGraph:
     """Reindex weights so the network function is unchanged."""
     return ng._gathered_copy(g, _permutation_ops(g, perm))
 
 
-def permute_grad_store(g_new: ng.ModelGraph, perm: Permutation,
-                       grad_store):
+def permute_grad_store(g_new: ng.ModelGraph, perm: dict, grad_store):
     """Gradient store reindexed like the weights, losslessly in float64."""
     from .autograd import GradStore
 
@@ -156,41 +131,30 @@ def permute_descending(g: ng.ModelGraph, scores):
     Ties break by original index (stable). Returns the permuted graph and
     the permutation; the network function is unchanged.
     """
-    by_layer = scores_by_layer(scores)
-    sliceable = set(g.sliceable_indices())
-    covered = {l for l in by_layer if l in sliceable}
-    missing = sliceable - covered
+    sliceable = g.sliceable_indices()
+    missing = {l for l in sliceable if l not in scores}
     if missing:
         raise IntegrityError(f"scores missing for sliceable layers {missing}")
-    maps = {}
-    for l in sorted(covered):
-        lst = by_layer[l]
-        if len(lst) != g.layers[l].units:
+    perm = {}
+    for l in sliceable:
+        if len(scores[l]) != g.layers[l].units:
             raise IntegrityError(
-                f"layer {l}: {len(lst)} scores for {g.layers[l].units} units"
+                f"layer {l}: {len(scores[l])} scores for "
+                f"{g.layers[l].units} units"
             )
-        imp = np.array([s.importance for s in lst])
-        maps[l] = np.argsort(-imp, kind="stable")
-    perm = Permutation(maps)
+        perm[l] = np.argsort(-scores[l], kind="stable")
     return apply_permutation(g, perm), perm
 
 
-def apply_to_scores(g: ng.ModelGraph, perm: Permutation, scores) -> list:
+def apply_to_scores(g: ng.ModelGraph, perm: dict, scores) -> dict:
     """Scores of the permuted model, in the new unit order.
 
     Depthwise layers follow the permutation of the layer feeding them.
     """
-    by_layer = scores_by_layer(scores)
-    out = []
-    for l, lst in sorted(by_layer.items()):
-        if l in perm.maps:
-            p = perm.maps[l]
-        elif ng._kind(g.layers[l]).bound:
+    out = {}
+    for l, vals in scores.items():
+        src = l
+        if l not in perm and ng._kind(g.layers[l]).bound:
             src = g.prev_compute_layer(l)
-            p = perm.maps.get(src, np.arange(len(lst)))
-        else:
-            p = np.arange(len(lst))
-        for new_u, old_u in enumerate(p):
-            s = lst[int(old_u)]
-            out.append(UnitScore(l, new_u, s.importance, s.macs))
+        out[l] = vals[perm[src]] if src in perm else vals
     return out

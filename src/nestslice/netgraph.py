@@ -18,9 +18,10 @@ Width bookkeeping is central: every sliceable layer has an *active width*
 vector aligned with ``sliceable_indices``; depthwise and batchnorm layers
 inherit the width of the layer they are bound to. One rule prices every
 kind: a unit costs its kernel elements times its output positions
-(``_per_unit_macs``). MAC counts come in two flavors: per-unit costs at
-full model widths (knapsack item weights) and exact width-aware totals
-(``plan_macs``), which the row programs reproduce.
+(``_per_unit_macs``). MAC counts come in two flavors: one per-unit cost
+per layer at full model widths (``unit_macs``, the knapsack item
+weights) and exact width-aware totals (``plan_macs``), which the row
+programs reproduce.
 
 There is one forward path: a row program (``_build_program``) resolves
 the widths, dims and weight views of one row, and ``_run_steps`` runs it
@@ -102,13 +103,6 @@ class LayerSpec:
             )
         except (KeyError, TypeError, ValueError) as e:
             raise IntegrityError(f"malformed layer: {e!r}") from e
-
-
-@dataclass
-class UnitCost:
-    layer: int
-    unit: int
-    macs: int
 
 
 @dataclass
@@ -341,17 +335,14 @@ def resolve_widths(g: ModelGraph, slicing=None) -> np.ndarray:
 # -- MAC accounting ----------------------------------------------------------
 
 
-def unit_macs(g: ModelGraph) -> list:
-    """Per-unit MAC cost of every compute-layer unit at full model widths
-    (``_per_unit_macs``). Batchnorm contributes zero and produces no
-    entries.
+def unit_macs(g: ModelGraph) -> dict:
+    """``{layer: MACs of one unit}`` for every compute layer at full model
+    widths (``_per_unit_macs``); all units of a layer cost the same.
+    Batchnorm contributes zero and has no entry.
     """
     dims = layer_output_dims(g)
-    out = []
-    for i in g.compute_indices():
-        per = _per_unit_macs(g, i, _in_dims_at(g, i, dims), dims[i])
-        out.extend(UnitCost(i, u, per) for u in range(g.layers[i].units))
-    return out
+    return {i: _per_unit_macs(g, i, _in_dims_at(g, i, dims), dims[i])
+            for i in g.compute_indices()}
 
 
 def _per_unit_macs(g, i, in_dim, out_dim):
@@ -512,7 +503,7 @@ def _run_conv(cur, k, b, kh, kw, sh, sw):
         cols = win.transpose(4, 5, 0, 1, 2, 3).reshape(kh * kw, -1, cin)
         out = _contract(cols, k)
     out += b
-    return out.reshape(n, ho, wo, -1)
+    return out.reshape(n, ho, wo, k.shape[-1])
 
 
 def _taps_to_input(taps, shape, dtype, kh, kw, sh, sw):
@@ -641,7 +632,7 @@ def _batchnorm_back(d, x, mean, var, gamma, beta):
 
 
 def _run_flatten(cur):
-    return cur.reshape(len(cur), -1)
+    return cur.reshape(len(cur), math.prod(cur.shape[1:]))
 
 
 def _flatten_back(d, x):

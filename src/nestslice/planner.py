@@ -45,7 +45,6 @@ import numpy as np
 
 from . import netgraph as ng
 from .errors import ConfigError, InfeasiblePlanError, IntegrityError
-from .importance import scores_by_layer
 
 # bytes of solve_exact's DP (take bits plus float rows) before it falls
 # back to branch and bound
@@ -410,7 +409,7 @@ def rider_costs(g: ng.ModelGraph) -> dict:
     columns of the classifier. Folding these into item weights makes the
     knapsack budget bound the full-model MAC count.
     """
-    per_unit = {c.layer: c.macs for c in ng.unit_macs(g)}  # equal within layer
+    per_unit = ng.unit_macs(g)
     riders = {i: sum(per_unit.get(j, 0) for j in ng._followers(g, i)[0])
               for i in g.sliceable_indices()}
     last_enc = [i for i in g.sliceable_indices() if i <= g.encoder_end][-1]
@@ -420,12 +419,11 @@ def rider_costs(g: ng.ModelGraph) -> dict:
 
 @dataclass
 class PlanItems:
-    layer_of: np.ndarray
-    unit_of: np.ndarray
     profits: np.ndarray
     weights: np.ndarray
     forced_min: frozenset
     sliceable: list
+    sizes: list  # units per sliceable layer, in item order
 
     @classmethod
     def build(cls, g: ng.ModelGraph, scores):
@@ -437,40 +435,38 @@ class PlanItems:
         that fits the budget is kept rather than dropped, so a 100% row
         really is the full model.
         """
-        by_layer = scores_by_layer(scores)
+        unit_macs = ng.unit_macs(g)
         riders = rider_costs(g)
         sliceable = g.sliceable_indices()
-        top = max((s.importance for s in scores), default=1.0)
+        top = max((v.max() for v in scores.values()), default=1.0)
         floor = 1e-9 * max(top, 1.0)
-        layer_of, unit_of, profits, weights, forced = [], [], [], [], []
+        profits, weights, forced, sizes = [], [], [], []
         start = 0
         for li in sliceable:
-            lst = by_layer.get(li)
-            if lst is None or len(lst) != g.layers[li].units:
+            imp = scores.get(li)
+            if imp is None or len(imp) != g.layers[li].units:
                 raise IntegrityError(f"scores missing for layer {li}")
-            imp = np.array([s.importance for s in lst])
             if np.any(np.diff(imp) > 1e-12):
                 raise IntegrityError(
                     f"layer {li} scores are not descending; permute first"
                 )
             forced.append(start)  # first unit of the layer
-            start += len(lst)
-            layer_of.append(np.full(len(lst), li))
-            unit_of.append(np.array([s.unit for s in lst]))
+            start += len(imp)
+            sizes.append(len(imp))
             profits.append(imp + floor)
-            weights.append(np.array([s.macs for s in lst], dtype=np.int64)
-                           + riders[li])
-        return cls(np.concatenate(layer_of), np.concatenate(unit_of),
-                   np.concatenate(profits), np.concatenate(weights),
-                   frozenset(forced), sliceable)
+            weights.append(np.full(len(imp), unit_macs[li] + riders[li]))
+        return cls(np.concatenate(profits), np.concatenate(weights),
+                   frozenset(forced), sliceable, sizes)
 
     def counts_from_selection(self, selected) -> list:
-        chosen = np.zeros(len(self.layer_of), dtype=bool)
+        chosen = np.zeros(sum(self.sizes), dtype=bool)
         chosen[list(selected)] = True
         counts = []
+        start = 0
         # prefix audit: the selected units of each layer must be 0..k-1
-        for li in self.sliceable:
-            got = np.sort(self.unit_of[chosen & (self.layer_of == li)])
+        for li, n in zip(self.sliceable, self.sizes):
+            got = np.flatnonzero(chosen[start:start + n])
+            start += n
             if np.any(got != np.arange(len(got))):
                 raise IntegrityError(
                     f"selection in layer {li} is not a leading prefix: "
@@ -510,12 +506,11 @@ def plan_baseline(g: ng.ModelGraph, strategy, capacities, seed=0):
     the graph is re-permuted by that ordering so rows remain leading
     prefixes. Returns (permuted graph, plan).
     """
-    from .importance import UnitScore, permute_descending
+    from .importance import permute_descending
 
     caps = _descending(capacities)
     rng = np.random.default_rng(seed)
-    costs = {(c.layer, c.unit): c.macs for c in ng.unit_macs(g)}
-    scores = []
+    scores = {}
     for li in g.sliceable_indices():
         spec = g.layers[li]
         karr = g.weights[li]["kernel"].astype(np.float64)
@@ -527,10 +522,7 @@ def plan_baseline(g: ng.ModelGraph, strategy, capacities, seed=0):
             vals = rng.random(spec.units)
         else:
             raise ConfigError(f"unknown baseline strategy {strategy!r}")
-        scores.extend(
-            UnitScore(li, u, float(vals[u]), costs[(li, u)])
-            for u in range(spec.units)
-        )
+        scores[li] = vals
     g2, _ = permute_descending(g, scores)
 
     sliceable = g2.sliceable_indices()
@@ -801,14 +793,12 @@ def build_dw_instance(g: ng.ModelGraph, scores, grad_store) -> DwInstance:
     """
     from .importance import pointwise_kernel_scores
 
-    by_layer = scores_by_layer(scores)
     sliceable = g.sliceable_indices()
     conv_idx = sliceable[0]
     if g.layers[conv_idx].kind != ng.CONV2D:
         raise ConfigError("depthwise formulation expects a leading conv layer")
-    per_unit = {c.layer: c.macs for c in ng.unit_macs(g)}
+    per_unit = ng.unit_macs(g)
 
-    first_scores = np.array([s.importance for s in by_layer[conv_idx]])
     blocks = []
     cur = conv_idx
     cls_idx = g.classifier_index()
@@ -820,7 +810,6 @@ def build_dw_instance(g: ng.ModelGraph, scores, grad_store) -> DwInstance:
         pw = g.next_compute_layer(dw)
         if pw is None or g.layers[pw].kind != ng.POINTWISE:
             raise ConfigError("depthwise layer must feed a pointwise layer")
-        dw_scores = np.array([s.importance for s in by_layer[dw]])
         kmat = pointwise_kernel_scores(g, grad_store, pw)
         extras = np.zeros(g.layers[pw].units)
         gb = grad_store.grads[(pw, "bias")]
@@ -839,7 +828,7 @@ def build_dw_instance(g: ng.ModelGraph, scores, grad_store) -> DwInstance:
         )
         # per-kernel MACs: the full per-filter cost spread over full cin
         blocks.append(DwBlock(
-            dw_profits=dw_scores,
+            dw_profits=scores[dw],
             w2=per_unit[dw],
             n_units=g.layers[pw].units,
             kernel_profits=kmat,
@@ -850,7 +839,7 @@ def build_dw_instance(g: ng.ModelGraph, scores, grad_store) -> DwInstance:
     if not blocks:
         raise ConfigError("graph has no depthwise blocks")
     return DwInstance(
-        first_profits=first_scores,
+        first_profits=scores[conv_idx],
         w1=per_unit[conv_idx],
         n0=g.layers[conv_idx].units,
         blocks=blocks,
@@ -886,7 +875,7 @@ def dw_dp_work(g: ng.ModelGraph, capacities) -> float:
     blocks = sum(1 for l in g.layers if l.kind == ng.DEPTHWISE)
     width = max((l.units for l in g.layers if l.kind == ng.POINTWISE),
                 default=0)
-    coeffs = [c.macs for c in ng.unit_macs(g)]
+    coeffs = list(ng.unit_macs(g).values())
     gg = int(np.gcd.reduce(np.array(coeffs, dtype=np.int64))) or 1
     cap = max(capacities) // gg
     return float(blocks) * width * width * cap

@@ -129,7 +129,7 @@ def test_eval_outputs_per_row_accuracy(pipeline_out, tmp_path):
     rows = _read_csv(ev, "eval.csv")
     assert len(rows) == 4
     assert set(rows[0]) == {"row", "capacity_pct", "capacity_macs", "macs",
-                            "params", "accuracy"}
+                            "macs_pct", "params", "accuracy"}
     # params column equals an independent weight-count audit
     import nestslice.netgraph as ng
     from nestslice.nest import load_bundle
@@ -137,6 +137,10 @@ def test_eval_outputs_per_row_accuracy(pipeline_out, tmp_path):
     for r in rows:
         widths = model.plan.row_widths(int(r["row"]))
         assert int(r["params"]) == ng.param_counts(model.graph, widths)
+        # the row's own MAC share, which stays within its budget share
+        assert float(r["macs_pct"]) == round(
+            100.0 * int(r["macs"]) / ng.full_macs(model.graph), 2)
+        assert float(r["macs_pct"]) <= float(r["capacity_pct"])
 
 
 def test_untrained_model_chance_accuracy(tmp_path):
@@ -257,6 +261,19 @@ def test_data_error_exit_code(tmp_path):
                     "labels": "/nonexistent/l.idx"}})
     rc = main(["--config", cfg, "--out", str(tmp_path / "o"), "pipeline"])
     assert rc == 4
+
+
+def test_empty_validation_split_exit_code(tmp_path):
+    # 8 samples split 80:10:10 leave no validation sample to score
+    cfg = write_config(tmp_path, {
+        "classes": 2,
+        "dataset": {"kind": "synthetic", "classes": 2, "per_class": 4,
+                    "dims": 12, "separation": 5.0}})
+    out = str(tmp_path / "o")
+    assert main(["--config", cfg, "--out", out, "pipeline"]) == 4
+    stages = _read_json(out, "manifest.json")["stages"]
+    assert stages[-1] == {"stage": "failed:train",
+                          "error": "empty evaluation set"}
 
 
 def test_plan_command_baselines(tmp_path):

@@ -5,10 +5,9 @@ import pytest
 
 import nestslice.netgraph as ng
 from conftest import random_grad_store
-from nestslice.importance import (Permutation, apply_permutation,
-                                  apply_to_scores, export_scores_csv,
-                                  permute_descending, pointwise_kernel_scores,
-                                  score_units)
+from nestslice.importance import (apply_permutation, apply_to_scores,
+                                  export_scores_csv, permute_descending,
+                                  pointwise_kernel_scores, score_units)
 from nestslice.netgraph import build_reference, forward
 
 
@@ -18,14 +17,13 @@ def test_all_zero_gradients_zero_scores():
     for key in store.grads:
         store.grads[key][...] = 0.0
     scores = score_units(g, store)
-    assert all(s.importance == 0.0 for s in scores)
+    assert all(np.all(v == 0.0) for v in scores.values())
 
 
 def test_scores_match_elementwise_oracle(rng):
     g = build_reference("dscnn", "S", (8, 8, 1), classes=4, seed=1)
     store = random_grad_store(g, seed=3)
     scores = score_units(g, store)
-    by = {(s.layer, s.unit): s for s in scores}
     # independent brute-force sum of |g*w| per unit, including bias and
     # attached batchnorm scale/shift
     for li in g.encoder_indices():
@@ -45,17 +43,17 @@ def test_scores_match_elementwise_oracle(rng):
                 for nm in ("gamma", "beta"):
                     total += abs(store.grads[(bn, nm)][u]
                                  * float(g.weights[bn][nm][u]))
-            assert by[(li, u)].importance == pytest.approx(total, rel=1e-12)
+            assert scores[li][u] == pytest.approx(total, rel=1e-12)
 
 
-def test_scores_cover_depthwise_and_carry_macs():
+def test_scores_cover_depthwise_one_array_per_layer():
     g = build_reference("dscnn", "S", (8, 8, 1), classes=4, seed=1)
     scores = score_units(g, random_grad_store(g))
-    costs = {(c.layer, c.unit): c.macs for c in ng.unit_macs(g)}
-    layers = {s.layer for s in scores}
-    assert any(g.layers[li].kind == ng.DEPTHWISE for li in layers)
-    assert g.classifier_index() not in layers
-    assert all(s.macs == costs[(s.layer, s.unit)] for s in scores)
+    assert list(scores) == g.encoder_indices()
+    assert any(g.layers[li].kind == ng.DEPTHWISE for li in scores)
+    assert g.classifier_index() not in scores
+    assert all(v.dtype == np.float64 and v.shape == (g.layers[li].units,)
+               for li, v in scores.items())
 
 
 def test_fig1_style_swap_preserves_function(rng):
@@ -65,8 +63,7 @@ def test_fig1_style_swap_preserves_function(rng):
     n = g.layers[0].units
     p = np.arange(n)
     p[0], p[-1] = p[-1], p[0]
-    perm = Permutation({0: p})
-    g2 = apply_permutation(g, perm)
+    g2 = apply_permutation(g, {0: p})
     np.testing.assert_array_equal(g2.weights[0]["kernel"][:, 0],
                                   g.weights[0]["kernel"][:, -1])
     np.testing.assert_array_equal(g2.weights[1]["kernel"][0, :],
@@ -83,7 +80,7 @@ def test_already_sorted_scores_identity_permutation():
     scores2 = apply_to_scores(g, perm, scores)
     _, perm2 = permute_descending(g2, scores2)
     assert all(np.array_equal(p, np.arange(len(p)))
-               for p in perm2.maps.values())
+               for p in perm2.values())
 
 
 @pytest.mark.parametrize("arch,ishape", [
@@ -104,11 +101,9 @@ def test_post_permutation_scores_descending():
     g = build_reference("dscnn", "S", (8, 8, 1), classes=4, seed=5)
     scores = score_units(g, random_grad_store(g, seed=8))
     g2, perm = permute_descending(g, scores)
-    by_layer = {}
-    for s in apply_to_scores(g, perm, scores):
-        by_layer.setdefault(s.layer, []).append(s.importance)
+    scores2 = apply_to_scores(g, perm, scores)
     for li in g2.sliceable_indices():
-        imp = by_layer[li]
+        imp = scores2[li]
         assert all(a >= b for a, b in zip(imp, imp[1:]))
 
 
@@ -116,18 +111,18 @@ def test_ties_break_by_original_index():
     g = build_reference("dnn", "S", 6, classes=3, seed=0)
     store = random_grad_store(g)
     scores = score_units(g, store)
-    for s in scores:
-        s.importance = 1.0  # all tied
+    for v in scores.values():
+        v[:] = 1.0  # all tied
     _, perm = permute_descending(g, scores)
     assert all(np.array_equal(p, np.arange(len(p)))
-               for p in perm.maps.values())
+               for p in perm.values())
 
 
 def test_inverse_restores_bit_identical_weights():
     g = build_reference("dscnn", "S", (8, 8, 1), classes=4, seed=6)
     scores = score_units(g, random_grad_store(g, seed=9))
     g2, perm = permute_descending(g, scores)
-    inverse = Permutation({l: np.argsort(p) for l, p in perm.maps.items()})
+    inverse = {l: np.argsort(p) for l, p in perm.items()}
     g3 = apply_permutation(g2, inverse)
     for i, params in enumerate(g.weights):
         if params is None:
@@ -142,14 +137,14 @@ def test_depthwise_follows_preceding_layer():
     g2, perm = permute_descending(g, scores)
     conv = g.sliceable_indices()[0]
     dw = g.next_compute_layer(conv)
-    p = perm.maps[conv]
+    p = perm[conv]
     np.testing.assert_array_equal(g2.weights[dw]["kernel"],
                                   g.weights[dw]["kernel"][p])
     pw = g.next_compute_layer(dw)
     np.testing.assert_array_equal(
         g2.weights[pw]["kernel"][:, 0, 0, :],
         g.weights[pw]["kernel"][:, 0, 0, :][:, p][
-            perm.maps[pw], :])
+            perm[pw], :])
 
 
 def test_permuted_grad_store_consistent_with_scores():
@@ -163,16 +158,15 @@ def test_permuted_grad_store_consistent_with_scores():
     store2 = permute_grad_store(g2, perm, store)
     rescored = score_units(g2, store2)
     reindexed = apply_to_scores(g, perm, scores)
-    assert len(rescored) == len(reindexed)
-    for a, b in zip(sorted(rescored, key=lambda s: (s.layer, s.unit)),
-                    sorted(reindexed, key=lambda s: (s.layer, s.unit))):
-        assert (a.layer, a.unit, a.macs) == (b.layer, b.unit, b.macs)
-        assert a.importance == pytest.approx(b.importance, rel=1e-12)
+    assert list(rescored) == list(reindexed)
+    for li, a in rescored.items():
+        assert a.shape == reindexed[li].shape
+        np.testing.assert_allclose(a, reindexed[li], rtol=1e-12)
     # the store stays float64 and the original is untouched
     assert all(v.dtype == np.float64 for v in store2.grads.values())
     again = score_units(g, store)
-    for a, b in zip(scores, again):
-        assert a.importance == b.importance
+    for li, a in scores.items():
+        np.testing.assert_array_equal(a, again[li])
 
 
 def test_pointwise_kernel_scores_shape():
@@ -188,9 +182,12 @@ def test_scores_csv_export(tmp_path):
     g = build_reference("dnn", "S", 8, classes=3, seed=0)
     scores = score_units(g, random_grad_store(g))
     path = tmp_path / "scores.csv"
-    export_scores_csv(scores, path)
+    export_scores_csv(g, scores, path)
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["layer", "unit", "importance", "macs"]
-    assert len(rows) == 1 + len(scores)
-    assert float(rows[1][2]) == scores[0].importance
+    assert len(rows) == 1 + sum(len(v) for v in scores.values())
+    assert rows[1][:2] == ["0", "0"]
+    assert float(rows[1][2]) == scores[0][0]
+    assert rows[1][2] == repr(float(scores[0][0]))
+    assert all(int(r[3]) == ng.unit_macs(g)[int(r[0])] for r in rows[1:])

@@ -355,7 +355,7 @@ def test_rider_costs_cover_classifier_and_depthwise():
     g = build_reference("dscnn", "S", (8, 8, 1), classes=5, seed=1)
     riders = rider_costs(g)
     sl = g.sliceable_indices()
-    per_unit = {c.layer: c.macs for c in ng.unit_macs(g)}
+    per_unit = ng.unit_macs(g)
     dw_layers = [i for i, l in enumerate(g.layers) if l.kind == ng.DEPTHWISE]
     # conv and all but the last pointwise carry the next depthwise filter
     for i in sl[:-1]:
@@ -368,6 +368,17 @@ def test_rider_costs_cover_classifier_and_depthwise():
     assert items_total == full_macs(g)
     g2, scores2, _ = planned_graph("dscnn", (8, 8, 1), seed=1)
     assert pl.PlanItems.build(g2, scores2).weights.sum() == full_macs(g2)
+
+
+def test_counts_from_selection_audits_leading_prefixes():
+    from nestslice.errors import IntegrityError
+    g2, scores2, _ = planned_graph()
+    items = pl.PlanItems.build(g2, scores2)
+    n0, n1 = items.sizes
+    assert items.counts_from_selection([0, 1, 2, n0, n0 + 1]) == [3, 2]
+    with pytest.raises(IntegrityError, match=f"layer {items.sliceable[1]} "
+                       "is not a leading prefix"):
+        items.counts_from_selection([0, n0, n0 + 2])
 
 
 @pytest.mark.parametrize("kind", ng.COMPUTE_KINDS)
