@@ -83,25 +83,38 @@ DEFAULT_CONFIG = {
 }
 
 
-def load_config(path=None, seed=None) -> dict:
-    cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
-    if path:
+def _read_json(path, what):
+    """The JSON value in file ``path``; ConfigError if it cannot be read."""
+    try:
         with open(path) as fh:
-            user = json.load(fh)
-        for k, v in user.items():
-            if isinstance(v, dict) and isinstance(cfg.get(k), dict):
-                cfg[k].update(v)
-            else:
-                cfg[k] = v
+            return json.load(fh)
+    except (OSError, ValueError) as e:
+        raise ConfigError(f"cannot read {what} {path}: {e}") from e
+
+
+def load_config(path=None, seed=None) -> dict:
+    """The default config, its object sections updated from and its other
+    keys replaced by those of the JSON object in ``path``."""
+    cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
+    user = _read_json(path, "config") if path else {}
+    if not isinstance(user, dict):
+        raise ConfigError(f"config {path} is not a JSON object")
+    for k, v in user.items():
+        if isinstance(cfg.get(k), dict):
+            if not isinstance(v, dict):
+                raise ConfigError(f"config section {k!r} is not an object")
+            cfg[k].update(v)
+        else:
+            cfg[k] = v
     if seed is not None:
         cfg["seed"] = seed
     pct = cfg["capacities_percent"]
-    if pct != sorted(pct, reverse=True) or any(
-        not (0 < p <= 100) for p in pct
-    ):
-        raise ConfigError(
-            "capacities_percent must be descending values in (0, 100]"
-        )
+    if (not isinstance(pct, list) or not pct
+            or any(type(p) not in (int, float) or not 0 < p <= 100
+                   for p in pct)
+            or pct != sorted(pct, reverse=True)):
+        raise ConfigError("capacities_percent must be a non-empty list of "
+                          "descending values in (0, 100]")
     return cfg
 
 
@@ -159,11 +172,7 @@ def capacities_from_percent(g, percents):
 
 
 def _write_manifest(out_dir, cfg, stages):
-    doc = {
-        "config": cfg,
-        "config_hash": config_hash(cfg),
-        "stages": stages,
-    }
+    doc = {"config": cfg, "config_hash": config_hash(cfg), "stages": stages}
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(doc, fh, sort_keys=True, indent=2)
 
@@ -319,15 +328,21 @@ def cmd_eval(bundle_dir, cfg, out_dir) -> int:
 
 
 def cmd_switch_sim(bundle_dir, schedule_path, out_dir) -> int:
+    schedule = _read_json(schedule_path, "schedule")
+    if not isinstance(schedule, list):
+        raise ConfigError(f"schedule {schedule_path} is not a JSON list")
+    for entry in schedule:
+        if not (isinstance(entry, list) and len(entry) == 2
+                and type(entry[1]) is int):
+            raise ConfigError(f"schedule entry {entry!r} is not a "
+                              f"[time, integer row] pair")
     model = load_bundle(bundle_dir)
-    with open(schedule_path) as fh:
-        schedule = json.load(fh)
     events = []
     for t, row in schedule:
-        st = model.activate(int(row))
+        st = model.activate(row)
         events.append({
             "time": t,
-            "row": int(row),
+            "row": row,
             "integers_updated": st.integers_updated,
             "weights_copied": st.weights_copied,
             "elapsed_s": st.elapsed,

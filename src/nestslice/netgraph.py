@@ -28,8 +28,10 @@ the widths, dims and weight views of one row, and ``_run_steps`` runs it
 in float32, for inference and, for autograd, keeping each layer's input
 except the batchnorm outputs, which the backward rebuilds by replaying
 their batchnorm step. Each step carries its kernel and the kernel's
-backward rule, written next to it here. Autograd reduces the loss and
-sums gradients in float64; float64 activations are for checks only.
+backward rule, written next to it here. Conv and depthwise kernels loop
+over kernel taps on strided views of the padded map (``_taps``) and build
+no patch matrix. Autograd reduces the loss and sums gradients in
+float64; float64 activations are for checks only.
 """
 
 from __future__ import annotations
@@ -146,12 +148,8 @@ class ModelGraph:
         return None
 
     def copy(self) -> "ModelGraph":
-        ws = []
-        for entry in self.weights:
-            if entry is None:
-                ws.append(None)
-            else:
-                ws.append({k: store(a) for k, a in entry.items()})
+        ws = [None if e is None else {k: store(a) for k, a in e.items()}
+              for e in self.weights]
         return ModelGraph(
             layers=[LayerSpec(**vars(l)) for l in self.layers],
             weights=ws,
@@ -449,15 +447,6 @@ def _windows(x, kh, kw, sh, sw):
                                axis=(1, 2))[:, ::sh, ::sw]
 
 
-def _contract(a, w):
-    """sum_t a[t] @ w[t] for a (T, M, c) and a strided view w (T, c, u).
-
-    Flattening (T, c) of a channel-sliced view would copy it; one stacked
-    matmul over T reads the view in place.
-    """
-    return np.matmul(a, w).sum(axis=0)
-
-
 def _run_matmul(cur, k, b):
     """Dense or pointwise: one matmul over the last axis. On a 2-D input
     both reshapes are views."""
@@ -473,8 +462,11 @@ def _matmul_back(d, x, k, b):
 
 
 def _run_dense_spatial(cur, k3, b):
+    """Dense after a flatten: one stacked matmul over the p positions
+    reads the view k3 in place, where flattening (p, c) would copy it."""
     p, c, _ = k3.shape
-    out = _contract(cur.reshape(len(cur), p, c).transpose(1, 0, 2), k3)
+    out = np.matmul(cur.reshape(len(cur), p, c).transpose(1, 0, 2),
+                    k3).sum(axis=0)
     out += b
     return out
 
@@ -487,52 +479,58 @@ def _dense_spatial_back(d, x, k3, b):
             (np.matmul(x3.transpose(0, 2, 1), d), d.sum(axis=0)))
 
 
-def _run_conv(cur, k, b, kh, kw, sh, sw):
-    """im2col over the padded input.
+def _taps(a, kh, kw, sh, sw, ho, wo):
+    """Each kernel tap's strided (N, Ho, Wo, C) view of the padded map
+    ``a``, in tap order (row-major over the kernel): the inputs that tap
+    multiplies, or the input-gradient entries its products add to."""
+    for di in range(kh):
+        for dj in range(kw):
+            yield a[:, di:di + sh * (ho - 1) + 1:sh,
+                    dj:dj + sw * (wo - 1) + 1:sw]
 
-    ``k`` is a (kh*kw, cin, u) view contracted tap by tap, or (kh*kw, u)
-    for one input channel: there one matmul over all taps is ~10x faster
-    than kh*kw stacked products with an inner dimension of 1.
+
+def _run_conv(cur, k, b, kh, kw, sh, sw):
+    """One matmul per kernel tap on the padded input, summed in tap order.
+
+    ``k`` is a (kh*kw, cin, u) view; each tap's inputs are copied in turn
+    to a contiguous matrix, so no product's rounding depends on strides.
+    One input channel takes a (kh*kw, u) ``k`` and one matmul over all
+    taps' windows: kh*kw products with an inner dimension of 1 are ~10x
+    slower.
     """
     n, h, w, cin = cur.shape
     ho, wo = _out_hw(h, w, kh, kw, sh, sw)
-    win = _windows(cur, kh, kw, sh, sw)
     if k.ndim == 2:
-        out = win.reshape(n * ho * wo, kh * kw) @ k
+        out = _windows(cur, kh, kw, sh, sw).reshape(n * ho * wo, kh * kw) @ k
     else:
-        cols = win.transpose(4, 5, 0, 1, 2, 3).reshape(kh * kw, -1, cin)
-        out = _contract(cols, k)
+        taps = _taps(_pad(cur, kh, kw), kh, kw, sh, sw, ho, wo)
+        out = np.ascontiguousarray(next(taps)).reshape(-1, cin) @ k[0]
+        for t, xs in enumerate(taps, 1):
+            out += np.ascontiguousarray(xs).reshape(-1, cin) @ k[t]
     out += b
     return out.reshape(n, ho, wo, k.shape[-1])
 
 
-def _taps_to_input(taps, shape, dtype, kh, kw, sh, sw):
-    """Sum per-tap gradients (N, Ho, Wo, C) onto an (N, H, W, C) input."""
-    n, h, w, c = shape
-    ph, pw = kh // 2, kw // 2
-    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=dtype)
-    for t, dt in enumerate(taps):
-        a, b = divmod(t, kw)
-        ho, wo = dt.shape[1:3]
-        dxp[:, a:a + sh * (ho - 1) + 1:sh, b:b + sw * (wo - 1) + 1:sw] += dt
-    return dxp[:, ph:ph + h, pw:pw + w]
-
-
 def _conv_back(d, x, k, b, kh, kw, sh, sw):
-    n, _, _, cin = x.shape
+    """Per tap, in the forward's order: its kernel gradient, and its input
+    gradient added into its view of the padded input gradient."""
+    n, h, w, cin = x.shape
     _, ho, wo, u = d.shape
-    win = _windows(x, kh, kw, sh, sw)
     d2 = d.reshape(-1, u)
+    ph, pw = kh // 2, kw // 2
+    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=d.dtype)
+    dtaps = _taps(dxp, kh, kw, sh, sw, ho, wo)
     if k.ndim == 2:  # one input channel: (kh*kw, u)
-        dk = win.reshape(-1, kh * kw).T @ d2
-        dcols = k @ d2.T
+        dk = _windows(x, kh, kw, sh, sw).reshape(-1, kh * kw).T @ d2
+        for dt, dxs in zip(k @ d2.T, dtaps):
+            dxs += dt.reshape(n, ho, wo, 1)
     else:
-        cols = win.transpose(4, 5, 0, 1, 2, 3).reshape(kh * kw, -1, cin)
-        dk = np.matmul(cols.transpose(0, 2, 1), d2)
-        dcols = np.matmul(d2, k.transpose(0, 2, 1))
-    taps = dcols.reshape(kh * kw, n, ho, wo, cin)
-    return (_taps_to_input(taps, x.shape, d.dtype, kh, kw, sh, sw),
-            (dk, d2.sum(axis=0)))
+        dk = np.empty(k.shape, dtype=d.dtype)
+        xtaps = _taps(_pad(x, kh, kw), kh, kw, sh, sw, ho, wo)
+        for t, (xs, dxs) in enumerate(zip(xtaps, dtaps)):
+            dk[t] = np.ascontiguousarray(xs).reshape(-1, cin).T @ d2
+            dxs += (d2 @ k[t].T).reshape(n, ho, wo, cin)
+    return dxp[:, ph:ph + h, pw:pw + w], (dk, d2.sum(axis=0))
 
 
 # A batch block holds at most this many activations (256 KiB of float32),
@@ -551,7 +549,7 @@ def _batch_blocks(n, per_sample):
 
 
 def _tap_rows(kd, wo, dtype):
-    """(kh, kw, wo, c): each tap's channel weights repeated along a row.
+    """(kh*kw, wo, c): each tap's channel weights repeated along a row.
 
     A tap product with one output row of an (N, Ho, Wo, C) map then runs
     one inner loop of wo*c elements instead of one loop of c per pixel.
@@ -559,8 +557,8 @@ def _tap_rows(kd, wo, dtype):
     updates show, and never stored.
     """
     c, kh, kw = kd.shape
-    rows = np.empty((kh, kw, wo, c), dtype=dtype)
-    rows[...] = kd.transpose(1, 2, 0)[:, :, None, :]
+    rows = np.empty((kh * kw, wo, c), dtype=dtype)
+    rows[...] = kd.reshape(c, kh * kw).T[:, None, :]
     return rows
 
 
@@ -579,14 +577,10 @@ def _run_depthwise(cur, kd, b, kh, kw, sh, sw):
     out = np.empty((n, ho, wo, c), dtype=cur.dtype)
     for blk in _batch_blocks(n, ho * wo * c):
         ob = out[blk]
-        for di in range(kh):
-            for dj in range(kw):
-                xs = xp[blk, di:di + sh * (ho - 1) + 1:sh,
-                        dj:dj + sw * (wo - 1) + 1:sw]
-                if di == dj == 0:
-                    np.multiply(xs, rows[0, 0], out=ob)
-                else:
-                    ob += xs * rows[di, dj]
+        taps = _taps(xp[blk], kh, kw, sh, sw, ho, wo)
+        np.multiply(next(taps), rows[0], out=ob)
+        for t, xs in enumerate(taps, 1):
+            ob += xs * rows[t]
         ob += b
     return out
 
@@ -603,10 +597,8 @@ def _depthwise_back(d, x, kd, b, kh, kw, sh, sw):
     dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, c), dtype=d.dtype)
     for blk in _batch_blocks(n, ho * wo * c):
         db = d[blk]
-        for di in range(kh):
-            for dj in range(kw):
-                dxp[blk, di:di + sh * (ho - 1) + 1:sh,
-                    dj:dj + sw * (wo - 1) + 1:sw] += db * rows[di, dj]
+        for t, dxs in enumerate(_taps(dxp[blk], kh, kw, sh, sw, ho, wo)):
+            dxs += db * rows[t]
     return dxp[:, ph:ph + h, pw:pw + w], (dk, d.sum(axis=(0, 1, 2)))
 
 
@@ -965,9 +957,7 @@ def run_forward(g: ModelGraph, x, slicing=None, bn_stats=None,
 def forward(g: ModelGraph, x, slicing=None, bn_stats=None, count_macs=False):
     """Class logits for a batch; optionally also the per-sample MAC count."""
     logits, macs = run_forward(g, x, slicing=slicing, bn_stats=bn_stats)
-    if count_macs:
-        return logits, macs
-    return logits
+    return (logits, macs) if count_macs else logits
 
 
 def truncate(g: ModelGraph, slicing) -> ModelGraph:

@@ -40,13 +40,6 @@ def store(data) -> np.ndarray:
     return out
 
 
-class Tensor:
-    """Only a name for :func:`store`, kept for callers of
-    ``Tensor.from_array``. Weights are plain arrays."""
-
-    from_array = staticmethod(store)
-
-
 def transpose(a: np.ndarray) -> np.ndarray:
     """The transpose of a 2-d array, row-major.
 

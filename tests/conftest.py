@@ -131,6 +131,48 @@ def reference_forward(g, x, slicing=None, bn_stats=None):
     return cur, macs, signs
 
 
+def conv_oracle(cur, k, b, kh, kw, sh, sw):
+    """im2col conv forward (oracle of ``netgraph._run_conv``): all taps'
+    windows copied into one stacked (kh*kw, M, cin) matrix, one stacked
+    matmul with the (kh*kw, cin, u) view ``k``, summed over taps; a
+    (kh*kw, u) ``k`` for one input channel takes one plain matmul."""
+    n, h, w, cin = cur.shape
+    ho, wo = ng._out_hw(h, w, kh, kw, sh, sw)
+    win = ng._windows(cur, kh, kw, sh, sw)
+    if k.ndim == 2:
+        out = win.reshape(n * ho * wo, kh * kw) @ k
+    else:
+        cols = win.transpose(4, 5, 0, 1, 2, 3).reshape(kh * kw, -1, cin)
+        out = np.matmul(cols, k).sum(axis=0)
+    out += b
+    return out.reshape(n, ho, wo, k.shape[-1])
+
+
+def conv_back_oracle(d, x, k, b, kh, kw, sh, sw):
+    """im2col conv backward (oracle of ``netgraph._conv_back``): the
+    stacked patch matrix gives the kernel gradient, one stacked product
+    gives every tap's input gradient, summed in tap order onto a zeroed
+    padded input."""
+    n, h, w, cin = x.shape
+    _, ho, wo, u = d.shape
+    win = ng._windows(x, kh, kw, sh, sw)
+    d2 = d.reshape(-1, u)
+    if k.ndim == 2:
+        dk = win.reshape(-1, kh * kw).T @ d2
+        dcols = k @ d2.T
+    else:
+        cols = win.transpose(4, 5, 0, 1, 2, 3).reshape(kh * kw, -1, cin)
+        dk = np.matmul(cols.transpose(0, 2, 1), d2)
+        dcols = np.matmul(d2, k.transpose(0, 2, 1))
+    ph, pw = kh // 2, kw // 2
+    dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=d.dtype)
+    for t, dt in enumerate(dcols.reshape(kh * kw, n, ho, wo, cin)):
+        di, dj = divmod(t, kw)
+        dxp[:, di:di + sh * (ho - 1) + 1:sh,
+            dj:dj + sw * (wo - 1) + 1:sw] += dt
+    return dxp[:, ph:ph + h, pw:pw + w], (dk, d2.sum(axis=0))
+
+
 def depthwise_oracle(cur, kd, b, kh, kw, sh, sw):
     """Unblocked per-tap depthwise forward (oracle of
     ``netgraph._run_depthwise``): each tap multiplies the whole strided

@@ -293,11 +293,11 @@ def test_criterion_10_nestedness_and_monotone_quality():
     # the dataset is at least 95% linearly learnable: fit a linear
     # softmax probe with plain gradient descent
     import nestslice.autograd as ag
-    from nestslice.tensor import Tensor
+    from nestslice.tensor import store
     lin = ng.ModelGraph(
         [ng.LayerSpec("dense", 10, activation="softmax")],
-        [{"kernel": Tensor.from_array(np.zeros((16, 10), np.float32)),
-          "bias": Tensor.from_array(np.zeros(10, np.float32))}],
+        [{"kernel": store(np.zeros((16, 10), np.float32)),
+          "bias": store(np.zeros(10, np.float32))}],
         16, encoder_end=0)
     tx, ty = data.split("train")
     for _ in range(300):

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from nestslice import bounds
-from nestslice.cli import _make_parser, build_dataset, load_config, main
+from nestslice.cli import (_make_parser, build_dataset, cmd_switch_sim,
+                           load_config, main)
+from nestslice.errors import ConfigError
 from nestslice.finetune import evaluate_rows
 from nestslice.nest import load_bundle
 from nestslice.tensor import read_blobs, store, write_blob
@@ -193,6 +195,31 @@ def test_switch_sim_invalid_row_exit_code(pipeline_out, tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("text", [None, "[[0, 1]", "{}", "[5]", "[[0]]",
+                                  '[[0, 1, 2]]', '[[0, "a"]]', "[[0, 1.7]]",
+                                  "[[0, true]]"],
+                         ids=["missing", "not_json", "not_a_list",
+                              "entry_not_a_pair", "entry_too_short",
+                              "entry_too_long", "row_not_a_number",
+                              "row_not_an_integer", "row_bool"])
+def test_switch_sim_malformed_schedule(pipeline_out, tmp_path, capsys, text):
+    _, cfg, out = pipeline_out
+    bundle = os.path.join(out, "bundle")
+    spath = tmp_path / "schedule.json"
+    if text is not None:
+        spath.write_text(text)
+    with pytest.raises(ConfigError):
+        cmd_switch_sim(bundle, str(spath), str(tmp_path / "direct"))
+    capsys.readouterr()
+    rep = tmp_path / "rep"
+    rc = main(["--config", cfg, "--out", str(rep), "switch-sim",
+               "--bundle", bundle, "--schedule", str(spath)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not rep.exists()
+
+
 def test_switch_sim_empty_schedule(pipeline_out, tmp_path):
     _, cfg, out = pipeline_out
     spath = tmp_path / "empty.json"
@@ -247,6 +274,29 @@ def test_config_error_exit_code(tmp_path):
     cfg = write_config(tmp_path, {"capacities_percent": [25, 50]})
     assert main(["--config", cfg, "--out", str(tmp_path / "o"),
                  "pipeline"]) == 2
+
+
+@pytest.mark.parametrize("text", [
+    None, "{not json", "[1, 2]", '{"pretrain": 5}', '{"dataset": [1]}',
+    '{"capacities_percent": []}', '{"capacities_percent": "abc"}',
+    '{"capacities_percent": [50, "a"]}', '{"capacities_percent": [true]}',
+    '{"capacities_percent": 50}'],
+    ids=["missing", "not_json", "not_an_object", "section_not_object",
+         "dataset_not_object", "capacities_empty", "capacities_string",
+         "capacities_non_number", "capacities_bool", "capacities_scalar"])
+def test_malformed_config_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "config.json"
+    if text is not None:
+        path.write_text(text)
+    with pytest.raises(ConfigError):
+        load_config(str(path))
+    out = tmp_path / "o"
+    capsys.readouterr()
+    rc = main(["--config", str(path), "--out", str(out), "pipeline"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert not out.exists()  # rejected before any stage ran
 
 
 def test_infeasible_plan_exit_code(tmp_path):

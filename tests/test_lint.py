@@ -38,3 +38,25 @@ def test_detects_an_unused_import():
 def test_no_unused_imports(path):
     with open(path) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def print_calls(source: str) -> list:
+    """Lines that call the builtin ``print``."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == "print")
+
+
+def test_detects_a_print_call():
+    src = "import logging\nprint('x')\nlogging.info('y')\nf(print)\n"
+    assert print_calls(src) == [2]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(p for p in glob.glob(os.path.join(SRC, "*.py"))
+                   if os.path.basename(p) != "cli.py"),
+    ids=os.path.basename)
+def test_only_the_cli_prints(path):
+    # the library reports through logging; only the CLI writes to stdout
+    with open(path) as fh:
+        assert print_calls(fh.read()) == []

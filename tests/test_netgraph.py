@@ -1,10 +1,13 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nestslice.netgraph as ng
-from conftest import (depthwise_input_grad_oracle, depthwise_oracle,
+from conftest import (conv_back_oracle, conv_oracle,
+                      depthwise_input_grad_oracle, depthwise_oracle,
                       reference_forward)
 from nestslice.errors import ConfigError, ExtentError, IntegrityError
 from nestslice.importance import apply_permutation
@@ -264,6 +267,105 @@ def test_blocked_depthwise_matches_tap_loop_oracle(batch, width, hw, stride,
     want = depthwise_input_grad_oracle(d, x.shape, kd, kh, kw, sh, sw)
     assert dx.dtype == want.dtype == dtype
     assert np.array_equal(dx, want)
+
+
+def conv_kernel_view(store, u, cin):
+    """The kernel view that a conv step of u units on cin input channels
+    reads from a (units, kh, kw, channels) store."""
+    spec = ng.LayerSpec(ng.CONV2D, len(store), kernel=store.shape[1:3])
+    g = ng.ModelGraph([spec], [None], (1, 1, store.shape[3]), 0)
+    views = ng._conv_step(g, 0, u, (1, 1, cin), None, None)[2]
+    return views({"kernel": store, "bias": store[:, 0, 0, 0]})[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(0, 4), hw=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+       cin=st.sampled_from([1, 2, 5]), u=st.integers(1, 6),
+       kernel=st.sampled_from([(3, 3), (5, 3), (3, 5), (1, 3), (1, 1)]),
+       stride=st.sampled_from([(1, 1), (2, 2), (1, 2), (2, 1)]),
+       sliced=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       seed=st.integers(0, 2**16))
+# one sample whose tap rows the im2col reshape kept as strided views
+@example(n=1, hw=(1, 7), cin=2, u=3, kernel=(3, 3), stride=(2, 2),
+         sliced=False, dtype=np.float32, seed=0)
+@example(n=1, hw=(1, 7), cin=2, u=1, kernel=(3, 3), stride=(2, 2),
+         sliced=False, dtype=np.float32, seed=0)
+@example(n=1, hw=(3, 1), cin=2, u=1, kernel=(3, 3), stride=(1, 1),
+         sliced=False, dtype=np.float32, seed=0)
+def test_conv_matches_im2col_oracle(n, hw, cin, u, kernel, stride, sliced,
+                                    dtype, seed):
+    # bit-exact: the tap loop runs each tap's product and the tap-order
+    # sums that the stacked im2col matmul runs. One unit is the exception:
+    # numpy then runs matrix-vector products, whose rounding depends on
+    # the row stride of the patch rows, and im2col's were a strided view
+    # or a copy depending on whether its reshape could avoid the copy
+    # (the tap loop always copies). There the two agree within the
+    # rounding bound of a dot product of ``length`` terms in any order.
+    kh, kw = kernel
+    sh, sw = stride
+    rng = np.random.default_rng(seed)
+    extra = 3 if sliced else 0  # slice a wider store: strided views
+    w = rng.standard_normal((u + extra, kh, kw, cin + extra))
+    k = conv_kernel_view(w.astype(np.float32), u, cin)
+    b = rng.standard_normal(u + extra).astype(np.float32)[:u]
+    x = rng.standard_normal((n, *hw, cin + extra)).astype(dtype)[..., :cin]
+
+    def check(got, want, scale=None, length=0):
+        assert got.dtype == want.dtype == dtype
+        assert got.shape == want.shape
+        if u > 1 or scale is None:
+            assert got.tobytes() == want.tobytes()
+        else:
+            tol = 2 * length * np.finfo(dtype).eps * scale
+            assert np.all(np.abs(got - want) <= tol)
+
+    out = ng._run_conv(x, k, b, kh, kw, sh, sw)
+    check(out, conv_oracle(x, k, b, kh, kw, sh, sw),
+          conv_oracle(abs(x), abs(k), 0 * b, kh, kw, sh, sw), kh * kw * cin)
+    d = rng.standard_normal(out.shape[:3] + (u + extra,)).astype(dtype)
+    d = d[..., :u]
+    dx, (dk, db) = ng._conv_back(d, x, k, b, kh, kw, sh, sw)
+    want_dx, (want_dk, want_db) = conv_back_oracle(d, x, k, b, kh, kw, sh, sw)
+    check(dx, want_dx)
+    check(dk, want_dk,
+          conv_back_oracle(abs(d), abs(x), k, b, kh, kw, sh, sw)[1][0],
+          math.prod(out.shape[:3]))
+    check(db, want_db)
+
+
+def test_tap_geometry_lives_in_one_place(rng, monkeypatch):
+    # every windowed kernel takes its tap views from ng._taps: a wrapper
+    # around it sees each kernel draw every tap it runs
+    taps = ng._taps
+    drawn = []
+
+    def counted(a, *geometry):
+        for view in taps(a, *geometry):
+            drawn.append(view)
+            yield view
+
+    monkeypatch.setattr(ng, "_taps", counted)
+    kh, kw, sh, sw = 5, 3, 2, 1
+    n_taps = kh * kw
+    x = rng.standard_normal((2, 7, 6, 4))
+    for cin in (4, 1):
+        k = conv_kernel_view(rng.standard_normal((3, kh, kw, 4)), 3, cin)
+        xc = x[..., :cin]
+        drawn.clear()
+        out = ng._run_conv(xc, k, np.zeros(3), kh, kw, sh, sw)
+        assert len(drawn) == (n_taps if cin > 1 else 0)  # cin 1: one matmul
+        drawn.clear()
+        ng._conv_back(np.ones_like(out), xc, k, np.zeros(3), kh, kw, sh, sw)
+        # cin > 1 reads the input's taps and writes the gradient's
+        assert len(drawn) == (2 * n_taps if cin > 1 else n_taps)
+    kd = rng.standard_normal((4, kh, kw))
+    drawn.clear()
+    out = ng._run_depthwise(x, kd, np.zeros(4), kh, kw, sh, sw)
+    assert len(drawn) == n_taps
+    drawn.clear()
+    ng._depthwise_back(np.ones_like(out), x, kd, np.zeros(4), kh, kw, sh, sw)
+    assert len(drawn) == n_taps
 
 
 def test_depthwise_reads_in_place_weight_updates(rng):
