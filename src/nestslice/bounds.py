@@ -26,6 +26,7 @@ from .planner import (KnapsackInstance, KnapsackSolution, solve_exact,
                       solve_iterative)
 
 BRUTE_LIMIT = 22
+TIGHT_P = 10.0  # the profit P of the tight instances verify_bounds reports
 
 
 def brute_opt(profits, weights, capacity) -> KnapsackSolution:
@@ -218,13 +219,13 @@ def _opts(profits, weights, c):
             for cap in (c, c // 2)]
 
 
-def verify_bounds(n_instances=1000, seed=0, max_items=12,
-                  include_tight=True, tight_p=10.0) -> list:
+def verify_bounds(n_instances=1000, seed=0, max_items=12) -> list:
     """BoundReports for BU (vs Opt_c) and TD (vs Opt_{c/2}) per instance.
 
     All generated weights respect the <= c/2 restriction the bounds
-    assume. The two tight instances are reported at eps = P/1000 so their
-    ratios sit just above the bounds.
+    assume. The two tight instances follow, flagged ``tight``, at
+    P = TIGHT_P and eps = P/1000 so their ratios sit just above the
+    bounds.
     """
     if max_items > 20:
         raise ConfigError("max_items must be <= 20")
@@ -242,20 +243,14 @@ def verify_bounds(n_instances=1000, seed=0, max_items=12,
         reports.append(_make_report(
             "td", profits, weights, c, td_profit, opt_c.profit,
             opt_half.profit, 1.0 / 2.0))
-    if include_tight:
-        eps = tight_p / 1000.0
-        profits, weights, c, _ = tight_instance_bu(tight_p, eps)
-        bu_profit, _, _ = bu_two_stage(profits, weights, c)
+    for kind, tight, two_stage, bound in (
+            ("bu", tight_instance_bu, bu_two_stage, 2.0 / 3.0),
+            ("td", tight_instance_td, td_two_stage, 1.0 / 2.0)):
+        profits, weights, c, _ = tight(TIGHT_P, TIGHT_P / 1000.0)
         opt_c, opt_half = _opts(profits, weights, c)
         reports.append(_make_report(
-            "bu", profits, weights, c, bu_profit, opt_c.profit,
-            opt_half.profit, 2.0 / 3.0, extra={"tight": True}))
-        profits, weights, c, _ = tight_instance_td(tight_p, eps)
-        td_profit, _, _ = td_two_stage(profits, weights, c)
-        opt_c, opt_half = _opts(profits, weights, c)
-        reports.append(_make_report(
-            "td", profits, weights, c, td_profit, opt_c.profit,
-            opt_half.profit, 1.0 / 2.0, extra={"tight": True}))
+            kind, profits, weights, c, two_stage(profits, weights, c)[0],
+            opt_c.profit, opt_half.profit, bound, extra={"tight": True}))
     return reports
 
 

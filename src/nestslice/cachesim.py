@@ -1,18 +1,20 @@
 """Weight-access traces and a set-associative LRU cache simulator.
 
 ``trace_matmul`` emits the exact byte-address sequence of weight reads
-for a sliced matrix multiply in either ordering:
+for a sliced multiply of W[m x n] and X[m x b]: a loop nest over batch
+column ``i``, active neuron ``j`` and row ``k``, in which each operand
+advances a byte stride per loop (``e`` is the element width).
 
-* basic: X^T . W with W row-major; the inner loop walks a column of W,
-  so consecutive reads stride by a full row.
-* optimized: (W^T . X)^T with the transposed weights stored so each
-  neuron's weights are contiguous; reads sweep each row repeatedly per
-  batch column before moving on.
+* basic, X^T . W with W row-major: loops ``i, j, k``, weight strides
+  ``{k: n*e, j: e}``; consecutive reads stride by a full row.
+* optimized, (W^T . X)^T with each neuron's weights contiguous in W^T:
+  loops ``j, i, k``, weight strides ``{j: m*e, k: e}``; reads sweep one
+  row per batch column before moving on.
 
-Input (X) accesses are excluded by default since the layout argument is
-about weight order; ``include_inputs=True`` appends them for
-investigation. The simulator is a cold-start LRU set-associative cache
-with no prefetcher, deliberately matching a simple XIP-style flash cache.
+X is row-major in both, strides ``{k: b*e, i: e}``. Its reads are left
+out by default since the layout argument is about weight order. The
+simulator is a cold-start LRU set-associative cache with no prefetcher,
+deliberately matching a simple XIP-style flash cache.
 
 ``simulate`` is exact LRU for any associativity, and it runs all sets in
 lockstep instead of one access at a time. Sets never interact, so the
@@ -86,47 +88,44 @@ def _active_cols(n: int, slice_fraction: float) -> int:
     return max(1, int(round(n * slice_fraction)))
 
 
+def _nest_addrs(order, extents, strides) -> np.ndarray:
+    """Flat byte offsets an operand reads in a loop nest: ``order`` names
+    the loops outermost first, ``extents`` gives each loop's trip count
+    and ``strides`` the bytes the operand advances per step of each loop
+    it indexes."""
+    steps = (np.arange(extents[v], dtype=np.int64) * strides.get(v, 0)
+             for v in order)
+    return sum(np.ix_(*steps)).reshape(-1)
+
+
 def trace_matmul(mode, m, n, b, slice_fraction=1.0, elem_bytes=4,
                  include_inputs=False) -> np.ndarray:
     """Byte addresses of weight reads for a sliced W[m x n] times X[m x b].
 
-    Slicing keeps the leading fraction of the n neurons. Addresses are
-    relative to the weight base; with ``include_inputs`` the X reads are
-    interleaved at their loop positions, placed in a separate region after
-    the weights.
+    Slicing keeps the leading fraction of the n neurons. "basic" runs
+    loops ``i, j, k`` with weight strides ``{k: n*e, j: e}``, "optimized"
+    runs ``j, i, k`` on W^T with ``{j: m*e, k: e}``. Addresses are
+    relative to the weight base; with ``include_inputs`` each weight read
+    is followed by its X read, at strides ``{k: b*e, i: e}`` from the
+    first 64-byte boundary after the weights.
     """
     if m <= 0 or n <= 0 or b <= 0:
         raise ConfigError("degenerate matmul dimensions")
     if elem_bytes not in (1, 2, 4):
         raise ConfigError("elem_bytes must be 1, 2 or 4")
-    nact = _active_cols(n, slice_fraction)
-    ks = np.arange(m, dtype=np.int64)
+    e = elem_bytes
+    extents = {"i": b, "j": _active_cols(n, slice_fraction), "k": m}
     if mode == "basic":
-        # loops: i over batch, j over active columns, k over rows
-        col = (ks[None, :] * n).reshape(1, 1, m)  # k*n
-        js = np.arange(nact, dtype=np.int64).reshape(1, nact, 1)
-        w_idx = np.broadcast_to(col + js, (b, nact, m))
-        x_idx = np.broadcast_to(
-            (ks[None, :]).reshape(1, 1, m) * b
-            + np.arange(b, dtype=np.int64).reshape(b, 1, 1),
-            (b, nact, m),
-        )
+        order, w_strides = "ijk", {"k": n * e, "j": e}
     elif mode == "optimized":
-        # loops: j over active rows of W^T, i over batch, k inner
-        rows = (np.arange(nact, dtype=np.int64) * m).reshape(nact, 1, 1)
-        w_idx = np.broadcast_to(rows + ks.reshape(1, 1, m), (nact, b, m))
-        x_idx = np.broadcast_to(
-            ks.reshape(1, 1, m) * b
-            + np.arange(b, dtype=np.int64).reshape(1, b, 1),
-            (nact, b, m),
-        )
+        order, w_strides = "jik", {"j": m * e, "k": e}
     else:
         raise ConfigError(f"unknown mode {mode!r}")
-    w_addr = (w_idx.reshape(-1) * elem_bytes).astype(np.int64)
+    w_addr = _nest_addrs(order, extents, w_strides)
     if not include_inputs:
         return w_addr
-    x_base = ((m * n * elem_bytes + 63) // 64) * 64  # separate region
-    x_addr = x_idx.reshape(-1) * elem_bytes + x_base
+    x_base = ((m * n * e + 63) // 64) * 64  # separate region
+    x_addr = _nest_addrs(order, extents, {"k": b * e, "i": e}) + x_base
     out = np.empty(2 * w_addr.size, dtype=np.int64)
     out[0::2] = w_addr
     out[1::2] = x_addr
@@ -184,6 +183,8 @@ def simulate(trace, cfg: CacheConfig = RP2040_CACHE) -> TraceStats:
 DEFAULT_SHAPES = ((256, 64), (256, 128), (256, 512))  # (m, n); n = neurons
 DEFAULT_SLICES = (0.25, 0.5, 0.75, 1.0)
 DEFAULT_WIDTHS = (1, 2, 4)
+REPORT_FIELDS = ["mode", "m", "n", "b", "elem_bytes", "slice", "accesses",
+                 "hits", "misses", "hit_rate", "cost"]
 
 
 def bench_report(shapes=DEFAULT_SHAPES, widths=DEFAULT_WIDTHS,
@@ -191,8 +192,7 @@ def bench_report(shapes=DEFAULT_SHAPES, widths=DEFAULT_WIDTHS,
                  b=4, miss_penalty=10, include_inputs=False) -> list:
     """Hit-rate sweep over modes, shapes, element widths and slices.
 
-    Returns one dict per configuration with fields mode, m, n, b,
-    elem_bytes, slice, accesses, hits, misses, hit_rate, cost.
+    Returns one dict per configuration, keyed by REPORT_FIELDS.
     """
     rows = []
     for (m, n) in shapes:
@@ -202,29 +202,15 @@ def bench_report(shapes=DEFAULT_SHAPES, widths=DEFAULT_WIDTHS,
                     tr = trace_matmul(mode, m, n, b, sl, elem,
                                       include_inputs=include_inputs)
                     st = simulate(tr, cfg)
-                    rows.append({
-                        "mode": mode,
-                        "m": m,
-                        "n": n,
-                        "b": b,
-                        "elem_bytes": elem,
-                        "slice": sl,
-                        "accesses": st.accesses,
-                        "hits": st.hits,
-                        "misses": st.misses,
-                        "hit_rate": st.hit_rate,
-                        "cost": st.accesses + miss_penalty * st.misses,
-                    })
+                    rows.append(dict(zip(REPORT_FIELDS, (
+                        mode, m, n, b, elem, sl, st.accesses, st.hits,
+                        st.misses, st.hit_rate,
+                        st.accesses + miss_penalty * st.misses))))
     return rows
-
-
-REPORT_FIELDS = ["mode", "m", "n", "b", "elem_bytes", "slice", "accesses",
-                 "hits", "misses", "hit_rate", "cost"]
 
 
 def write_report_csv(rows, path) -> None:
     with open(path, "w", newline="") as fh:
         wr = csv.DictWriter(fh, fieldnames=REPORT_FIELDS)
         wr.writeheader()
-        for r in rows:
-            wr.writerow({k: r[k] for k in REPORT_FIELDS})
+        wr.writerows(rows)

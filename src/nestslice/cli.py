@@ -92,9 +92,29 @@ def _read_json(path, what):
         raise ConfigError(f"cannot read {what} {path}: {e}") from e
 
 
+# the types a scalar config value may have, by the type of its default
+_KINDS = {int: (int,), float: (int, float), str: (str,)}
+
+
+def _check_kind(name, value, default):
+    """ConfigError unless ``value`` has the kind of its ``default``; the
+    shape keys take an int or a list of positive ints."""
+    if name in ("dataset.dims", "input_shape"):
+        want = "an integer or a list of positive integers"
+        ok = (type(value) is int or (value is None and default is None)
+              or isinstance(value, list) and bool(value)
+              and all(type(d) is int and d > 0 for d in value))
+    else:
+        want = f"of the kind of {default!r}"
+        ok = type(value) in _KINDS.get(type(default), (type(value),))
+    if not ok:
+        raise ConfigError(f"config key {name} must be {want}, not {value!r}")
+
+
 def load_config(path=None, seed=None) -> dict:
     """The default config, its object sections updated from and its other
-    keys replaced by those of the JSON object in ``path``."""
+    keys replaced by those of the JSON object in ``path``. Every scalar
+    keeps the kind of its default."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     user = _read_json(path, "config") if path else {}
     if not isinstance(user, dict):
@@ -103,8 +123,11 @@ def load_config(path=None, seed=None) -> dict:
         if isinstance(cfg.get(k), dict):
             if not isinstance(v, dict):
                 raise ConfigError(f"config section {k!r} is not an object")
+            for sk, sv in v.items():
+                _check_kind(f"{k}.{sk}", sv, cfg[k].get(sk))
             cfg[k].update(v)
         else:
+            _check_kind(k, v, cfg.get(k))
             cfg[k] = v
     if seed is not None:
         cfg["seed"] = seed
@@ -126,19 +149,12 @@ def config_hash(cfg: dict) -> str:
 def build_dataset(cfg: dict):
     ds = cfg["dataset"]
     if ds["kind"] == "synthetic":
-        dims = ds.get("dims", 16)
-        flat = int(dims) if np.isscalar(dims) else int(np.prod(dims))
-        blob = synth_blobs(
-            classes=ds.get("classes", 10),
-            per_class=ds.get("per_class", 100),
-            dims=flat,
-            seed=cfg["seed"],
-            separation=ds.get("separation", 4.0),
-        )
-        if not np.isscalar(dims):  # image-shaped synthetic data
-            blob = Dataset(
-                blob.samples.reshape((-1,) + tuple(int(d) for d in dims)),
-                blob.labels, blob.splits)
+        blob = synth_blobs(classes=ds["classes"], per_class=ds["per_class"],
+                           dims=int(np.prod(ds["dims"])), seed=cfg["seed"],
+                           separation=ds["separation"])
+        if isinstance(ds["dims"], list):  # image-shaped synthetic data
+            blob = Dataset(blob.samples.reshape([-1] + ds["dims"]),
+                           blob.labels, blob.splits)
         return blob
     if ds["kind"] == "idx":
         return load_idx(ds["images"], ds["labels"],

@@ -29,9 +29,9 @@ in float32, for inference and, for autograd, keeping each layer's input
 except the batchnorm outputs, which the backward rebuilds by replaying
 their batchnorm step. Each step carries its kernel and the kernel's
 backward rule, written next to it here. Conv and depthwise kernels loop
-over kernel taps on strided views of the padded map (``_taps``) and build
-no patch matrix. Autograd reduces the loss and sums gradients in
-float64; float64 activations are for checks only.
+over kernel taps on strided views of the padded map (``_taps``), which a
+one-channel conv joins for one matmul. Autograd reduces the loss and
+sums gradients in float64; float64 activations are for checks only.
 """
 
 from __future__ import annotations
@@ -494,16 +494,16 @@ def _run_conv(cur, k, b, kh, kw, sh, sw):
 
     ``k`` is a (kh*kw, cin, u) view; each tap's inputs are copied in turn
     to a contiguous matrix, so no product's rounding depends on strides.
-    One input channel takes a (kh*kw, u) ``k`` and one matmul over all
-    taps' windows: kh*kw products with an inner dimension of 1 are ~10x
-    slower.
+    One input channel takes a (kh*kw, u) ``k`` and one matmul over its
+    taps set side by side: kh*kw products with an inner dimension of 1
+    are ~10x slower.
     """
     n, h, w, cin = cur.shape
     ho, wo = _out_hw(h, w, kh, kw, sh, sw)
+    taps = _taps(_pad(cur, kh, kw), kh, kw, sh, sw, ho, wo)
     if k.ndim == 2:
-        out = _windows(cur, kh, kw, sh, sw).reshape(n * ho * wo, kh * kw) @ k
+        out = np.concatenate(list(taps), axis=3).reshape(-1, kh * kw) @ k
     else:
-        taps = _taps(_pad(cur, kh, kw), kh, kw, sh, sw, ho, wo)
         out = np.ascontiguousarray(next(taps)).reshape(-1, cin) @ k[0]
         for t, xs in enumerate(taps, 1):
             out += np.ascontiguousarray(xs).reshape(-1, cin) @ k[t]
@@ -520,13 +520,13 @@ def _conv_back(d, x, k, b, kh, kw, sh, sw):
     ph, pw = kh // 2, kw // 2
     dxp = np.zeros((n, h + 2 * ph, w + 2 * pw, cin), dtype=d.dtype)
     dtaps = _taps(dxp, kh, kw, sh, sw, ho, wo)
+    xtaps = _taps(_pad(x, kh, kw), kh, kw, sh, sw, ho, wo)
     if k.ndim == 2:  # one input channel: (kh*kw, u)
-        dk = _windows(x, kh, kw, sh, sw).reshape(-1, kh * kw).T @ d2
+        dk = np.concatenate(list(xtaps), axis=3).reshape(-1, kh * kw).T @ d2
         for dt, dxs in zip(k @ d2.T, dtaps):
             dxs += dt.reshape(n, ho, wo, 1)
     else:
         dk = np.empty(k.shape, dtype=d.dtype)
-        xtaps = _taps(_pad(x, kh, kw), kh, kw, sh, sw, ho, wo)
         for t, (xs, dxs) in enumerate(zip(xtaps, dtaps)):
             dk[t] = np.ascontiguousarray(xs).reshape(-1, cin).T @ d2
             dxs += (d2 @ k[t].T).reshape(n, ho, wo, cin)

@@ -893,6 +893,8 @@ def make_plan(g: ng.ModelGraph, scores, capacities, heuristic="bu",
     has_dw = any(l.kind == ng.DEPTHWISE for l in g.layers)
     if heuristic in ("l1", "random"):
         raise ConfigError("baseline plans are built by plan_baseline")
+    if heuristic not in ("bu", "td"):
+        raise ConfigError(f"unknown heuristic {heuristic!r}")
     if formulation == "auto":
         use_dw = (has_dw and grad_store is not None
                   and dw_dp_work(g, capacities) <= DW_WORK_LIMIT)

@@ -61,44 +61,46 @@ def simulate_direct_mapped(trace, cfg: CacheConfig) -> TraceStats:
     return TraceStats(accesses=n, hits=hits)
 
 
-def matmul_basic_traced(x, w):
-    """Loop for x.T @ w over a row-major store, recording flat weight reads.
+def matmul_basic_traced(x, w, nact):
+    """Loop for x.T @ w[:, :nact] over a row-major store, recording the
+    flat index of each weight read and of the X read beside it.
 
     x is (m x b), w (m x n): out[i, j] = sum_k x[k, i] * w[k, j].
     """
     m, b = x.shape
     n = w.shape[1]
-    xa = x.astype(np.float64)
+    xf = x.reshape(-1).astype(np.float64)
     wf = w.reshape(-1).astype(np.float64)
-    out = np.zeros((b, n))
-    reads = []
+    out = np.zeros((b, nact))
+    w_reads, x_reads = [], []
     for i in range(b):
-        for j in range(n):
+        for j in range(nact):
             acc = 0.0
             for k in range(m):
-                reads.append(k * n + j)
-                acc += xa[k, i] * wf[k * n + j]
+                w_reads.append(k * n + j)
+                x_reads.append(k * b + i)
+                acc += xf[k * b + i] * wf[k * n + j]
             out[i, j] = acc
-    return out, np.asarray(reads, dtype=np.int64)
+    return out, np.asarray(w_reads, dtype=np.int64), np.asarray(x_reads)
 
 
-def matmul_optimized_traced(x, wt):
+def matmul_optimized_traced(x, wt, nact):
     """The same product from the transposed store wt (n x m), each row one
-    neuron's weights, recording flat weight reads."""
+    neuron's weights, recording flat weight and X reads."""
     m, b = x.shape
-    n = wt.shape[0]
-    xa = x.astype(np.float64)
+    xf = x.reshape(-1).astype(np.float64)
     wf = wt.reshape(-1).astype(np.float64)
-    out = np.zeros((b, n))
-    reads = []
-    for j in range(n):
+    out = np.zeros((b, nact))
+    w_reads, x_reads = [], []
+    for j in range(nact):
         for i in range(b):
             acc = 0.0
             for k in range(m):
-                reads.append(j * m + k)
-                acc += wf[j * m + k] * xa[k, i]
+                w_reads.append(j * m + k)
+                x_reads.append(k * b + i)
+                acc += wf[j * m + k] * xf[k * b + i]
             out[i, j] = acc
-    return out, np.asarray(reads, dtype=np.int64)
+    return out, np.asarray(w_reads, dtype=np.int64), np.asarray(x_reads)
 
 
 def test_cache_config_validation():
@@ -150,18 +152,32 @@ def test_trace_validation():
         trace_matmul("sideways", 2, 3, 2)
 
 
-def test_traces_match_instrumented_matmuls(rng):
-    # instrumented reference loops read the same elements in the same
-    # order as the synthetic traces
-    m, n, b = 5, 4, 3
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 9), n=st.integers(1, 9), b=st.integers(1, 4),
+       frac=st.floats(0.01, 1.0), elem=st.sampled_from((1, 2, 4)),
+       include_inputs=st.booleans())
+def test_traces_match_instrumented_matmuls(m, n, b, frac, elem,
+                                           include_inputs):
+    # instrumented reference loops read the same weight and input
+    # elements in the same order as the synthetic traces
+    rng = np.random.default_rng(m * 100 + n * 10 + b)
     x = rng.standard_normal((m, b)).astype(np.float32)
     w = rng.standard_normal((m, n)).astype(np.float32)
-    _, reads = matmul_basic_traced(x, w)
-    tr = trace_matmul("basic", m, n, b, 1.0, elem_bytes=4)
-    np.testing.assert_array_equal(reads, tr // 4)
-    _, reads_o = matmul_optimized_traced(x, transpose(w))
-    tr_o = trace_matmul("optimized", m, n, b, 1.0, elem_bytes=4)
-    np.testing.assert_array_equal(reads_o, tr_o // 4)
+    nact = max(1, int(round(n * frac)))
+    x_base = -(-m * n * elem // 64) * 64
+    for mode, (out, w_reads, x_reads) in (
+            ("basic", matmul_basic_traced(x, w, nact)),
+            ("optimized", matmul_optimized_traced(x, transpose(w), nact))):
+        np.testing.assert_allclose(out, x.T.astype(np.float64)
+                                   @ w[:, :nact].astype(np.float64),
+                                   rtol=1e-9, atol=1e-9)
+        want = w_reads * elem
+        if include_inputs:
+            want = np.column_stack([want, x_reads * elem + x_base])
+        tr = trace_matmul(mode, m, n, b, frac, elem,
+                          include_inputs=include_inputs)
+        assert tr.dtype == np.int64
+        np.testing.assert_array_equal(tr, want.reshape(-1))
 
 
 # -- simulator -----------------------------------------------------------------

@@ -280,10 +280,14 @@ def test_config_error_exit_code(tmp_path):
     None, "{not json", "[1, 2]", '{"pretrain": 5}', '{"dataset": [1]}',
     '{"capacities_percent": []}', '{"capacities_percent": "abc"}',
     '{"capacities_percent": [50, "a"]}', '{"capacities_percent": [true]}',
-    '{"capacities_percent": 50}'],
+    '{"capacities_percent": 50}', '{"seed": "x"}',
+    '{"importance_batches": "a"}', '{"pretrain": {"epochs": "two"}}',
+    '{"arch": 5}', '{"seed": true}', '{"dataset": {"dims": [8, 0, 1]}}'],
     ids=["missing", "not_json", "not_an_object", "section_not_object",
          "dataset_not_object", "capacities_empty", "capacities_string",
-         "capacities_non_number", "capacities_bool", "capacities_scalar"])
+         "capacities_non_number", "capacities_bool", "capacities_scalar",
+         "seed_string", "batches_string", "epochs_string", "arch_int",
+         "seed_bool", "dims_zero"])
 def test_malformed_config_exit_code(tmp_path, capsys, text):
     path = tmp_path / "config.json"
     if text is not None:
@@ -324,6 +328,17 @@ def test_empty_validation_split_exit_code(tmp_path):
     stages = _read_json(out, "manifest.json")["stages"]
     assert stages[-1] == {"stage": "failed:train",
                           "error": "empty evaluation set"}
+
+
+def test_unknown_heuristic_exit_code(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"heuristic": "xx"})
+    out = str(tmp_path / "o")
+    capsys.readouterr()
+    assert main(["--config", cfg, "--out", out, "pipeline"]) == 2
+    halted, error = capsys.readouterr().err.splitlines()
+    assert halted.startswith("pipeline halted at stage 'plan': ")
+    assert error == "error: unknown heuristic 'xx'"
+    assert not os.path.exists(os.path.join(out, "plan.json"))
 
 
 def test_plan_command_baselines(tmp_path):

@@ -354,11 +354,11 @@ def test_tap_geometry_lives_in_one_place(rng, monkeypatch):
         xc = x[..., :cin]
         drawn.clear()
         out = ng._run_conv(xc, k, np.zeros(3), kh, kw, sh, sw)
-        assert len(drawn) == (n_taps if cin > 1 else 0)  # cin 1: one matmul
+        assert len(drawn) == n_taps
         drawn.clear()
         ng._conv_back(np.ones_like(out), xc, k, np.zeros(3), kh, kw, sh, sw)
-        # cin > 1 reads the input's taps and writes the gradient's
-        assert len(drawn) == (2 * n_taps if cin > 1 else n_taps)
+        # reads the input's taps and writes the gradient's
+        assert len(drawn) == 2 * n_taps
     kd = rng.standard_normal((4, kh, kw))
     drawn.clear()
     out = ng._run_depthwise(x, kd, np.zeros(4), kh, kw, sh, sw)

@@ -683,6 +683,14 @@ def test_make_plan_auto_picks_depthwise_for_small_dscnn():
     flat.validate(g2)
 
 
+@pytest.mark.parametrize("formulation", ["flat", "depthwise"])
+def test_make_plan_rejects_unknown_heuristic(formulation):
+    g2, scores2, store2 = planned_graph("dscnn", (8, 8, 1), seed=3)
+    with pytest.raises(ConfigError, match="unknown heuristic 'xx'"):
+        make_plan(g2, scores2, quarter_caps(g2), heuristic="xx",
+                  grad_store=store2, formulation=formulation)
+
+
 # -- plan file format ----------------------------------------------------------
 
 
