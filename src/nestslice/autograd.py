@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import netgraph as ng
-from .errors import DataError, NumericError, ShapeMismatchError
+from .errors import ConfigError, DataError, NumericError, ShapeMismatchError
 
 
 def _one_hot(labels, classes):
@@ -137,7 +137,7 @@ def backward(g: ng.ModelGraph, batch, slicing=None, loss="ce", bn_stats=None,
     if len(np.asarray(labels).reshape(-1)) == 0:
         raise DataError("empty minibatch")
     prog = ng._build_program(g, slicing, bn_stats)
-    x = ng._check_input(prog.input_shape, np.array(x, dtype=dtype))
+    x = ng._check_input(g.input_shape, np.array(x, dtype=dtype))
     n = len(x)
     labels = np.asarray(labels)
     if labels.shape[:1] != (n,):  # the halves split labels with the inputs
@@ -273,10 +273,14 @@ class TrainConfig:
 
     def __post_init__(self):
         steps = [s for s, _ in self.learning_rate_schedule]
+        if self.batch_size < 1 or self.epochs < 0:
+            raise ConfigError("batch_size must be >= 1 and epochs >= 0")
+        if not steps or sorted(set(steps)) != steps:
+            raise ConfigError("schedule steps must be given and increasing")
         if any(r <= 0 for _, r in self.learning_rate_schedule):
-            raise ShapeMismatchError("learning rates must be positive")
-        if sorted(steps) != steps or len(set(steps)) != len(steps):
-            raise ShapeMismatchError("schedule steps must be increasing")
+            raise ConfigError("learning rates must be positive")
+        if self.loss not in ("ce", "half_sse"):
+            raise ConfigError(f"unknown loss {self.loss!r}")
 
     def lr_at(self, step: int) -> float:
         rate = self.learning_rate_schedule[0][1]
@@ -297,9 +301,13 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, d: dict) -> "TrainConfig":
+        """Config from its JSON object; ConfigError if it is malformed."""
         kw = dict(d)
-        if "learning_rate_schedule" in kw:
-            kw["learning_rate_schedule"] = [
-                (int(s), float(r)) for s, r in kw["learning_rate_schedule"]
-            ]
-        return cls(**kw)
+        try:
+            if "learning_rate_schedule" in kw:
+                kw["learning_rate_schedule"] = [
+                    (int(s), float(r)) for s, r in kw["learning_rate_schedule"]
+                ]
+            return cls(**kw)
+        except (TypeError, ValueError) as e:  # ConfigError is a ValueError
+            raise ConfigError(str(e)) from e

@@ -94,11 +94,15 @@ def _read_json(path, what):
 
 # the types a scalar config value may have, by the type of its default
 _KINDS = {int: (int,), float: (int, float), str: (str,)}
+# the least value of each count
+_LOWS = {"importance_batches": 1, "dataset.per_class": 1,
+         "dataset.classes": 2, "dataset.dims": 1}
 
 
 def _check_kind(name, value, default):
-    """ConfigError unless ``value`` has the kind of its ``default``; the
-    shape keys take an int or a list of positive ints."""
+    """ConfigError unless ``value`` has the kind of its ``default`` and a
+    count is at least its ``_LOWS`` value; the shape keys take an int or a
+    list of positive ints."""
     if name in ("dataset.dims", "input_shape"):
         want = "an integer or a list of positive integers"
         ok = (type(value) is int or (value is None and default is None)
@@ -109,12 +113,16 @@ def _check_kind(name, value, default):
         ok = type(value) in _KINDS.get(type(default), (type(value),))
     if not ok:
         raise ConfigError(f"config key {name} must be {want}, not {value!r}")
+    if name in _LOWS and type(value) is int and value < _LOWS[name]:
+        raise ConfigError(f"config key {name} must be >= {_LOWS[name]}, "
+                          f"not {value}")
 
 
 def load_config(path=None, seed=None) -> dict:
     """The default config, its object sections updated from and its other
     keys replaced by those of the JSON object in ``path``. Every scalar
-    keeps the kind of its default."""
+    keeps the kind of its default, counts keep their ranges and each
+    training section makes a valid ``TrainConfig``; ConfigError if not."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     user = _read_json(path, "config") if path else {}
     if not isinstance(user, dict):
@@ -138,6 +146,11 @@ def load_config(path=None, seed=None) -> dict:
             or pct != sorted(pct, reverse=True)):
         raise ConfigError("capacities_percent must be a non-empty list of "
                           "descending values in (0, 100]")
+    for section in ("pretrain", "finetune"):
+        try:
+            TrainConfig.from_json(cfg[section])
+        except ConfigError as e:
+            raise ConfigError(f"config section {section!r}: {e}") from e
     return cfg
 
 
@@ -363,14 +376,10 @@ def cmd_switch_sim(bundle_dir, schedule_path, out_dir) -> int:
             "weights_copied": st.weights_copied,
             "elapsed_s": st.elapsed,
         })
-    probe_shape = model.graph.input_shape
-    probe = (np.zeros((1, probe_shape)) if np.isscalar(probe_shape)
-             else np.zeros((1,) + tuple(probe_shape)))
-    per_row = []
-    for k in range(model.plan.n_rows):
-        model.activate(k)
-        _, macs = model.infer(probe, count_macs=True)
-        per_row.append({"row": k, "inference_macs": macs})
+    per_row = [{"row": k,
+                "inference_macs": ng.plan_macs(model.graph,
+                                               model.plan.row_widths(k))}
+               for k in range(model.plan.n_rows)]
     doc = {"events": events, "per_row_macs": per_row,
            "total_weights_copied": int(sum(e["weights_copied"]
                                            for e in events))}
@@ -430,8 +439,6 @@ def _make_parser():
                     help="IDX image file (switches the dataset to IDX)")
     ap.add_argument("--labels", type=str, default=None,
                     help="IDX label file")
-    ap.add_argument("--split", type=str, default="80:10:10",
-                    help="train:val:test ratio (only 80:10:10 supported)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     sub.add_parser("pipeline", help="train, score, permute, plan, "
@@ -471,10 +478,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         cfg = load_config(args.config, seed=args.seed)
-        if args.split != "80:10:10":
-            raise ConfigError(
-                f"only the 80:10:10 split is supported, got {args.split!r}"
-            )
         if args.images or args.labels:
             if not (args.images and args.labels):
                 raise ConfigError("--images and --labels go together")

@@ -20,8 +20,8 @@ inherit the width of the layer they are bound to. One rule prices every
 kind: a unit costs its kernel elements times its output positions
 (``_per_unit_macs``). MAC counts come in two flavors: one per-unit cost
 per layer at full model widths (``unit_macs``, the knapsack item
-weights) and exact width-aware totals (``plan_macs``), which the row
-programs reproduce.
+weights) and exact width-aware totals (``plan_macs``); in a row program,
+each step carries its kind and MACs.
 
 There is one forward path: a row program (``_build_program``) resolves
 the widths, dims and weight views of one row, and ``_run_steps`` runs it
@@ -392,9 +392,10 @@ def param_counts(g: ModelGraph, slicing=None, encoder_only=False) -> int:
 
 # -- row programs: the one forward path, on views of the store ---------------
 #
-# A row program resolves one row once: per layer the active width, the
-# active input dims, the dense feed structure and one function from the
-# layer's arrays (by parameter name) to the views its kernel reads.
+# A row program resolves one row once into one step per layer, the record
+# of that layer: its kind, its per-sample MACs at the row's widths, its
+# kernel and the kernel's backward rule, and one function from the layer's
+# arrays (by parameter name) to the views its kernel reads.
 # Applied to the store, that function gives read-only float32 views, never
 # derived copies, so weight updates made in place by training stay
 # visible; autograd applies the same function to zero gradient buffers of
@@ -412,13 +413,14 @@ class _Step(NamedTuple):
     relu: bool
     mask: int | None  # zero features past this width (binary-mask rows)
     views: Callable  # {param name: array} -> the weight views in ``args``
+    kind: str  # the layer's kind, e.g. BATCHNORM
+    macs: int  # per-sample MACs; a masked row counts its full widths
 
 
 @dataclass
 class _Program:
-    steps: list  # one _Step per layer, in layer order
-    macs: int  # exact per-sample multiply count
-    input_shape: tuple | int
+    steps: list  # one _Step per layer, in layer order: its index is its layer
+    macs: int  # exact per-sample multiply count: the steps' sum
 
 
 # Each kernel is followed by its backward rule. A rule takes the output
@@ -830,19 +832,6 @@ def _gathered_copy(g: ModelGraph, ops) -> ModelGraph:
     return replace(g, weights=ws).copy()
 
 
-def _layer_step(g: ModelGraph, i: int, u: int, cur, pre_flat, full_dims):
-    """How layer i runs at active width ``u`` on active input dims ``cur``.
-
-    ``pre_flat`` is the active dims entering the last flatten. Returns
-    (run, back, views, static arguments, per-sample MACs, output dims).
-    """
-    spec = g.layers[i]
-    kind = _kind(spec)
-    run, back, views, static = kind.step(g, i, u, cur, pre_flat, full_dims)
-    out = kind.out_dims(spec, cur, u)
-    return run, back, views, static, _per_unit_macs(g, i, cur, out) * u, out
-
-
 def _build_program(g: ModelGraph, slicing=None, bn_stats=None,
                    mask_widths=None) -> _Program:
     """Resolve one row (or one masked full-width row) into a program."""
@@ -855,12 +844,12 @@ def _build_program(g: ModelGraph, slicing=None, bn_stats=None,
     cur = _input_dims(g)  # active dims of the layer's input
     pre_flat = None  # active dims entering the last flatten
     steps = []
-    macs = 0
     for i, spec in enumerate(g.layers):
         if spec.kind == FLATTEN:
             pre_flat = cur
-        run, back, views, static, step_macs, cur = _layer_step(
-            g, i, int(width[i]), cur, pre_flat, full_dims)
+        kind, u = _kind(spec), int(width[i])
+        run, back, views, static = kind.step(g, i, u, cur, pre_flat, full_dims)
+        out = kind.out_dims(spec, cur, u)
         arrays = dict(g.weights[i] or {})
         if bn_stats is not None and i in bn_stats:
             arrays["mean"], arrays["var"] = (
@@ -869,12 +858,13 @@ def _build_program(g: ModelGraph, slicing=None, bn_stats=None,
         for a in arrays.values():  # a program never writes the store
             a.flags.writeable = False
         mask = None
-        if masked and spec.kind != FLATTEN and act[i] < cur[-1]:
+        if masked and spec.kind != FLATTEN and act[i] < out[-1]:
             mask = int(act[i])
         steps.append(_Step(run, back, views(arrays) + static,
-                           spec.activation == "relu", mask, views))
-        macs += step_macs
-    return _Program(steps, macs, g.input_shape)
+                           spec.activation == "relu", mask, views, spec.kind,
+                           _per_unit_macs(g, i, cur, out) * u))
+        cur = out
+    return _Program(steps, sum(s.macs for s in steps))
 
 
 def _check_input(input_shape, x):
@@ -898,7 +888,7 @@ def _check_input(input_shape, x):
 
 def _apply_step(step: _Step, cur):
     """Run one step on ``cur``, then its relu, then its mask."""
-    run, _, args, relu, mask, _ = step
+    run, _, args, relu, mask, _, _, _ = step
     cur = run(cur, *args)
     if relu:
         np.maximum(cur, 0.0, out=cur)
@@ -925,10 +915,9 @@ def _run_steps(prog: _Program, cur, cache=None):
     replayable = False
     for step in prog.steps:
         if cache is not None:
-            cache.append(None if replayable and step.run is not _run_flatten
-                         else cur)
-            replayable = step.run is _run_batchnorm and cache[-1] is not None
-            if step.run is _run_batchnorm:
+            cache.append(None if replayable and step.kind != FLATTEN else cur)
+            replayable = step.kind == BATCHNORM and cache[-1] is not None
+            if step.kind == BATCHNORM:
                 cur = cur.copy()
         cur = _apply_step(step, cur)
     return cur
@@ -950,7 +939,7 @@ def run_forward(g: ModelGraph, x, slicing=None, bn_stats=None,
     """
     if program is None:
         program = _build_program(g, slicing, bn_stats, mask_widths)
-    x = _check_input(program.input_shape, np.array(x, dtype=np.float32))
+    x = _check_input(g.input_shape, np.array(x, dtype=np.float32))
     return _run_steps(program, x), program.macs
 
 

@@ -209,12 +209,12 @@ def depthwise_input_grad_oracle(d, shape, kd, kh, kw, sh, sw):
     return dxp[:, ph:ph + h, pw:pw + w]
 
 
-def copying_forward(prog, x, dtype):
+def copying_forward(g, prog, x, dtype):
     """Every step's input, each copied before the step runs, and the
-    logits: the program run step by step with nothing shared."""
-    cur = ng._check_input(prog.input_shape, np.array(x, dtype=dtype))
+    logits: g's program run step by step with nothing shared."""
+    cur = ng._check_input(g.input_shape, np.array(x, dtype=dtype))
     inputs = []
-    for run, _, args, relu, mask, _ in prog.steps:
+    for run, _, args, relu, mask, _, _, _ in prog.steps:
         inputs.append(cur.copy())
         cur = run(cur, *args)
         if relu:
@@ -241,7 +241,7 @@ def backward_oracle(g, batch, slicing=None, loss="ce", bn_stats=None,
     loss is normalised by ``n`` samples, by default the batch's own."""
     x, labels = batch
     prog = ng._build_program(g, slicing, bn_stats)
-    inputs, logits = copying_forward(prog, x, dtype)
+    inputs, logits = copying_forward(g, prog, x, dtype)
     value, dlogits = ag._loss_and_dlogits(
         logits, labels, loss, len(logits) if n is None else n)
     grads = {}
@@ -251,7 +251,7 @@ def backward_oracle(g, batch, slicing=None, loss="ce", bn_stats=None,
     for i, (step, xin, out) in reversed(layers):
         if step.relu:
             d = d * (out > 0)
-        rule = (_batchnorm_back_oracle if step.back is ng._batchnorm_back
+        rule = (_batchnorm_back_oracle if step.kind == ng.BATCHNORM
                 else step.back)
         d, dviews = rule(d, xin, *step.args)
         bufs = {name: np.zeros(a.shape)

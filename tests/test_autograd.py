@@ -12,7 +12,8 @@ from conftest import (backward_oracle, copying_forward, fd_gradient_check,
 from nestslice.autograd import (Adam, TrainConfig,
                                 accumulate_importance_grads, backward,
                                 sgd_step)
-from nestslice.errors import DataError, NumericError, ShapeMismatchError
+from nestslice.errors import (ConfigError, DataError, NumericError,
+                              ShapeMismatchError)
 from nestslice.netgraph import LayerSpec, ModelGraph, build_reference
 from nestslice.tensor import store
 
@@ -99,7 +100,7 @@ def test_gradcheck_vs_finite_differences(case, rng):
 def _relu_masks(g, x, dtype):
     """output > 0 of every relu layer, run in ``dtype``."""
     prog = ng._build_program(g)
-    inputs, logits = copying_forward(prog, x, dtype)
+    inputs, logits = copying_forward(g, prog, x, dtype)
     outputs = inputs[1:] + [logits]
     return [out > 0 for step, out in zip(prog.steps, outputs) if step.relu]
 
@@ -137,16 +138,16 @@ def test_cached_inputs_equal_those_of_a_copying_run(net, dtype, rng):
         x = rng.standard_normal((6, 8, 8, 1))
     got = []
     logits = ng._run_steps(prog, ng._check_input(
-        prog.input_shape, np.array(x, dtype=dtype)), got)
-    want, want_logits = copying_forward(prog, x, dtype)
+        g.input_shape, np.array(x, dtype=dtype)), got)
+    want, want_logits = copying_forward(g, prog, x, dtype)
     assert np.array_equal(logits, want_logits)
     assert len(got) == len(want) == len(prog.steps)
-    runs = [step.run for step in prog.steps]
-    assert ng._run_flatten in runs
+    kinds = [step.kind for step in prog.steps]
+    assert ng.FLATTEN in kinds
     for i, (a, b) in enumerate(zip(got, want)):
-        replayable = (i > 0 and runs[i - 1] is ng._run_batchnorm
+        replayable = (i > 0 and kinds[i - 1] == ng.BATCHNORM
                       and got[i - 1] is not None)
-        assert (a is None) == (replayable and runs[i] is not ng._run_flatten)
+        assert (a is None) == (replayable and kinds[i] != ng.FLATTEN)
         if a is None:
             a = ng._apply_step(prog.steps[i - 1], got[i - 1].copy())
         assert a.dtype == b.dtype and np.array_equal(a, b)
@@ -293,7 +294,7 @@ def test_backward_holds_less_than_a_copying_run(rng):
     g = build_reference("dscnn", "S", (49, 10, 1), classes=12, seed=0)
     x = rng.standard_normal((32, 49, 10, 1))
     y = rng.integers(0, 12, 32)
-    inputs, _ = copying_forward(ng._build_program(g), x, np.float32)
+    inputs, _ = copying_forward(g, ng._build_program(g), x, np.float32)
     held = sum(a.nbytes for a in inputs)
     del inputs
     tracemalloc.start()
@@ -315,7 +316,7 @@ def test_conv_backward_holds_no_patch_matrix(rng):
     g = build_reference("cnn", "S", (49, 10, 1), classes=12, seed=0)
     x = rng.standard_normal((32, 49, 10, 1))
     y = rng.integers(0, 12, 32)
-    inputs, _ = copying_forward(ng._build_program(g), x, np.float32)
+    inputs, _ = copying_forward(g, ng._build_program(g), x, np.float32)
     held = sum(a.nbytes for a in inputs)
     del inputs
     peaks = []
@@ -364,10 +365,10 @@ def test_float32_gradients_agree_with_float64(arch, ishape, layout):
 def test_backward_rules_run_in_float32(arch, ishape, rng, monkeypatch):
     # an upcast anywhere in the chain would silently bring back float64
     # passes; every rule must see and return float32 arrays. Each step's
-    # rule is wrapped where the step is built, so the test also sees that
-    # every step ran its own rule once per half of the batch
+    # rule is wrapped in the program the backward builds, so the test also
+    # sees that every step ran its own rule once per half of the batch
     seen = {}
-    layer_step = ng._layer_step
+    build = ng._build_program
 
     def checked(i, rule):
         def back(d, x, *args):
@@ -378,11 +379,13 @@ def test_backward_rules_run_in_float32(arch, ishape, rng, monkeypatch):
             return dx, dviews
         return back
 
-    def wrapped(g, i, *rest):
-        run, back, *more = layer_step(g, i, *rest)
-        return (run, checked(i, back), *more)
+    def wrapped(*args, **kw):
+        prog = build(*args, **kw)
+        prog.steps = [step._replace(back=checked(i, step.back))
+                      for i, step in enumerate(prog.steps)]
+        return prog
 
-    monkeypatch.setattr(ng, "_layer_step", wrapped)
+    monkeypatch.setattr(ng, "_build_program", wrapped)
     g = build_reference(arch, "S", ishape, classes=5, seed=1)
     x = rng.standard_normal((8,) + ishape)
     backward(g, (x, rng.integers(0, 5, 8)))
@@ -631,9 +634,9 @@ def test_train_config_schedule():
 
 
 def test_train_config_validation():
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ConfigError):
         TrainConfig(learning_rate_schedule=[(0, -1.0)])
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(ConfigError):
         TrainConfig(learning_rate_schedule=[(10, 1e-3), (0, 1e-4)])
 
 

@@ -282,12 +282,22 @@ def test_config_error_exit_code(tmp_path):
     '{"capacities_percent": [50, "a"]}', '{"capacities_percent": [true]}',
     '{"capacities_percent": 50}', '{"seed": "x"}',
     '{"importance_batches": "a"}', '{"pretrain": {"epochs": "two"}}',
-    '{"arch": 5}', '{"seed": true}', '{"dataset": {"dims": [8, 0, 1]}}'],
+    '{"arch": 5}', '{"seed": true}', '{"dataset": {"dims": [8, 0, 1]}}',
+    '{"pretrain": {"learning_rate_schedule": [[0, -1.0]]}}',
+    '{"pretrain": {"loss": "mse"}}', '{"pretrain": {"foo": 1}}',
+    '{"pretrain": {"learning_rate_schedule": [[0]]}}',
+    '{"pretrain": {"batch_size": 0}}', '{"finetune": {"epochs": -1}}',
+    '{"dataset": {"per_class": 0}}', '{"dataset": {"classes": 1}}',
+    '{"dataset": {"dims": 0}}', '{"importance_batches": 0}',
+    '{"importance_batches": -1}'],
     ids=["missing", "not_json", "not_an_object", "section_not_object",
          "dataset_not_object", "capacities_empty", "capacities_string",
          "capacities_non_number", "capacities_bool", "capacities_scalar",
          "seed_string", "batches_string", "epochs_string", "arch_int",
-         "seed_bool", "dims_zero"])
+         "seed_bool", "dims_zero", "rate_negative", "loss_unknown",
+         "train_key_unknown", "schedule_entry_short", "batch_size_zero",
+         "epochs_negative", "per_class_zero", "classes_one",
+         "dims_int_zero", "batches_zero", "batches_negative"])
 def test_malformed_config_exit_code(tmp_path, capsys, text):
     path = tmp_path / "config.json"
     if text is not None:
@@ -378,9 +388,10 @@ def test_idx_dataset_flags(tmp_path):
 
 def test_unsupported_split_rejected(tmp_path):
     cfg = write_config(tmp_path)
-    rc = main(["--config", cfg, "--out", str(tmp_path / "o"),
-               "--split", "70:20:10", "pipeline"])
-    assert rc == 2
+    with pytest.raises(SystemExit) as e:  # the split is always 80:10:10
+        main(["--config", cfg, "--out", str(tmp_path / "o"),
+              "--split", "70:20:10", "pipeline"])
+    assert e.value.code == 2
 
 
 def test_verify_bounds_uses_global_seed(tmp_path):

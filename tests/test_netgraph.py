@@ -230,7 +230,7 @@ def test_float64_program_matches_reference_forward(arch, transposed, rng):
     for sl, stats in cases:
         prog = ng._build_program(g, sl, stats)
         got = ng._run_steps(prog, ng._check_input(
-            prog.input_shape, np.array(x, dtype=np.float64)))
+            g.input_shape, np.array(x, dtype=np.float64)))
         want, _, _ = reference_forward(g, x, slicing=sl, bn_stats=stats)
         assert got.dtype == np.float64
         assert np.abs(got - want).max() < 1e-12

@@ -384,8 +384,9 @@ def test_counts_from_selection_audits_leading_prefixes():
 @pytest.mark.parametrize("kind", ng.COMPUTE_KINDS)
 def test_cost_lives_in_one_place(kind, monkeypatch):
     # tripling one kind's per-unit cost in its one function must reach
-    # every MAC count: row programs, plan_macs, item weights with their
-    # riders, and both planner formulations
+    # every MAC count: the steps of row programs, plan_macs, item weights
+    # with their riders, and both planner formulations. Each step is the
+    # record of its layer: its kind, and MACs that sum to the row's
     per_unit = ng._per_unit_macs
 
     def scaled(g, i, in_dim, out_dim):
@@ -393,8 +394,9 @@ def test_cost_lives_in_one_place(kind, monkeypatch):
         return 3 * macs if g.layers[i].kind == kind else macs
 
     monkeypatch.setattr(ng, "_per_unit_macs", scaled)
-    for arch in ("dscnn", "cnn"):
-        g2, scores2, store2 = planned_graph(arch, (8, 8, 1), seed=3)
+    for arch, ishape in (("dscnn", (8, 8, 1)), ("cnn", (8, 8, 1)),
+                         ("dnn", 16)):
+        g2, scores2, store2 = planned_graph(arch, ishape, seed=3)
         items = pl.PlanItems.build(g2, scores2)
         assert items.weights.sum() == full_macs(g2)
         caps = quarter_caps(g2)
@@ -403,8 +405,13 @@ def test_cost_lives_in_one_place(kind, monkeypatch):
         plan.validate(g2)
         for k in range(plan.n_rows):
             widths = plan.row_widths(k)
-            assert (ng._build_program(g2, widths).macs
-                    == ng.plan_macs(g2, widths))
+            for prog, want in ((ng._build_program(g2, widths),
+                                ng.plan_macs(g2, widths)),
+                               (ng._build_program(g2, mask_widths=widths),
+                                full_macs(g2))):
+                assert ([s.kind for s in prog.steps]
+                        == [l.kind for l in g2.layers])
+                assert prog.macs == sum(s.macs for s in prog.steps) == want
 
 
 # -- baselines -----------------------------------------------------------------
