@@ -21,6 +21,7 @@ import csv
 import hashlib
 import json
 import logging
+import math
 import os
 import sys
 import traceback
@@ -54,7 +55,7 @@ DEFAULT_CONFIG = {
     "seed": 0,
     "arch": "dnn",
     "size": "S",
-    "classes": 10,
+    "classes": None,  # the data's class count
     "input_shape": None,
     "capacities_percent": [100, 75, 50, 25],
     "heuristic": "bu",
@@ -95,8 +96,10 @@ def _read_json(path, what):
 # the types a scalar config value may have, by the type of its default
 _KINDS = {int: (int,), float: (int, float), str: (str,)}
 # the least value of each count
-_LOWS = {"importance_batches": 1, "dataset.per_class": 1,
-         "dataset.classes": 2, "dataset.dims": 1}
+_LOWS = {"importance_batches": 1, "dataset.per_class": 1, "classes": 2,
+         "dataset.classes": 2, "dataset.dims": 1, "input_shape": 1}
+# the dataset keys of IDX data, beside those of the default synthetic data
+_IDX_KEYS = ("images", "labels", "normalize")
 
 
 def _check_kind(name, value, default):
@@ -108,6 +111,8 @@ def _check_kind(name, value, default):
         ok = (type(value) is int or (value is None and default is None)
               or isinstance(value, list) and bool(value)
               and all(type(d) is int and d > 0 for d in value))
+    elif name == "classes":
+        want, ok = "an integer or null", value is None or type(value) is int
     else:
         want = f"of the kind of {default!r}"
         ok = type(value) in _KINDS.get(type(default), (type(value),))
@@ -118,27 +123,37 @@ def _check_kind(name, value, default):
                           f"not {value}")
 
 
-def load_config(path=None, seed=None) -> dict:
+def load_config(path=None, seed=None, dataset=None) -> dict:
     """The default config, its object sections updated from and its other
-    keys replaced by those of the JSON object in ``path``. Every scalar
-    keeps the kind of its default, counts keep their ranges and each
-    training section makes a valid ``TrainConfig``; ConfigError if not."""
+    keys replaced by those of the JSON object in ``path``; ``dataset``
+    (the IDX flags) replaces its dataset section. Every key is one of the
+    default's (or an IDX dataset key), every scalar keeps the kind of its
+    default, counts keep their ranges, each training section makes a valid
+    ``TrainConfig`` and synthetic data fits ``_check_data``; ConfigError
+    if not."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     user = _read_json(path, "config") if path else {}
     if not isinstance(user, dict):
         raise ConfigError(f"config {path} is not a JSON object")
     for k, v in user.items():
-        if isinstance(cfg.get(k), dict):
+        if k not in cfg:
+            raise ConfigError(f"unknown config key {k!r}")
+        if isinstance(cfg[k], dict):
             if not isinstance(v, dict):
                 raise ConfigError(f"config section {k!r} is not an object")
             for sk, sv in v.items():
+                if sk not in cfg[k] and not (k == "dataset"
+                                             and sk in _IDX_KEYS):
+                    raise ConfigError(f"unknown config key '{k}.{sk}'")
                 _check_kind(f"{k}.{sk}", sv, cfg[k].get(sk))
             cfg[k].update(v)
         else:
-            _check_kind(k, v, cfg.get(k))
+            _check_kind(k, v, cfg[k])
             cfg[k] = v
     if seed is not None:
         cfg["seed"] = seed
+    if dataset is not None:
+        cfg["dataset"] = dataset
     pct = cfg["capacities_percent"]
     if (not isinstance(pct, list) or not pct
             or any(type(p) not in (int, float) or not 0 < p <= 100
@@ -151,6 +166,9 @@ def load_config(path=None, seed=None) -> dict:
             TrainConfig.from_json(cfg[section])
         except ConfigError as e:
             raise ConfigError(f"config section {section!r}: {e}") from e
+    ds = cfg["dataset"]
+    if ds["kind"] == "synthetic":  # the config gives its shape and classes
+        _check_data(cfg, np.ravel(ds["dims"]).tolist(), ds["classes"])
     return cfg
 
 
@@ -176,16 +194,33 @@ def build_dataset(cfg: dict):
     raise ConfigError(f"unknown dataset kind {ds['kind']!r}")
 
 
-def _dataset_input_shape(cfg, dataset):
-    if cfg["input_shape"] is not None:
-        shp = cfg["input_shape"]
-        return int(shp) if np.isscalar(shp) else tuple(shp)
-    sample = dataset.samples[0]
+def _check_data(cfg, shape, classes):
+    """ConfigError unless data of ``classes`` classes whose samples have
+    ``shape`` fits the arch, and the config's ``input_shape`` and
+    ``classes`` where given: a conv arch reads (h, w, c) samples, a dnn
+    reads them flat, so there only the size must match."""
+    shape, given = list(shape), cfg["input_shape"]
+    if given is not None:
+        given = np.ravel(given).tolist()
     if cfg["arch"] == "dnn":
-        return int(np.prod(sample.shape))
-    if sample.ndim == 1:
+        shape, given = [math.prod(shape)], given and [math.prod(given)]
+    elif len(shape) == 1:
         raise ConfigError("image-shaped data required for conv architectures")
-    return tuple(sample.shape)
+    if given not in (None, shape):
+        raise ConfigError(f"input_shape {cfg['input_shape']} does not fit "
+                          f"the data's samples {shape}")
+    if cfg["classes"] not in (None, classes):
+        raise ConfigError(f"classes {cfg['classes']} is not the data's "
+                          f"{classes}")
+
+
+def _dataset_input_shape(cfg, dataset):
+    """The input shape of the data's samples as the arch reads them (the
+    dataset stage flattens them for a dnn); ConfigError if the data does
+    not fit the config (``_check_data``)."""
+    shape = dataset.samples.shape[1:]
+    _check_data(cfg, shape, dataset.n_classes)
+    return shape[0] if cfg["arch"] == "dnn" else tuple(shape)
 
 
 def _arch_samples(cfg, dataset):
@@ -477,12 +512,13 @@ def main(argv=None) -> int:
     ap = _make_parser()
     args = ap.parse_args(argv)
     try:
-        cfg = load_config(args.config, seed=args.seed)
+        dataset = None
         if args.images or args.labels:
             if not (args.images and args.labels):
                 raise ConfigError("--images and --labels go together")
-            cfg["dataset"] = {"kind": "idx", "images": args.images,
-                              "labels": args.labels, "normalize": True}
+            dataset = {"kind": "idx", "images": args.images,
+                       "labels": args.labels, "normalize": True}
+        cfg = load_config(args.config, seed=args.seed, dataset=dataset)
         out_dir = args.out
         if args.command == "pipeline":
             return cmd_pipeline(cfg, out_dir)

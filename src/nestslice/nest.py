@@ -23,8 +23,8 @@ updates, and no program holds a copy of any weight.
 The cache-optimized layout stores dense kernels transposed so each
 neuron's weights are contiguous; inference then uses the flipped multiply
 order. The binary-mask baseline (``masked_infer``) runs the full-width
-computation with zeroed inactive units: same numbers, full-model multiply
-count.
+program on a copy of the store with zeroed inactive units: same numbers,
+full-model multiply count, one copy per call.
 """
 
 from __future__ import annotations
@@ -117,12 +117,12 @@ class NestedModel:
         return (logits, macs) if count_macs else logits
 
     def masked_infer(self, k: int, x, count_macs=False):
-        """Full-width forward of row k with binary masks on layer inputs."""
+        """Row k's numbers at the full MAC count: the full program, with
+        the row's batchnorm statistics, on a per-call masked copy."""
         if not (0 <= k < self.plan.n_rows):
             raise ExtentError(f"row {k} out of range")
-        logits, macs = ng.run_forward(
-            self.graph, x, mask_widths=self.plan.row_widths(k),
-            bn_stats=self.bn_stats[k])
+        masked = ng._masked_copy(self.graph, self.plan.row_widths(k))
+        logits, macs = ng.run_forward(masked, x, bn_stats=self.bn_stats[k])
         return (logits, macs) if count_macs else logits
 
 

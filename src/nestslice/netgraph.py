@@ -411,10 +411,9 @@ class _Step(NamedTuple):
     back: Callable  # back(d, x, *args): its backward rule
     args: tuple  # the layer's weight views, then static arguments
     relu: bool
-    mask: int | None  # zero features past this width (binary-mask rows)
     views: Callable  # {param name: array} -> the weight views in ``args``
     kind: str  # the layer's kind, e.g. BATCHNORM
-    macs: int  # per-sample MACs; a masked row counts its full widths
+    macs: int  # per-sample MACs at the row's widths
 
 
 @dataclass
@@ -832,14 +831,9 @@ def _gathered_copy(g: ModelGraph, ops) -> ModelGraph:
     return replace(g, weights=ws).copy()
 
 
-def _build_program(g: ModelGraph, slicing=None, bn_stats=None,
-                   mask_widths=None) -> _Program:
-    """Resolve one row (or one masked full-width row) into a program."""
-    if mask_widths is not None and slicing is not None:
-        raise ConfigError("slicing and mask_widths are mutually exclusive")
-    masked = mask_widths is not None
-    act = resolve_widths(g, mask_widths if masked else slicing)
-    width = resolve_widths(g) if masked else act
+def _build_program(g: ModelGraph, slicing=None, bn_stats=None) -> _Program:
+    """Resolve one row into a program: one step per layer."""
+    width = resolve_widths(g, slicing)
     full_dims = layer_output_dims(g)  # also rejects unknown layer kinds
     cur = _input_dims(g)  # active dims of the layer's input
     pre_flat = None  # active dims entering the last flatten
@@ -857,11 +851,8 @@ def _build_program(g: ModelGraph, slicing=None, bn_stats=None,
         arrays = {nm: a.view() for nm, a in arrays.items()}
         for a in arrays.values():  # a program never writes the store
             a.flags.writeable = False
-        mask = None
-        if masked and spec.kind != FLATTEN and act[i] < out[-1]:
-            mask = int(act[i])
         steps.append(_Step(run, back, views(arrays) + static,
-                           spec.activation == "relu", mask, views, spec.kind,
+                           spec.activation == "relu", views, spec.kind,
                            _per_unit_macs(g, i, cur, out) * u))
         cur = out
     return _Program(steps, sum(s.macs for s in steps))
@@ -887,13 +878,11 @@ def _check_input(input_shape, x):
 
 
 def _apply_step(step: _Step, cur):
-    """Run one step on ``cur``, then its relu, then its mask."""
-    run, _, args, relu, mask, _, _, _ = step
+    """Run one step on ``cur``, then its relu."""
+    run, _, args, relu, _, _, _ = step
     cur = run(cur, *args)
     if relu:
         np.maximum(cur, 0.0, out=cur)
-    if mask is not None:
-        cur[..., mask:] = 0.0
     return cur
 
 
@@ -901,16 +890,16 @@ def _run_steps(prog: _Program, cur, cache=None):
     """Logits of a program on ``cur``, a checked batch of the working
     dtype that the caller owns.
 
-    Activations and masks apply in place on fresh step outputs. A
-    ``cache`` list receives one entry per step: the step's input, which
-    is what the backward rules read, kept by reference (relu and masks
-    write only a step's fresh output, and batchnorm, the one step that
-    overwrites its input, runs on a copy of it). The input of a step that
-    follows a batchnorm step is a batchnorm output, which one replay of
-    that step (``_apply_step`` on a copy of its cached input) rebuilds
-    with the same float operations; its entry is None, unless that
-    batchnorm's own entry is None or the step is a flatten, whose
-    reshaped output holds the array anyway.
+    Activations apply in place on fresh step outputs. A ``cache`` list
+    receives one entry per step: the step's input, which is what the
+    backward rules read, kept by reference (relu writes only a step's
+    fresh output, and batchnorm, the one step that overwrites its input,
+    runs on a copy of it). The input of a step that follows a batchnorm
+    step is a batchnorm output, which one replay of that step
+    (``_apply_step`` on a copy of its cached input) rebuilds with the same
+    float operations; its entry is None, unless that batchnorm's own entry
+    is None or the step is a flatten, whose reshaped output holds the
+    array anyway.
     """
     replayable = False
     for step in prog.steps:
@@ -923,22 +912,18 @@ def _run_steps(prog: _Program, cur, cache=None):
     return cur
 
 
-def run_forward(g: ModelGraph, x, slicing=None, bn_stats=None,
-                mask_widths=None, program=None):
+def run_forward(g: ModelGraph, x, slicing=None, bn_stats=None, program=None):
     """Float32 forward pass on a row program over views of the store.
 
     x: (N, ...) float array matching input_shape. Returns (logits, macs)
     where macs is the exact per-sample multiply count of the dense/conv
     contractions. ``program`` is one prebuilt by ``NestedModel`` for a
     plan row, else one is built here from the other arguments.
-    ``mask_widths`` runs the network at full width but zeroes features
-    beyond the given width at every layer boundary (binary-mask
-    baseline); mutually exclusive with ``slicing``. ``bn_stats``
-    optionally overrides batchnorm running statistics: dict layer index
-    -> (mean, var) full-width arrays.
+    ``bn_stats`` optionally overrides batchnorm running statistics: dict
+    layer index -> (mean, var) full-width arrays.
     """
     if program is None:
-        program = _build_program(g, slicing, bn_stats, mask_widths)
+        program = _build_program(g, slicing, bn_stats)
     x = _check_input(g.input_shape, np.array(x, dtype=np.float32))
     return _run_steps(program, x), program.macs
 
@@ -963,6 +948,21 @@ def truncate(g: ModelGraph, slicing) -> ModelGraph:
         if _kind(spec).params:
             spec.units = int(u)
     validate_graph(out)
+    return out
+
+
+def _masked_copy(g: ModelGraph, slicing) -> ModelGraph:
+    """Full-width copy of g with zeros where ``_unit_gathers`` would index
+    the units past their widths in ``slicing``: the binary-mask baseline
+    of that row is the copy's full program."""
+    act = resolve_widths(g, slicing)
+    drop = {l: np.arange(act[l], g.layers[l].units)
+            for l in g.sliceable_indices()}
+    out = g.copy()
+    for l, nm, axis, p, n in _unit_gathers(out, drop):
+        a = out.weights[l][nm]  # C-contiguous, so ``split`` is a view
+        split = a.reshape(a.shape[:axis] + (-1, n) + a.shape[axis + 1:])
+        np.moveaxis(split, axis + 1, 0)[p] = 0  # as ``_gather`` splits
     return out
 
 

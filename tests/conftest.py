@@ -214,13 +214,11 @@ def copying_forward(g, prog, x, dtype):
     logits: g's program run step by step with nothing shared."""
     cur = ng._check_input(g.input_shape, np.array(x, dtype=dtype))
     inputs = []
-    for run, _, args, relu, mask, _, _, _ in prog.steps:
+    for run, _, args, relu, _, _, _ in prog.steps:
         inputs.append(cur.copy())
         cur = run(cur, *args)
         if relu:
             np.maximum(cur, 0.0, out=cur)
-        if mask is not None:
-            cur[..., mask:] = 0.0
     return inputs, cur
 
 

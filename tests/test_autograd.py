@@ -133,8 +133,9 @@ def test_cached_inputs_equal_those_of_a_copying_run(net, dtype, rng):
         g = build_reference(arch, "S", (8, 8, 1), classes=5, seed=3)
         widths = [max(1, g.layers[i].units // 2)
                   for i in g.sliceable_indices()]
-        prog = (ng._build_program(g, mask_widths=widths) if net.endswith(
-            "masked") else ng._build_program(g, slicing=widths))
+        prog = (ng._build_program(ng._masked_copy(g, widths))
+                if net.endswith("masked")
+                else ng._build_program(g, slicing=widths))
         x = rng.standard_normal((6, 8, 8, 1))
     got = []
     logits = ng._run_steps(prog, ng._check_input(

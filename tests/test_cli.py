@@ -289,7 +289,10 @@ def test_config_error_exit_code(tmp_path):
     '{"pretrain": {"batch_size": 0}}', '{"finetune": {"epochs": -1}}',
     '{"dataset": {"per_class": 0}}', '{"dataset": {"classes": 1}}',
     '{"dataset": {"dims": 0}}', '{"importance_batches": 0}',
-    '{"importance_batches": -1}'],
+    '{"importance_batches": -1}', '{"heuristc": "td"}',
+    '{"dataset": {"foo": 1}}', '{"input_shape": -3}', '{"input_shape": 0}',
+    '{"arch": "cnn", "input_shape": [4, 4, 1]}',
+    '{"classes": 3, "dataset": {"classes": 4}}', '{"classes": 1}'],
     ids=["missing", "not_json", "not_an_object", "section_not_object",
          "dataset_not_object", "capacities_empty", "capacities_string",
          "capacities_non_number", "capacities_bool", "capacities_scalar",
@@ -297,7 +300,9 @@ def test_config_error_exit_code(tmp_path):
          "seed_bool", "dims_zero", "rate_negative", "loss_unknown",
          "train_key_unknown", "schedule_entry_short", "batch_size_zero",
          "epochs_negative", "per_class_zero", "classes_one",
-         "dims_int_zero", "batches_zero", "batches_negative"])
+         "dims_int_zero", "batches_zero", "batches_negative", "key_typo",
+         "dataset_key_unknown", "input_shape_negative", "input_shape_zero",
+         "input_shape_not_data", "classes_not_data", "top_classes_one"])
 def test_malformed_config_exit_code(tmp_path, capsys, text):
     path = tmp_path / "config.json"
     if text is not None:
@@ -361,7 +366,8 @@ def test_plan_command_baselines(tmp_path):
     assert plan["heuristic"] == "random"
 
 
-def test_idx_dataset_flags(tmp_path):
+def write_idx(tmp_path):
+    """IDX image and label files of 120 4x4 images in 3 classes."""
     from nestslice.datasets import write_idx_images, write_idx_labels
     rng = np.random.default_rng(0)
     n, classes = 120, 3
@@ -371,6 +377,28 @@ def test_idx_dataset_flags(tmp_path):
     ip, lp = str(tmp_path / "i.idx"), str(tmp_path / "l.idx")
     write_idx_images(ip, images)
     write_idx_labels(lp, labels)
+    return ip, lp
+
+
+@pytest.mark.parametrize("extra", [
+    {"input_shape": 15}, {"arch": "cnn", "input_shape": [4, 4, 2]},
+    {"classes": 4}])
+def test_idx_data_that_misfits_the_config_exit_code(tmp_path, capsys, extra):
+    # IDX data is checked against the config once loaded, in the train
+    # stage; synthetic data is checked before any stage
+    ip, lp = write_idx(tmp_path)
+    cfg = write_config(tmp_path, extra)
+    capsys.readouterr()
+    rc = main(["--config", cfg, "--out", str(tmp_path / "o"), "--images", ip,
+               "--labels", lp, "train"])
+    assert rc == 2
+    halted, error = capsys.readouterr().err.splitlines()
+    assert halted.startswith("train halted at stage 'train': ")
+    assert error.startswith("error: ")
+
+
+def test_idx_dataset_flags(tmp_path):
+    ip, lp = write_idx(tmp_path)
     cfg = write_config(tmp_path, {
         "dataset": {"kind": "synthetic"},  # overridden by the flags
         "pretrain": {"batch_size": 16, "epochs": 1,

@@ -405,10 +405,10 @@ def test_cost_lives_in_one_place(kind, monkeypatch):
         plan.validate(g2)
         for k in range(plan.n_rows):
             widths = plan.row_widths(k)
+            masked = ng._masked_copy(g2, widths)
             for prog, want in ((ng._build_program(g2, widths),
                                 ng.plan_macs(g2, widths)),
-                               (ng._build_program(g2, mask_widths=widths),
-                                full_macs(g2))):
+                               (ng._build_program(masked), full_macs(g2))):
                 assert ([s.kind for s in prog.steps]
                         == [l.kind for l in g2.layers])
                 assert prog.macs == sum(s.macs for s in prog.steps) == want
