@@ -161,8 +161,12 @@ def tight_instance_td(p=10.0, eps=0.1, c=6):
 # -- verification harness ------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class BoundReport:
+    """One bound check. ``instance`` holds the generated profit and weight
+    arrays, shared by an instance's bu and td reports; ``to_json`` turns
+    them into lists."""
+
     instance: dict
     opt_c: float
     opt_half: float
@@ -172,8 +176,10 @@ class BoundReport:
     passed: bool
 
     def to_json(self) -> dict:
+        inst = self.instance
         return {
-            "instance": self.instance,
+            "instance": {**inst, "profits": inst["profits"].tolist(),
+                         "weights": inst["weights"].tolist()},
             "opt_c": self.opt_c,
             "opt_half": self.opt_half,
             "heuristic_profit": self.heuristic_profit,
@@ -189,8 +195,8 @@ def _make_report(kind, profits, weights, c, heuristic_profit, opt_c,
     ratio = heuristic_profit / ref if ref > 0 else 1.0
     inst = {
         "kind": kind,
-        "profits": [float(v) for v in profits],
-        "weights": [int(v) for v in weights],
+        "profits": np.asarray(profits, dtype=np.float64),
+        "weights": np.asarray(weights, dtype=np.int64),
         "capacity": int(c),
     }
     if extra:

@@ -94,12 +94,14 @@ def _read_json(path, what):
 
 
 # the types a scalar config value may have, by the type of its default
-_KINDS = {int: (int,), float: (int, float), str: (str,)}
+_KINDS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
 # the least value of each count
 _LOWS = {"importance_batches": 1, "dataset.per_class": 1, "classes": 2,
          "dataset.classes": 2, "dataset.dims": 1, "input_shape": 1}
-# the dataset keys of IDX data, beside those of the default synthetic data
-_IDX_KEYS = ("images", "labels", "normalize")
+# the dataset keys of IDX data, beside those of the default synthetic data,
+# each with a value of its kind
+_IDX_KEYS = {"images": "images.idx", "labels": "labels.idx",
+             "normalize": True}
 
 
 def _check_kind(name, value, default):
@@ -145,7 +147,8 @@ def load_config(path=None, seed=None, dataset=None) -> dict:
                 if sk not in cfg[k] and not (k == "dataset"
                                              and sk in _IDX_KEYS):
                     raise ConfigError(f"unknown config key '{k}.{sk}'")
-                _check_kind(f"{k}.{sk}", sv, cfg[k].get(sk))
+                _check_kind(f"{k}.{sk}", sv,
+                            cfg[k].get(sk, _IDX_KEYS.get(sk)))
             cfg[k].update(v)
         else:
             _check_kind(k, v, cfg[k])

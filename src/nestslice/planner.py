@@ -15,6 +15,13 @@ bound to a channel, and the classifier columns fed by the last encoder
 layer. With that folding the knapsack budget bounds the true full-model
 MAC count of the resulting subnetwork.
 
+Flat plans solve each stage of those heuristics by weight class instead
+of by the item DP: every unit of a layer weighs the same, so a stage
+takes the most profitable units of each class of equal weight and is a
+choice of one count per class. The counts are enumerated, and exact
+profit ties resolve as in the item solver. A stage with more count
+tuples than the item DP has cells runs the item solver.
+
 Depthwise-separable chains get a dedicated exact solver: choosing k
 filters in a layer forces k depthwise filters and k kernels per chosen
 pointwise filter in the next block, which couples consecutive counts. The
@@ -421,8 +428,7 @@ def rider_costs(g: ng.ModelGraph) -> dict:
 class PlanItems:
     profits: np.ndarray
     weights: np.ndarray
-    forced_min: frozenset
-    sliceable: list
+    starts: np.ndarray  # item index of each sliceable layer's first unit
     sizes: list  # units per sliceable layer, in item order
 
     @classmethod
@@ -437,12 +443,10 @@ class PlanItems:
         """
         unit_macs = ng.unit_macs(g)
         riders = rider_costs(g)
-        sliceable = g.sliceable_indices()
         top = max((v.max() for v in scores.values()), default=1.0)
         floor = 1e-9 * max(top, 1.0)
-        profits, weights, forced, sizes = [], [], [], []
-        start = 0
-        for li in sliceable:
+        profits, weights, sizes = [], [], []
+        for li in g.sliceable_indices():
             imp = scores.get(li)
             if imp is None or len(imp) != g.layers[li].units:
                 raise IntegrityError(f"scores missing for layer {li}")
@@ -450,39 +454,124 @@ class PlanItems:
                 raise IntegrityError(
                     f"layer {li} scores are not descending; permute first"
                 )
-            forced.append(start)  # first unit of the layer
-            start += len(imp)
             sizes.append(len(imp))
             profits.append(imp + floor)
             weights.append(np.full(len(imp), unit_macs[li] + riders[li]))
+        starts = np.cumsum([0] + sizes[:-1])
         return cls(np.concatenate(profits), np.concatenate(weights),
-                   frozenset(forced), sliceable, sizes)
+                   starts, sizes)
 
-    def counts_from_selection(self, selected) -> list:
-        chosen = np.zeros(sum(self.sizes), dtype=bool)
-        chosen[list(selected)] = True
-        counts = []
-        start = 0
-        # prefix audit: the selected units of each layer must be 0..k-1
-        for li, n in zip(self.sliceable, self.sizes):
-            got = np.flatnonzero(chosen[start:start + n])
-            start += n
-            if np.any(got != np.arange(len(got))):
-                raise IntegrityError(
-                    f"selection in layer {li} is not a leading prefix: "
-                    f"{got.tolist()}"
-                )
-            counts.append(len(got))
-        return counts
+
+def _dp_cells(weights, room) -> int:
+    """Cells of solve_exact's item DP over items of these weights."""
+    return len(weights) * (room // int(np.gcd.reduce(weights)) + 1)
+
+
+def _flat_stage(items: PlanItems, cap, lo, hi) -> np.ndarray:
+    """Per-layer counts of one flat stage, solved by weight class.
+
+    Units [lo, hi) of each layer are free, those below lo are taken and
+    those from hi on left out. All units of a layer weigh the same, and
+    an optimal stage takes, of every weight class, its units of highest
+    profit (ties to the lower index): swapping a taken unit for a better
+    one of equal weight never loses. So a stage is one count per class.
+    The counts of every class but the one with the most options are
+    enumerated: those of the class with the fewest in a Python loop, the
+    others as one vectorized block. The class with the most options
+    gets its largest count that fits. Among equal profit sums the
+    lexicographically smallest index set wins, as in solve_exact. Units
+    of no positive profit are never taken. A stage with more count
+    tuples than solve_exact's DP has cells runs solve_exact instead.
+    """
+    layer = np.repeat(np.arange(len(lo)), items.sizes)
+    unit = np.arange(len(layer)) - items.starts[layer]
+    taken, left = unit < lo[layer], unit >= hi[layer]
+    forced_w = int(items.weights[taken].sum())
+    if forced_w > cap:
+        raise InfeasiblePlanError(
+            f"forced items weigh {forced_w} > capacity {cap}")
+    room = cap - forced_w
+    free = np.flatnonzero(~taken & ~left & (items.profits > 0))
+    w_free = items.weights[free]
+    if int(w_free.sum()) <= room:
+        return lo + np.bincount(layer[free], minlength=len(lo))
+    classes = []  # (weight, options, profit prefix sums, units)
+    for w in np.unique(w_free):
+        units = free[w_free == w]
+        units = units[np.argsort(-items.profits[units], kind="stable")]
+        classes.append((int(w), min(len(units), room // int(w)),
+                        np.concatenate([[0.0],
+                                        items.profits[units].cumsum()]),
+                        units))
+    classes.sort(key=lambda c: c[1])
+    big = classes.pop()
+    n_tuples = np.prod([m + 1.0 for _, m, _, _ in classes])
+    if n_tuples > _dp_cells(w_free, room):
+        sol = solve_exact(KnapsackInstance(
+            items.profits, items.weights, cap,
+            forced_in=np.flatnonzero(taken), excluded=np.flatnonzero(left)))
+        return np.bincount(layer[list(sol.selected)], minlength=len(lo))
+    # the loop class; with fewer than two classes left, an empty one
+    loop = classes.pop(0) if len(classes) > 1 else (0, 0, np.zeros(1),
+                                                     free[:0])
+    # the block: every count tuple of the remaining classes, by weight
+    w_blk, p_blk = np.zeros(1, np.int64), np.zeros(1)
+    for w, m, cum, _ in classes:
+        w_blk = (w_blk[:, None] + w * np.arange(m + 1)).ravel()
+        p_blk = (p_blk[:, None] + cum[:m + 1]).ravel()
+    by_w = np.argsort(w_blk, kind="stable")
+    w_blk, p_blk = w_blk[by_w], p_blk[by_w]
+    w_loop, m_loop, cum_loop, _ = loop
+    w_big, m_big, cum_big, _ = big
+    best, ties = -np.inf, []
+    for k in range(m_loop + 1):
+        room_k = room - k * w_loop
+        n = int(np.searchsorted(w_blk, room_k, side="right"))
+        k_big = np.minimum((room_k - w_blk[:n]) // w_big, m_big)
+        total = p_blk[:n] + cum_loop[k] + cum_big[k_big]
+        top = total.max()
+        if top >= best:
+            if top > best:
+                best, ties = top, []
+            ties += [(by_w[j], k, int(k_big[j]))
+                     for j in np.flatnonzero(total == top)]
+    shape = [m + 1 for _, m, _, _ in classes]
+
+    def chosen(tie):  # the units a count tuple takes
+        blk, k, kb = tie
+        ks = [*np.unravel_index(blk, shape), k, kb]
+        return np.concatenate([c[3][:kc] for c, kc in
+                               zip(classes + [loop, big], ks)])
+
+    win = ties[0] if len(ties) == 1 else min(
+        ties, key=lambda t: tuple(np.sort(chosen(t)).tolist()))
+    return lo + np.bincount(layer[chosen(win)], minlength=len(lo))
+
+
+def _flat_rows(items: PlanItems, capacities, mode) -> list:
+    """Per-layer counts of each flat stage, aligned with the descending
+    capacities; the stages chain as in solve_iterative.
+
+    Every stage takes at least the first unit of each layer. Bottom-up
+    frees the units past the previous stage's counts; top-down frees
+    units 1 to count - 1 of the previous stage.
+    """
+    ones = np.ones(len(items.sizes), np.int64)
+    sizes = np.array(items.sizes, np.int64)
+
+    def solve(cap, prev):
+        if prev is None:
+            return _flat_stage(items, cap, ones, sizes)
+        if mode == "bu":
+            return _flat_stage(items, cap, prev, sizes)
+        return _flat_stage(items, cap, ones, prev)
+
+    return _run_stages(capacities, mode, solve)
 
 
 def _plan_flat(g, scores, capacities, mode, seed) -> SlicingPlan:
-    items = PlanItems.build(g, scores)
-    sols = solve_iterative(items.profits, items.weights, capacities,
-                           mode=mode, forced=items.forced_min)
-    points = [items.counts_from_selection(s.selected) for s in sols]
-    plan = SlicingPlan(capacities, np.array(points), heuristic=mode,
-                       seed=seed)
+    rows = _flat_rows(PlanItems.build(g, scores), capacities, mode)
+    plan = SlicingPlan(capacities, np.array(rows), heuristic=mode, seed=seed)
     plan.validate(g)
     return plan
 

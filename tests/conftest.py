@@ -1,5 +1,7 @@
 """Shared test helpers: independent oracles and small graph builders."""
 
+import itertools
+
 # nestslice before numpy: importing it first gives BLAS one thread (see
 # nestslice/__init__.py), as in the CLI
 import nestslice  # noqa: F401
@@ -12,7 +14,7 @@ import nestslice.netgraph as ng
 from nestslice.autograd import GradStore, backward
 from nestslice.cachesim import bench_report
 from nestslice.errors import InfeasiblePlanError
-from nestslice.planner import DwSolution, dw_objective
+from nestslice.planner import DwSolution, dw_objective, solve_iterative
 
 
 def random_grad_store(g, seed=0):
@@ -375,6 +377,60 @@ def dp_lexmin_oracle(p, w, cap):
             sel.append(i)
             c -= int(w[i])
     return sel
+
+
+def flat_rows_oracle(items, capacities, mode="bu"):
+    """Per-layer counts of solve_iterative over the flat items (oracle of
+    ``planner._flat_rows``): the item DP over every unit, with the first
+    unit of each layer forced. Asserts that every stage selects a leading
+    prefix of each layer.
+    """
+    layer = np.repeat(np.arange(len(items.sizes)), items.sizes)
+    rows = []
+    for sol in solve_iterative(items.profits, items.weights, capacities,
+                               mode=mode, forced=items.starts):
+        sel = np.array(sol.selected, dtype=np.int64)
+        counts = np.bincount(layer[sel], minlength=len(items.sizes))
+        prefixes = [np.arange(c) for c in counts]
+        assert np.array_equal(sel - items.starts[layer[sel]],
+                              np.concatenate(prefixes))
+        rows.append(counts.tolist())
+    return rows
+
+
+def flat_rows_brute(items, capacities, mode="bu"):
+    """``planner._flat_rows`` by brute force over per-layer count tuples.
+
+    Each stage tries every tuple of counts within its bounds and keeps
+    the best profit sum, then the lexicographically smallest index set.
+    Exact only for exactly representable (integer) profit sums.
+    """
+    caps = sorted(capacities) if mode == "bu" else list(capacities)
+    w_layer = items.weights[items.starts]
+    cum = [np.concatenate([[0.0], np.cumsum(items.profits[s: s + n])])
+           for s, n in zip(items.starts, items.sizes)]
+    lo, hi = [1] * len(items.sizes), list(items.sizes)
+    rows = []
+    for cap in caps:
+        best = None
+        for counts in itertools.product(*(range(a, b + 1)
+                                          for a, b in zip(lo, hi))):
+            if int(np.dot(counts, w_layer)) > cap:
+                continue
+            profit = sum(c[k] for c, k in zip(cum, counts))
+            units = [u for s, k in zip(items.starts, counts)
+                     for u in range(s, s + k)]
+            key = (-profit, units)
+            if best is None or key < best[0]:
+                best = (key, list(counts))
+        if best is None:
+            raise InfeasiblePlanError(f"nothing fits capacity {cap}")
+        rows.append(best[1])
+        if mode == "bu":
+            lo = best[1]
+        else:
+            hi = best[1]
+    return rows[::-1] if mode == "bu" else rows
 
 
 def solve_depthwise_oracle(inst, min_counts=None, max_counts=None):

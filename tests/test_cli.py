@@ -292,7 +292,10 @@ def test_config_error_exit_code(tmp_path):
     '{"importance_batches": -1}', '{"heuristc": "td"}',
     '{"dataset": {"foo": 1}}', '{"input_shape": -3}', '{"input_shape": 0}',
     '{"arch": "cnn", "input_shape": [4, 4, 1]}',
-    '{"classes": 3, "dataset": {"classes": 4}}', '{"classes": 1}'],
+    '{"classes": 3, "dataset": {"classes": 4}}', '{"classes": 1}',
+    '{"dataset": {"kind": "idx", "images": 5, "labels": "x"}}',
+    '{"dataset": {"kind": "idx", "images": "i", "labels": "l", '
+    '"normalize": 1}}'],
     ids=["missing", "not_json", "not_an_object", "section_not_object",
          "dataset_not_object", "capacities_empty", "capacities_string",
          "capacities_non_number", "capacities_bool", "capacities_scalar",
@@ -302,7 +305,8 @@ def test_config_error_exit_code(tmp_path):
          "epochs_negative", "per_class_zero", "classes_one",
          "dims_int_zero", "batches_zero", "batches_negative", "key_typo",
          "dataset_key_unknown", "input_shape_negative", "input_shape_zero",
-         "input_shape_not_data", "classes_not_data", "top_classes_one"])
+         "input_shape_not_data", "classes_not_data", "top_classes_one",
+         "idx_images_int", "idx_normalize_int"])
 def test_malformed_config_exit_code(tmp_path, capsys, text):
     path = tmp_path / "config.json"
     if text is not None:

@@ -296,6 +296,9 @@ def conv_kernel_view(store, u, cin):
 # one kernel element per unit: dk is a vector-matrix product
 @example(n=1, hw=(1, 3), cin=1, u=4, kernel=(1, 1), stride=(2, 2),
          sliced=False, dtype=np.float64, seed=0)
+# one unit whose forward differs by the rounding of its bias add
+@example(n=3, hw=(2, 6), cin=2, u=1, kernel=(1, 1), stride=(1, 2),
+         sliced=False, dtype=np.float32, seed=0)
 def test_conv_matches_im2col_oracle(n, hw, cin, u, kernel, stride, sliced,
                                     dtype, seed):
     # bit-exact: the tap loop runs each tap's product and the tap-order
@@ -306,7 +309,8 @@ def test_conv_matches_im2col_oracle(n, hw, cin, u, kernel, stride, sliced,
     # (the tap loop always copies). So is dk when a unit has one kernel
     # element (kh*kw*cin == 1): it is then a vector-matrix product, which
     # numpy rounds by the operands' layout. There the two agree within
-    # the rounding bound of a dot product of ``length`` terms in any order.
+    # the rounding bound of a dot product of ``length`` terms in any order;
+    # the forward's bias add is one more term.
     kh, kw = kernel
     sh, sw = stride
     rng = np.random.default_rng(seed)
@@ -327,7 +331,8 @@ def test_conv_matches_im2col_oracle(n, hw, cin, u, kernel, stride, sliced,
 
     out = ng._run_conv(x, k, b, kh, kw, sh, sw)
     check(out, conv_oracle(x, k, b, kh, kw, sh, sw), u > 1,
-          conv_oracle(abs(x), abs(k), 0 * b, kh, kw, sh, sw), kh * kw * cin)
+          conv_oracle(abs(x), abs(k), abs(b), kh, kw, sh, sw),
+          kh * kw * cin + 1)
     d = rng.standard_normal(out.shape[:3] + (u + extra,)).astype(dtype)
     d = d[..., :u]
     dx, (dk, db) = ng._conv_back(d, x, k, b, kh, kw, sh, sw)

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import nestslice.netgraph as ng
 import nestslice.planner as pl
-from conftest import dp_lexmin_oracle, random_grad_store, solve_depthwise_oracle
+from conftest import (dp_lexmin_oracle, flat_rows_brute, flat_rows_oracle,
+                      random_grad_store, solve_depthwise_oracle)
 from nestslice.bounds import brute_opt
 from nestslice.errors import ConfigError, InfeasiblePlanError
 from nestslice.importance import (apply_to_scores, permute_descending,
@@ -370,15 +371,62 @@ def test_rider_costs_cover_classifier_and_depthwise():
     assert pl.PlanItems.build(g2, scores2).weights.sum() == full_macs(g2)
 
 
-def test_counts_from_selection_audits_leading_prefixes():
-    from nestslice.errors import IntegrityError
-    g2, scores2, _ = planned_graph()
-    items = pl.PlanItems.build(g2, scores2)
-    n0, n1 = items.sizes
-    assert items.counts_from_selection([0, 1, 2, n0, n0 + 1]) == [3, 2]
-    with pytest.raises(IntegrityError, match=f"layer {items.sliceable[1]} "
-                       "is not a leading prefix"):
-        items.counts_from_selection([0, n0, n0 + 2])
+FLAT_GRAPHS = [(arch, ishape, size) for arch, ishape in
+               (("dnn", 16), ("cnn", (8, 8, 1)), ("dscnn", (8, 8, 1)))
+               for size in ("S", "L")]
+
+
+@pytest.mark.parametrize("arch,ishape,size", FLAT_GRAPHS,
+                         ids=[f"{a}-{s}" for a, _, s in FLAT_GRAPHS])
+def test_flat_rows_match_item_dp_on_continuous_scores(arch, ishape, size):
+    # 6 graphs x 2 modes x (7 seeds on S, 2 on L): 54 plans equal those
+    # of solve_iterative over every unit
+    for seed in range(7 if size == "S" else 2):
+        g2, scores2, _ = planned_graph(arch, ishape, seed=seed, size=size)
+        items = pl.PlanItems.build(g2, scores2)
+        caps = quarter_caps(g2)
+        for mode in ("bu", "td"):
+            got = pl._flat_rows(items, caps, mode)
+            assert ([r.tolist() for r in got]
+                    == flat_rows_oracle(items, caps, mode)), (seed, mode)
+
+
+def test_flat_rows_match_item_dp_and_brute_force_on_integer_ties(rng):
+    # few weight classes and profits in 1..3: many exact ties, across
+    # layers of one class and between count tuples
+    for _ in range(150):
+        sizes = rng.integers(1, 5, int(rng.integers(1, 5))).tolist()
+        w_layer = rng.choice([2, 3, 4, 6], len(sizes))
+        profits = np.concatenate([np.sort(rng.integers(1, 4, n))[::-1]
+                                  for n in sizes]).astype(np.float64)
+        items = pl.PlanItems(profits, np.repeat(w_layer, sizes),
+                             np.cumsum([0] + sizes[:-1]), sizes)
+        total = int(items.weights.sum())
+        caps = sorted(rng.integers(int(w_layer.sum()), total + 1, 3),
+                      reverse=True)
+        for mode in ("bu", "td"):
+            got = [r.tolist() for r in pl._flat_rows(items, caps, mode)]
+            assert got == flat_rows_oracle(items, caps, mode)
+            assert got == flat_rows_brute(items, caps, mode)
+
+
+@pytest.mark.parametrize("arch,ishape", [("dnn", 16), ("cnn", (8, 8, 1)),
+                                         ("dscnn", (8, 8, 1))])
+def test_flat_fallback_gives_the_same_plans(arch, ishape, monkeypatch):
+    # a stage whose count tuples outnumber the item DP's cells runs
+    # solve_exact; forcing that on every stage changes no plan
+    g2, scores2, _ = planned_graph(arch, ishape, seed=2)
+    caps = quarter_caps(g2)
+    want = [plan_bottom_up(g2, scores2, caps), plan_top_down(g2, scores2, caps)]
+    calls = []
+    solve = pl.solve_exact
+    monkeypatch.setattr(pl, "_dp_cells", lambda *a: 0)
+    monkeypatch.setattr(pl, "solve_exact",
+                        lambda inst: calls.append(1) or solve(inst))
+    got = [plan_bottom_up(g2, scores2, caps), plan_top_down(g2, scores2, caps)]
+    assert calls
+    for a, b in zip(got, want):
+        assert a.points.tolist() == b.points.tolist()
 
 
 @pytest.mark.parametrize("kind", ng.COMPUTE_KINDS)
