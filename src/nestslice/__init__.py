@@ -25,9 +25,9 @@ if not any(v in os.environ for v in ("OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 
 from .autograd import (Adam, GradStore, TrainConfig,
                        accumulate_importance_grads, backward, sgd_step)
-from .bounds import (BoundReport, brute_opt, bu_two_stage, find_split_item,
-                     td_two_stage, tight_instance_bu, tight_instance_td,
-                     verify_bounds, violation_search)
+from .bounds import (BoundReport, BoundReports, brute_opt, bu_two_stage,
+                     find_split_item, td_two_stage, tight_instance_bu,
+                     tight_instance_td, verify_bounds, violation_search)
 from .cachesim import (CacheConfig, RP2040_CACHE, TraceStats, bench_report,
                        simulate, trace_matmul)
 from .datasets import Dataset, load_idx, synth_blobs

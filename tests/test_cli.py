@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import shlex
@@ -437,6 +438,26 @@ def test_verify_bounds_uses_global_seed(tmp_path):
     assert docs[3] != docs[0]
     want = [r.to_json() for r in bounds.verify_bounds(n_instances=20, seed=3)]
     assert docs[3] == json.loads(json.dumps(want))
+
+
+def test_verify_bounds_report_bytes_are_pinned(tmp_path):
+    # the sha256 of this report as written before the bound lab was
+    # rebuilt on one subset enumeration per instance
+    out = str(tmp_path / "b")
+    assert main(["--seed", "3", "--out", out, "verify-bounds",
+                 "--instances", "200"]) == 0
+    digest = hashlib.sha256(_read_bytes(out, "bounds_report.json")).hexdigest()
+    assert digest == ("4b9483dfb377fe840abb4eb03b6fa100"
+                      "2d80b540fce8200be41c822e86fb06c7")
+
+
+@pytest.mark.parametrize("flags", [["--max-items", "3"],
+                                   ["--max-items", "21"],
+                                   ["--instances", "-3"]])
+def test_verify_bounds_rejects_counts_out_of_range(tmp_path, flags):
+    out = str(tmp_path / "b")
+    assert main(["--out", out, "verify-bounds", *flags]) == 2
+    assert not os.path.exists(os.path.join(out, "bounds_report.json"))
 
 
 @pytest.fixture(scope="module")
