@@ -330,8 +330,7 @@ def _check_instance(instances, reports, profits, weights, c,
     instances.append((profits, weights, int(c), _profit(profits, opt_c),
                       _profit(profits, opt_half)))
     for kind in kinds:
-        # bottom-up's first stage is Opt_{c/2}
-        flag = int(_case1_holds(weights, c, opt_c, opt_half, opt_half)) \
+        flag = int(_case1_holds(weights, c, opt_c, opt_half)) \
             if case1 and kind == "bu" else -1
         reports.append((k, kind == "td",
                         _profit(profits, td if kind == "td" else bu), flag,
@@ -360,19 +359,16 @@ def verify_bounds(n_instances=1000, seed=0, max_items=12) -> BoundReports:
     return BoundReports(instances, reports)
 
 
-def _case1_holds(weights, c, opt_c, opt_half, bu_half_selected):
+def _case1_holds(weights, c, opt_c, opt_half):
     """True when the proof's ordering of Opt_c has no split item at c/2.
 
-    opt_c and opt_half are the optimal selections at c and c // 2. In
-    that case the bottom-up heuristic must hit Opt_c exactly; callers can
-    assert that on flagged instances.
+    opt_c and opt_half are the optimal selections at c and c // 2; the
+    ordering takes the items of Opt_c that are in Opt_{c/2} first, then
+    the others. With no split item the bottom-up heuristic must hit
+    Opt_c exactly; callers can assert that on flagged instances.
     """
     half_set = set(opt_half)
-    bu_fill = set(bu_half_selected)
-    both = [i for i in opt_c if i in half_set]
-    neither = [i for i in opt_c if i not in half_set and i not in bu_fill]
-    fill = [i for i in opt_c if i in bu_fill and i not in half_set]
-    order = both + neither + fill
+    order = sorted(opt_c, key=lambda i: i not in half_set)
     res = find_split_item([weights[i] for i in order], c // 2)
     return res.split_index is None
 

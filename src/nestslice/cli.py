@@ -130,9 +130,9 @@ def load_config(path=None, seed=None, dataset=None) -> dict:
     keys replaced by those of the JSON object in ``path``; ``dataset``
     (the IDX flags) replaces its dataset section. Every key is one of the
     default's (or an IDX dataset key), every scalar keeps the kind of its
-    default, counts keep their ranges, each training section makes a valid
-    ``TrainConfig`` and synthetic data fits ``_check_data``; ConfigError
-    if not."""
+    default, counts and the seed (``seed`` applied) keep their ranges,
+    each training section makes a valid ``TrainConfig`` and synthetic
+    data fits ``_check_data``; ConfigError if not."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     user = _read_json(path, "config") if path else {}
     if not isinstance(user, dict):
@@ -155,6 +155,8 @@ def load_config(path=None, seed=None, dataset=None) -> dict:
             cfg[k] = v
     if seed is not None:
         cfg["seed"] = seed
+    if cfg["seed"] < 0:
+        raise ConfigError(f"seed must be >= 0, got {cfg['seed']}")
     if dataset is not None:
         cfg["dataset"] = dataset
     pct = cfg["capacities_percent"]

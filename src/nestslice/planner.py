@@ -18,9 +18,11 @@ MAC count of the resulting subnetwork.
 Flat plans solve each stage of those heuristics by weight class instead
 of by the item DP: every unit of a layer weighs the same, so a stage
 takes the most profitable units of each class of equal weight and is a
-choice of one count per class. The counts are enumerated, and exact
-profit ties resolve as in the item solver. A stage with more count
-tuples than the item DP has cells runs the item solver.
+choice of one count per class. One vectorized block enumerates the
+counts of all classes but the one with the most options, which takes
+its largest count that fits; ties resolve as in the item solver. A
+block of more tuples than the item DP has cells, or of more than
+DP_BYTE_LIMIT bytes, runs the item solver.
 
 Depthwise-separable chains get a dedicated exact solver: choosing k
 filters in a layer forces k depthwise filters and k kernels per chosen
@@ -467,6 +469,12 @@ def _dp_cells(weights, room) -> int:
     return len(weights) * (room // int(np.gcd.reduce(weights)) + 1)
 
 
+def _block_bytes(n_tuples) -> float:
+    """Bytes _flat_stage's block of n_tuples count tuples peaks below: 16
+    a tuple to hold it (weight and profit sum), at most 41 to search it."""
+    return 64.0 * n_tuples
+
+
 def _flat_stage(items: PlanItems, cap, lo, hi) -> np.ndarray:
     """Per-layer counts of one flat stage, solved by weight class.
 
@@ -475,13 +483,13 @@ def _flat_stage(items: PlanItems, cap, lo, hi) -> np.ndarray:
     an optimal stage takes, of every weight class, its units of highest
     profit (ties to the lower index): swapping a taken unit for a better
     one of equal weight never loses. So a stage is one count per class.
-    The counts of every class but the one with the most options are
-    enumerated: those of the class with the fewest in a Python loop, the
-    others as one vectorized block. The class with the most options
-    gets its largest count that fits. Among equal profit sums the
+    Every count tuple of the classes but the one with the most options
+    is enumerated as one vectorized block; that class gets its largest
+    count that fits beside each tuple. Among equal profit sums the
     lexicographically smallest index set wins, as in solve_exact. Units
-    of no positive profit are never taken. A stage with more count
-    tuples than solve_exact's DP has cells runs solve_exact instead.
+    of no positive profit are never taken. A stage whose block has more
+    tuples than solve_exact's DP has cells, or would take more than
+    DP_BYTE_LIMIT bytes, runs solve_exact instead.
     """
     layer = np.repeat(np.arange(len(lo)), items.sizes)
     unit = np.arange(len(layer)) - items.starts[layer]
@@ -503,48 +511,36 @@ def _flat_stage(items: PlanItems, cap, lo, hi) -> np.ndarray:
                         np.concatenate([[0.0],
                                         items.profits[units].cumsum()]),
                         units))
-    classes.sort(key=lambda c: c[1])
-    big = classes.pop()
+    # profits add up in a fixed order, so rounding never moves a plan: the
+    # classes by options, the fewest moved last, then the one with the most
+    *classes, big = sorted(classes, key=lambda c: c[1])
+    classes = classes[1:] + classes[:1]
     n_tuples = np.prod([m + 1.0 for _, m, _, _ in classes])
-    if n_tuples > _dp_cells(w_free, room):
+    if (n_tuples > _dp_cells(w_free, room)
+            or _block_bytes(n_tuples) > DP_BYTE_LIMIT):
         sol = solve_exact(KnapsackInstance(
             items.profits, items.weights, cap,
             forced_in=np.flatnonzero(taken), excluded=np.flatnonzero(left)))
         return np.bincount(layer[list(sol.selected)], minlength=len(lo))
-    # the loop class; with fewer than two classes left, an empty one
-    loop = classes.pop(0) if len(classes) > 1 else (0, 0, np.zeros(1),
-                                                     free[:0])
-    # the block: every count tuple of the remaining classes, by weight
-    w_blk, p_blk = np.zeros(1, np.int64), np.zeros(1)
-    for w, m, cum, _ in classes:
-        w_blk = (w_blk[:, None] + w * np.arange(m + 1)).ravel()
-        p_blk = (p_blk[:, None] + cum[:m + 1]).ravel()
-    by_w = np.argsort(w_blk, kind="stable")
-    w_blk, p_blk = w_blk[by_w], p_blk[by_w]
-    w_loop, m_loop, cum_loop, _ = loop
-    w_big, m_big, cum_big, _ = big
-    best, ties = -np.inf, []
-    for k in range(m_loop + 1):
-        room_k = room - k * w_loop
-        n = int(np.searchsorted(w_blk, room_k, side="right"))
-        k_big = np.minimum((room_k - w_blk[:n]) // w_big, m_big)
-        total = p_blk[:n] + cum_loop[k] + cum_big[k_big]
-        top = total.max()
-        if top >= best:
-            if top > best:
-                best, ties = top, []
-            ties += [(by_w[j], k, int(k_big[j]))
-                     for j in np.flatnonzero(total == top)]
     shape = [m + 1 for _, m, _, _ in classes]
+    w_blk, p_blk = np.zeros(shape, np.int64), np.zeros(shape)
+    for w_ax, p_ax in zip(
+            np.ix_(*[w * np.arange(m + 1) for w, m, _, _ in classes]),
+            np.ix_(*[cum[:m + 1] for _, m, cum, _ in classes])):
+        w_blk += w_ax
+        p_blk += p_ax
+    w_big, m_big, cum_big, _ = big
+    fit = np.flatnonzero(w_blk <= room)
+    k_big = np.minimum((room - w_blk.ravel()[fit]) // w_big, m_big)
+    total = p_blk.ravel()[fit] + cum_big[k_big]
+    ties = np.flatnonzero(total == total.max())
 
-    def chosen(tie):  # the units a count tuple takes
-        blk, k, kb = tie
-        ks = [*np.unravel_index(blk, shape), k, kb]
-        return np.concatenate([c[3][:kc] for c, kc in
-                               zip(classes + [loop, big], ks)])
+    def chosen(j):  # the units of the j-th count tuple that fits
+        ks = [*np.unravel_index(fit[j], shape), k_big[j]]
+        return np.concatenate([c[3][:k] for c, k in zip(classes + [big], ks)])
 
     win = ties[0] if len(ties) == 1 else min(
-        ties, key=lambda t: tuple(np.sort(chosen(t)).tolist()))
+        ties, key=lambda j: tuple(np.sort(chosen(j)).tolist()))
     return lo + np.bincount(layer[chosen(win)], minlength=len(lo))
 
 

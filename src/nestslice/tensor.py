@@ -13,6 +13,7 @@ serialise to a little-endian binary blob format.
 
 from __future__ import annotations
 
+import math
 import struct
 import threading
 
@@ -71,21 +72,24 @@ def write_blob(a: np.ndarray, fh) -> None:
 def read_blob(fh) -> np.ndarray:
     """The next blob as a new array from ``store``.
 
-    ShapeMismatchError for a truncated blob or an extent of 0;
-    IntegrityError for an order word other than 0.
+    ShapeMismatchError for a truncated blob, whose extents or data need
+    more bytes than ``fh`` has left (checked before they are read), or an
+    extent of 0; IntegrityError for an order word other than 0.
     """
     head = fh.read(8)
     if len(head) < 8:
         raise ShapeMismatchError("truncated tensor blob header")
     ndim, order = struct.unpack("<II", head)
-    ext = fh.read(4 * ndim)
-    if len(ext) < 4 * ndim:
+    pos = fh.tell()
+    left = fh.seek(0, 2) - pos
+    fh.seek(pos)
+    if 4 * ndim > left:
         raise ShapeMismatchError("truncated tensor blob extents")
-    shape = struct.unpack(f"<{ndim}I", ext)
-    size = int(np.prod(shape))
-    raw = fh.read(4 * size)
-    if len(raw) < 4 * size:
+    shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+    size = math.prod(shape)
+    if 4 * (ndim + size) > left:
         raise ShapeMismatchError("truncated tensor blob data")
+    raw = fh.read(4 * size)
     if order != 0:
         raise IntegrityError(
             f"tensor blob has order {order}, not row-major (0)")

@@ -199,8 +199,9 @@ def _oracle(profits, weights, c):
     opt_half = solve_exact(KnapsackInstance(profits, weights, c // 2))
     bu, bu_sel, bu_half = bu_two_stage(profits, weights, c)
     td, td_sel, _ = td_two_stage(profits, weights, c)
+    assert bu_half == opt_half.selected  # bottom-up's first stage
     case1 = bounds._case1_holds(weights, c, opt_c.selected,
-                                opt_half.selected, bu_half)
+                                opt_half.selected)
     return opt_c, opt_half, (bu, bu_sel), (td, td_sel), case1
 
 

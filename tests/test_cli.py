@@ -277,6 +277,21 @@ def test_config_error_exit_code(tmp_path):
                  "pipeline"]) == 2
 
 
+@pytest.mark.parametrize("flag, config, command", [
+    (["--seed", "-1"], None, ["verify-bounds", "--instances", "2"]),
+    ([], {"seed": -5}, ["train"])], ids=["seed_flag", "seed_in_config"])
+def test_negative_seed_exit_code(tmp_path, capsys, flag, config, command):
+    if config is not None:
+        flag = ["--config", write_config(tmp_path, config)]
+    out = tmp_path / "o"
+    capsys.readouterr()
+    rc = main(flag + ["--out", str(out)] + command)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and "seed must be >= 0" in err, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", [
     None, "{not json", "[1, 2]", '{"pretrain": 5}', '{"dataset": [1]}',
     '{"capacities_percent": []}', '{"capacities_percent": "abc"}',
@@ -581,6 +596,16 @@ def _blob_order(order):
     return corrupt
 
 
+def _blob_header(*words):
+    """Overwrite the start of the first blob in bn_stats.bin with these
+    u32 words: its ndim, order and extents."""
+    def corrupt(bundle):
+        path = os.path.join(bundle, "bn_stats.bin")
+        with open(path, "r+b") as fh:
+            fh.write(struct.pack(f"<{len(words)}I", *words))
+    return corrupt
+
+
 def _shorten_blob(layer, index):
     """Rewrite layer ``layer``'s weight file with its ``index``-th tensor
     cut to one element."""
@@ -607,6 +632,9 @@ def _shorten_blob(layer, index):
                                            (_set_bundle_key("bn_layers", 3), 6),
                                            (_blob_order(32768), 6),
                                            (_blob_order(1), 6),
+                                           (_blob_header(0xFFFFFFF0, 0), 7),
+                                           (_blob_header(2, 0, 0xFFFF0000,
+                                                         0xFFFF0000), 7),
                                            (_empty_plan, 6),
                                            # layer 0 has a weights file
                                            (_edit_manifest("kind", "bogus",
@@ -638,7 +666,8 @@ def _shorten_blob(layer, index):
                               "missing_layout_key", "bundle_json_not_object",
                               "non_utf8_json", "n_rows_not_int",
                               "bn_layers_not_list", "unknown_blob_order",
-                              "column_major_blob",
+                              "column_major_blob", "blob_ndim_past_end",
+                              "blob_extents_past_end",
                               "empty_plan", "unknown_layer_kind",
                               "layer_without_units", "layer_without_kind",
                               "units_not_int", "kind_not_string",

@@ -429,6 +429,60 @@ def test_flat_fallback_gives_the_same_plans(arch, ishape, monkeypatch):
         assert a.points.tolist() == b.points.tolist()
 
 
+def test_flat_block_memory_is_bounded(monkeypatch):
+    # the largest block of the reference graphs: CNN L at 8x8x1, in the
+    # top-down stage at 75% of full MACs. Its traced peak stays within
+    # the bytes the guard estimates for it
+    g2, scores2, _ = planned_graph("cnn", (8, 8, 1), size="L")
+    items = pl.PlanItems.build(g2, scores2)
+    caps = quarter_caps(g2)
+    ones = np.ones(len(items.sizes), np.int64)
+    prev = pl._flat_stage(items, caps[0], ones, np.array(items.sizes))
+    tuples = []
+    block_bytes = pl._block_bytes
+    monkeypatch.setattr(pl, "_block_bytes",
+                        lambda n: tuples.append(n) or block_bytes(n))
+    tracemalloc.start()
+    try:
+        pl._flat_stage(items, caps[1], ones, prev)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tuples == [272_640]
+    assert peak <= block_bytes(tuples[0])
+
+
+def test_flat_block_over_byte_limit_runs_solve_exact(monkeypatch):
+    # a stage whose block would take more than DP_BYTE_LIMIT bytes runs
+    # solve_exact, which keeps the item DP's own budget; no plan changes
+    g2, scores2, _ = planned_graph("dscnn", (8, 8, 1), seed=2)
+    caps = quarter_caps(g2)
+    sizes = []
+    block_bytes = pl._block_bytes
+    monkeypatch.setattr(pl, "_block_bytes",
+                        lambda n: sizes.append(block_bytes(n)) or sizes[-1])
+    want = [plan_bottom_up(g2, scores2, caps), plan_top_down(g2, scores2, caps)]
+    limit, low = pl.DP_BYTE_LIMIT, max(sizes) - 1
+    over = sizes.count(low + 1)
+    calls = []
+    solve = pl.solve_exact
+
+    def exact(inst):
+        calls.append(1)
+        pl.DP_BYTE_LIMIT = limit
+        try:
+            return solve(inst)
+        finally:
+            pl.DP_BYTE_LIMIT = low
+
+    monkeypatch.setattr(pl, "DP_BYTE_LIMIT", low)
+    monkeypatch.setattr(pl, "solve_exact", exact)
+    got = [plan_bottom_up(g2, scores2, caps), plan_top_down(g2, scores2, caps)]
+    assert len(calls) == over > 0
+    for a, b in zip(got, want):
+        assert a.points.tolist() == b.points.tolist()
+
+
 @pytest.mark.parametrize("kind", ng.COMPUTE_KINDS)
 def test_cost_lives_in_one_place(kind, monkeypatch):
     # tripling one kind's per-unit cost in its one function must reach

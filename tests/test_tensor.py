@@ -71,3 +71,17 @@ def test_blob_zero_extent_rejected():
     raw = struct.pack("<II", 2, 0) + struct.pack("<2I", 3, 0)
     with pytest.raises(ShapeMismatchError, match="zero extent"):
         tz.read_blob(io.BytesIO(raw))
+
+
+@pytest.mark.parametrize("head", [
+    struct.pack("<II", 0xFFFFFFF0, 0),
+    struct.pack("<4I", 2, 0, 0xFFFF0000, 0xFFFF0000)],
+    ids=["ndim_past_end", "extents_past_end"])
+def test_blob_impossible_header_rejected_before_reading(head):
+    # the extents or the data would need more bytes than the blob has
+    # left: rejected before that read is sized, with the position just
+    # past what was read
+    buf = io.BytesIO(head + bytes(64))
+    with pytest.raises(ShapeMismatchError, match="truncated"):
+        tz.read_blob(buf)
+    assert buf.tell() == len(head)
