@@ -16,19 +16,25 @@ out by default since the layout argument is about weight order. The
 simulator is a cold-start LRU set-associative cache with no prefetcher,
 deliberately matching a simple XIP-style flash cache.
 
-``simulate`` is exact LRU for any associativity, and it runs all sets in
-lockstep instead of one access at a time. Sets never interact, so the
-accesses are sorted stably by set, keeping each set's own order. A run of
-the same line within a set is collapsed to its first access: the rest of
-the run are hits and leave the set's LRU order as it was. The i-th
-remaining access of every set is then stepped together on (sets, ways)
-arrays of tags and last-use stamps: a hit refreshes its way's stamp, a
-miss replaces the way with the lowest stamp (empty ways hold tag -1 and
-stamp 0, so they fill from way 0 up). The number of numpy steps is the
-longest collapsed sequence of any one set, each step costing O(active
-sets x ways); a trace that keeps hitting one set with changing lines
-therefore costs one step per access, while the default sweep needs at
-most 512 steps per point.
+``simulate`` is exact LRU for any associativity. Sets never interact,
+so the accesses are sorted stably by set, keeping each set's own order.
+A run of the same line within a set is collapsed to its first access:
+the rest of the run are hits and leave the set's LRU order as it was.
+After the collapse, neighbouring accesses in a set are to different
+lines. By the LRU stack property (Mattson et al., 1970), an access hits
+a W-way set iff fewer than W other distinct lines were used in that set
+since the line's last use. So a 1-way set scores no more hits, and a
+2-way set hits exactly where an access repeats the line two collapsed
+accesses back: one vectorized comparison, with no loop. Equal lines
+share a set, so that comparison never pairs accesses of two sets.
+
+Wider caches run a loop in which the i-th remaining access of every set
+is stepped together on (sets, ways) arrays of tags and last-use stamps:
+a hit refreshes its way's stamp, a miss replaces the way with the lowest
+stamp (empty ways hold tag -1 and stamp 0, so they fill from way 0 up).
+The number of numpy steps is the longest collapsed sequence of any one
+set, each step costing O(active sets x ways); a trace that keeps hitting
+one set with changing lines therefore costs one step per access.
 
 Modeled cost is ``accesses + miss_penalty * misses``; wall-clock speed-up
 percentages depend on the host multiplier latency and are out of scope.
@@ -135,16 +141,23 @@ def trace_matmul(mode, m, n, b, slice_fraction=1.0, elem_bytes=4,
 def simulate(trace, cfg: CacheConfig = RP2040_CACHE) -> TraceStats:
     """LRU set-associative hit/miss accounting from a cold cache.
 
-    Exact for any associativity; see the module docstring for the
-    lockstep algorithm and its cost.
+    Exact for any associativity: 1- and 2-way caches are decided in
+    closed form, wider ones by a loop over all sets in lockstep (see the
+    module docstring). Addresses must be nonnegative integers.
     """
-    addrs = np.asarray(trace, dtype=np.int64)
+    addrs = np.asarray(trace).reshape(-1)
+    # np.asarray([]) is float64: an empty trace's dtype says nothing
+    if addrs.size and addrs.dtype.kind not in "iu":
+        raise ConfigError(f"addresses must be integers, not {addrs.dtype}")
+    addrs = addrs.astype(np.int64, copy=False)
     if addrs.size and addrs.min() < 0:
         raise ConfigError("addresses must be nonnegative")
     n_sets, ways = cfg.n_sets, cfg.ways
-    lines = addrs.reshape(-1) // cfg.line_bytes
+    # every geometry is a power of two, so shifts and masks split lines
+    set_mask, set_bits = n_sets - 1, n_sets.bit_length() - 1
+    lines = addrs >> (cfg.line_bytes.bit_length() - 1)
     # a narrow key lets numpy's stable sort use radix sort
-    key = (lines % n_sets).astype(np.min_scalar_type(n_sets - 1))
+    key = (lines & set_mask).astype(np.min_scalar_type(set_mask))
     lines = lines[np.argsort(key, kind="stable")]
     # a repeat of the previous line in the same set is a hit that leaves
     # the set's LRU order as it was, so each run keeps its first access
@@ -152,7 +165,11 @@ def simulate(trace, cfg: CacheConfig = RP2040_CACHE) -> TraceStats:
     fresh[1:] = lines[1:] != lines[:-1]
     hits = int(lines.size - np.count_nonzero(fresh))
     lines = lines[fresh]
-    sets = lines % n_sets
+    if ways <= 2:
+        if ways == 2:  # a set holds its last two lines, which differ
+            hits += int(np.count_nonzero(lines[2:] == lines[:-2]))
+        return TraceStats(accesses=int(addrs.size), hits=hits)
+    sets = lines & set_mask
     first = np.flatnonzero(np.r_[True, sets[1:] != sets[:-1]])
     length = np.diff(np.r_[first, lines.size])
     rank = np.arange(lines.size) - np.repeat(first, length)
@@ -163,7 +180,7 @@ def simulate(trace, cfg: CacheConfig = RP2040_CACHE) -> TraceStats:
     active = np.bincount(rank)
     block = np.r_[0, np.cumsum(active)]
     seq = np.empty_like(lines)
-    seq[block[rank] + np.repeat(slot, length)] = lines // n_sets
+    seq[block[rank] + np.repeat(slot, length)] = lines >> set_bits
     tags = np.full(length.size * ways, -1, dtype=np.int64)
     stamp = np.zeros(length.size * ways, dtype=np.int64)
     way0 = np.arange(0, length.size * ways, ways)  # flat index of way 0
@@ -194,6 +211,8 @@ def bench_report(shapes=DEFAULT_SHAPES, widths=DEFAULT_WIDTHS,
 
     Returns one dict per configuration, keyed by REPORT_FIELDS.
     """
+    if miss_penalty < 0:
+        raise ConfigError(f"miss_penalty must be >= 0, not {miss_penalty}")
     rows = []
     for (m, n) in shapes:
         for elem in widths:

@@ -232,15 +232,44 @@ def geometry_and_trace(draw):
     return cfg, np.asarray(trace, dtype=np.int64)
 
 
+# lines a, b and c of set 0 in a 4-set cache of 8-byte lines
+_A, _B, _C = 0, 32, 64
+
+
 @settings(max_examples=300, deadline=None)
 @given(case=geometry_and_trace())
 @example(case=(CacheConfig(64, 4, 8), np.zeros(0, dtype=np.int64)))
+# 2-way: alternating two lines hit after the first two, a three-line
+# cycle never hits, and in a b c a the c evicts a
+@example(case=(CacheConfig(64, 2, 8), np.array([_A, _B] * 5)))
+@example(case=(CacheConfig(64, 2, 8), np.array([_A, _B, _C] * 4)))
+@example(case=(CacheConfig(64, 2, 8), np.array([_A, _B, _C, _A])))
+# 1-way: only a repeat of the line just used hits
+@example(case=(CacheConfig(32, 1, 8), np.array([_A, _A + 7, _B, _A, _A])))
 def test_matches_per_access_loop_oracle(case):
     cfg, trace = case
     got = simulate(trace, cfg)
     assert got.accesses == trace.size
     assert got.hits == _simulate_py(trace, cfg.n_sets, cfg.ways,
                                     cfg.line_bytes)
+
+
+@settings(max_examples=100, deadline=None)
+@given(m=st.integers(1, 16), n=st.integers(1, 16), b=st.integers(1, 4),
+       frac=st.floats(0.01, 1.0), elem=st.sampled_from((1, 2, 4)),
+       mode=st.sampled_from(("basic", "optimized")),
+       include_inputs=st.booleans(), ways=st.sampled_from((1, 2, 4)),
+       n_sets=st.sampled_from((1, 2, 4, 8)),
+       line_bytes=st.sampled_from((4, 8, 16)))
+def test_matmul_traces_match_per_access_loop_oracle(
+        m, n, b, frac, elem, mode, include_inputs, ways, n_sets, line_bytes):
+    # the closed forms (1 and 2 ways) and the lockstep loop (4 ways) on
+    # the traces the sweep simulates, in caches small enough to evict
+    cfg = CacheConfig(ways * n_sets * line_bytes, ways, line_bytes)
+    trace = trace_matmul(mode, m, n, b, frac, elem,
+                         include_inputs=include_inputs)
+    assert simulate(trace, cfg).hits == _simulate_py(trace, n_sets, ways,
+                                                     line_bytes)
 
 
 def test_simulator_deterministic_and_order_sensitive(rng):
@@ -255,6 +284,20 @@ def test_simulator_deterministic_and_order_sensitive(rng):
 def test_negative_addresses_rejected():
     with pytest.raises(ConfigError):
         simulate(np.array([-1]), RP2040_CACHE)
+
+
+@pytest.mark.parametrize("trace", [[1.5, 9.7], np.array([True, False]),
+                                   np.array([8.0])])
+def test_non_integer_addresses_rejected(trace):
+    # a cast would truncate floats and read bools as addresses 0 and 1
+    with pytest.raises(ConfigError):
+        simulate(trace, RP2040_CACHE)
+
+
+def test_empty_and_unsigned_traces_accepted():
+    assert simulate([], RP2040_CACHE) == TraceStats(0, 0)
+    assert simulate(np.array([0, 8, 0], dtype=np.uint16),
+                    RP2040_CACHE) == TraceStats(3, 1)
 
 
 # -- sweep ---------------------------------------------------------------------

@@ -262,6 +262,12 @@ def test_bench_cache_command(tmp_path):
     assert rows and set(rows[0]) >= {"mode", "hit_rate", "cost"}
 
 
+def test_bench_cache_rejects_negative_miss_penalty(tmp_path):
+    out = str(tmp_path / "bench")
+    assert main(["--out", out, "bench-cache", "--miss-penalty", "-5"]) == 2
+    assert not os.path.exists(os.path.join(out, "cache_report.csv"))
+
+
 def test_verify_bounds_command(tmp_path):
     out = str(tmp_path / "bounds")
     rc = main(["--out", out, "verify-bounds", "--instances", "50"])
